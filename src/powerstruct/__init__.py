@@ -8,7 +8,7 @@ computations (:mod:`.applications`) and a batch CLI (:mod:`.cli`).
 """
 
 from .rings import GradedAdamsElement, LaurentPoly, Rational, adams
-from .series import TruncSeries
+from .series import TruncSeries, binomial_series
 from .symfunc import (
     SpecializationMode,
     SymFunc,
@@ -65,6 +65,7 @@ __all__ = [
     "Rational",
     "adams",
     "TruncSeries",
+    "binomial_series",
     "SpecializationMode",
     "SymFunc",
     "basis_in_p",

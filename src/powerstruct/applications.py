@@ -30,22 +30,11 @@ from .arith import bernoulli, divisors, moebius
 from .errors import IntegralityError, PowerStructError
 from .power import lambda_t, power
 from .rings import LaurentPoly
-from .series import TruncSeries
+from .series import TruncSeries, binomial_series
 from .symfunc import SymFunc
 
 _L = LaurentPoly.var("L")
 _UV = LaurentPoly.var("u", ("u", "v")) * LaurentPoly.var("v", ("u", "v"))
-
-
-def _over_symfunc(series: TruncSeries, bound: int, vars=()) -> TruncSeries:
-    """Promote every coefficient (scalars included) to a SymFunc."""
-    zero = SymFunc.zero(bound, vars)
-    return series.map_coeffs(lambda c: c + zero)
-
-
-def _over_poly(series: TruncSeries, vars) -> TruncSeries:
-    zero = LaurentPoly.zero(vars)
-    return series.map_coeffs(lambda c: c + zero)
 
 
 def poly_space_class(n_vars: int, degree: int) -> LaurentPoly:
@@ -120,12 +109,11 @@ def config_space_series(
     """
     if bound is None:
         bound = max(order, 1)
-    one = SymFunc.constant(1, bound, x_class.vars)
-    if order == 0:
-        return TruncSeries([one], 0)
-    base = TruncSeries([one, SymFunc.p(1, bound, x_class.vars)], order)
+    base = TruncSeries([1, SymFunc.p(1, bound, x_class.vars)], order)
     result = power(base, SymFunc.constant(x_class, bound))
-    return _over_symfunc(result, bound, x_class.vars)
+    # power() keeps the ring of the coefficients it computes: only rationals
+    # when x_class is 0 or the order is 0.
+    return TruncSeries(result.coeffs, order, SymFunc.zero(bound, x_class.vars))
 
 
 def unordered_config_product(
@@ -168,13 +156,12 @@ def unordered_config_product(
             if s == 0:
                 continue
             route_product = route_product * TruncSeries([one, q**k], order) ** s
-    route_power = _over_poly(route_power, ("q",))
-    route_product = _over_poly(route_product, ("q",))
     if route_power != route_product:
         raise PowerStructError(
             "power-structure and explicit-product routes disagree (internal bug)"
         )
-    return route_power
+    # Over Q[q] even when P = 0 or the order is 0 leaves only rationals.
+    return TruncSeries(route_power.coeffs, order, zero)
 
 
 # -- finite group actions ------------------------------------------------------
@@ -254,15 +241,50 @@ class GroupActionData:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "GroupActionData":
-        classes = tuple(
-            ConjugacyClassData(
-                size=int(entry["size"]),
-                orbit_euler={int(k): int(v) for k, v in entry["orbit_euler"].items()},
-                identity=bool(entry.get("identity", False)),
+        classes = []
+        for i, entry in enumerate(_json_field(data, "classes", "group action", list)):
+            where = f"class {i}"
+            orbit_euler = _json_field(entry, "orbit_euler", where, dict)
+            classes.append(
+                ConjugacyClassData(
+                    size=_json_field(entry, "size", where, int),
+                    orbit_euler={
+                        k: _json_field(orbit_euler, k, f"{where} orbit_euler", int)
+                        for k in orbit_euler
+                    },
+                    identity=bool(entry.get("identity", False)),
+                )
             )
-            for entry in data["classes"]
-        )
-        return cls(group_order=int(data["group_order"]), classes=classes)
+        return cls(_json_field(data, "group_order", "group action", int), tuple(classes))
+
+
+_JSON_KINDS = {int: "an integer", dict: "an object", list: "an array"}
+
+
+def _json_field(obj, key: str, where: str, kind: type):
+    """obj[key] from the JSON object obj, of JSON type kind; errors name the
+    missing or ill-typed field and where it sits."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object, got {obj!r}")
+    if key not in obj:
+        raise ValueError(f"{where} has no {key!r} field")
+    value = obj[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"{where} field {key!r} must be {_JSON_KINDS[kind]}, got {value!r}")
+    return value
+
+
+def _twisted_product_sum(terms, order: int, bound: int) -> TruncSeries:
+    """sum of prefactor * prod_k (1 + p_k t^k)^exponent over (prefactor,
+    [(k, exponent), ...]) pairs, over symmetric functions of bound ``bound``."""
+    total = TruncSeries([], order, SymFunc.zero(bound))
+    for prefactor, factors in terms:
+        prod = TruncSeries.one(order)
+        for k, exponent in factors:
+            if exponent and k <= order:
+                prod = prod * binomial_series(SymFunc.p(k, bound), k, exponent, order)
+        total = total + prod.scale(prefactor)
+    return total
 
 
 def quotient_euler_series(action: GroupActionData, order: int) -> TruncSeries:
@@ -273,24 +295,16 @@ def quotient_euler_series(action: GroupActionData, order: int) -> TruncSeries:
           = (1/|G|) sum_g prod_k (1 + p_k t^k)^{chi(X_k(g)) / k}.
 
     Coefficients are symmetric functions with rational coefficients; the
-    per-class powers are plain exp/log powers with rational exponents.
+    per-class powers are plain binomial powers with rational exponents.
     """
-    bound = max(order, 1)
-    total = TruncSeries.constant(Fraction(0), order)
-    for cls in action.classes:
-        prod = TruncSeries.one(order)
-        for k, chi in sorted(cls.orbit_euler.items()):
-            if chi == 0 or k > order:
-                continue
-            coeffs = (
-                [SymFunc.constant(1, bound)]
-                + [SymFunc.zero(bound)] * (k - 1)
-                + [SymFunc.p(k, bound)]
-            )
-            base = TruncSeries(coeffs, order)
-            prod = prod * base.usual_power(Fraction(chi, k))
-        total = total + prod.scale(Fraction(cls.size))
-    return _over_symfunc(total.scale(Fraction(1, action.group_order)), bound)
+    terms = [
+        (
+            Fraction(cls.size, action.group_order),
+            [(k, Fraction(chi, k)) for k, chi in cls.orbit_euler.items()],
+        )
+        for cls in action.classes
+    ]
+    return _twisted_product_sum(terms, order, max(order, 1))
 
 
 def quotient_euler_egf(action: GroupActionData, order: int) -> TruncSeries:
@@ -300,13 +314,11 @@ def quotient_euler_egf(action: GroupActionData, order: int) -> TruncSeries:
           = (1/|G|) sum_g (1 + t)^{chi(X_1(g))},
 
     with plain rational powers."""
-    total = TruncSeries.constant(Fraction(0), order)
-    one_plus_t = TruncSeries([Fraction(1), Fraction(1)], order)
+    total = TruncSeries([], order)
     for cls in action.classes:
-        fixed = cls.orbit_euler.get(1, 0)
-        term = one_plus_t.usual_power(Fraction(fixed))
-        total = total + term.scale(Fraction(cls.size))
-    return total.scale(Fraction(1, action.group_order))
+        term = binomial_series(1, 1, cls.orbit_euler.get(1, 0), order)
+        total = total + term.scale(Fraction(cls.size, action.group_order))
+    return total
 
 
 # -- hyperelliptic curves and genus-2 moduli ------------------------------------
@@ -372,20 +384,8 @@ def moduli_g2_series(order: int, bound: int | None = None) -> TruncSeries:
     prefactor * prod (1 + p_k t^k)^exponent."""
     if bound is None:
         bound = max(order, 1)
-    total = TruncSeries.constant(Fraction(0), order)
-    for stratum in GENUS2_STRATA:
-        prod = TruncSeries.one(order)
-        for k, exponent in stratum.factors:
-            if k > order:
-                continue
-            coeffs = (
-                [SymFunc.constant(1, bound)]
-                + [SymFunc.zero(bound)] * (k - 1)
-                + [SymFunc.p(k, bound)]
-            )
-            prod = prod * TruncSeries(coeffs, order).usual_power(exponent)
-        total = total + prod.scale(stratum.prefactor)
-    return _over_symfunc(total, bound)
+    terms = [(stratum.prefactor, stratum.factors) for stratum in GENUS2_STRATA]
+    return _twisted_product_sum(terms, order, bound)
 
 
 def harer_zagier(genus: int, marked: int) -> Fraction:

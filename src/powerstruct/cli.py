@@ -53,27 +53,13 @@ class CommandRequest:
 # -- value rendering -------------------------------------------------------------
 
 
-def _unify_series(series: TruncSeries) -> TruncSeries:
-    """Promote every coefficient to the widest ring present, for display."""
-    anchor = next((c for c in series.coeffs if isinstance(c, SymFunc)), None)
-    if anchor is None:
-        anchor = next((c for c in series.coeffs if isinstance(c, LaurentPoly)), None)
-    if anchor is None:
-        return series
-    zero = anchor * 0
-    return series.map_coeffs(lambda c: c + zero)
-
-
 def value_to_json(value):
     if isinstance(value, SCALAR_TYPES):
         return format_rational(value)
-    if isinstance(value, LaurentPoly):
-        return value.to_json_dict()
-    if isinstance(value, SymFunc):
+    if isinstance(value, (LaurentPoly, SymFunc)):
         return value.to_json_dict()
     if isinstance(value, TruncSeries):
-        series = _unify_series(value)
-        return {"order": series.order, "coeffs": [value_to_json(c) for c in series.coeffs]}
+        return {"order": value.order, "coeffs": [value_to_json(c) for c in value.coeffs]}
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
@@ -90,10 +76,6 @@ def value_from_json(data):
 
 
 def value_to_text(value) -> str:
-    if isinstance(value, SCALAR_TYPES):
-        return format_rational(value)
-    if isinstance(value, TruncSeries):
-        return str(_unify_series(value))
     return str(value)
 
 

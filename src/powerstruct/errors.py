@@ -10,7 +10,8 @@ class AlphabetMismatchError(PowerStructError):
 
 
 class InexactDivisionError(PowerStructError):
-    """An exact polynomial division left a nonzero remainder."""
+    """An exact division failed: a nonzero remainder, or a divisor (such as
+    a non-constant symmetric function) that the ring cannot divide by."""
 
 
 class SubstitutionError(PowerStructError):

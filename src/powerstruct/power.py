@@ -41,7 +41,7 @@ from typing import Callable, Sequence
 from .arith import divisors, euler_phi, moebius
 from .errors import ConstantTermError, PowerStructError
 from .rings import LaurentPoly, Rational, adams
-from .series import TruncSeries
+from .series import TruncSeries, binomial_series
 
 _ZERO = Rational(0)
 _ONE = Rational(1)
@@ -186,11 +186,8 @@ def binomial_power(a, exponent, order: int) -> TruncSeries:
     result = TruncSeries.one(order)
     for n in range(1, order + 1):
         exp_n = moebius_exponent(exponent, n)
-        if exp_n == 0:
-            continue
-        coeffs = [_ONE] + [_ZERO] * (n - 1) + [adams(a, n)]
-        factor = TruncSeries(coeffs, order)
-        result = result * factor.usual_power(exp_n)
+        if exp_n != 0:
+            result = result * binomial_series(adams(a, n), n, exp_n, order)
     return result
 
 
@@ -232,18 +229,15 @@ def _check_exp_moebius(order: int) -> tuple[TruncSeries, TruncSeries]:
     rhs = TruncSeries.one(order)
     for n in range(1, order + 1):
         mu = moebius(n)
-        if not mu:
-            continue
-        base = TruncSeries([_ONE] + [_ZERO] * (n - 1) + [-_ONE], order)
-        rhs = rhs * base.usual_power(Rational(-mu, n))
+        if mu:
+            rhs = rhs * binomial_series(-1, n, Rational(-mu, n), order)
     return lhs, rhs
 
 
 def _check_euler_phi(order: int) -> tuple[TruncSeries, TruncSeries]:
     lhs = TruncSeries.one(order)
     for k in range(1, order + 1):
-        base = TruncSeries([_ONE] + [_ZERO] * (k - 1) + [-_ONE], order)
-        lhs = lhs * base.usual_power(Rational(-euler_phi(k), k))
+        lhs = lhs * binomial_series(-1, k, Rational(-euler_phi(k), k), order)
     # t/(1-t) = t + t^2 + ...
     rhs = TruncSeries([_ZERO] + [_ONE] * order, order).exp()
     return lhs, rhs
@@ -271,8 +265,7 @@ def _check_gcd_product(order: int) -> tuple[TruncSeries, TruncSeries]:
         for m in range(1, order + 1):
             if gcd(k, m) != 1:
                 continue
-            coeffs = [one] + [LaurentPoly.zero(("y",))] * (k - 1) + [-(y**m)]
-            factor = TruncSeries(coeffs, order).usual_power(Rational(1, k))
+            factor = binomial_series(-(y**m), k, Rational(1, k), order)
             lhs = (lhs * factor).map_coeffs(trunc_y)
     rhs = TruncSeries.constant(one, order)
     for k in range(1, order + 1):

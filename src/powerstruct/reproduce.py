@@ -201,14 +201,9 @@ def _crit_config_specializations() -> tuple[bool, str]:
     q = LaurentPoly.var("q")
     x_class = 1 + q
     cfg = config_space_series(x_class, order)
-    invariants_route = power(
-        TruncSeries([LaurentPoly.constant(1, ("q",)), LaurentPoly.constant(1, ("q",))], order),
-        x_class,
-    )
-    signed = power(
-        TruncSeries([LaurentPoly.constant(1, ("q",)), LaurentPoly.constant(-1, ("q",))], order),
-        x_class,
-    )
+    over_q = LaurentPoly.zero(("q",))
+    invariants_route = power(TruncSeries([1, 1], order, over_q), x_class)
+    signed = power(TruncSeries([1, -1], order, over_q), x_class)
     ordered_route = TruncSeries([Fraction(1), Fraction(1)], order).usual_power(x_class)
     ok = True
     for n in range(order + 1):

@@ -531,6 +531,12 @@ class GradedAdamsElement:
     def __bool__(self):
         return bool(self.components)
 
+    def invert_unit(self) -> "GradedAdamsElement":
+        """Inverse of a nonzero degree-0 element."""
+        if set(self.components) != {0}:
+            raise ValueError(f"{self} is not a degree-0 unit")
+        return GradedAdamsElement({0: _ONE / self.components[0]})
+
     def adams(self, k: int) -> "GradedAdamsElement":
         if k < 1:
             raise ValueError(f"adams() needs k >= 1, got {k}")

@@ -4,13 +4,14 @@ A :class:`TruncSeries` carries a hard truncation order N and exactly N+1
 coefficients.  Arithmetic never pretends precision beyond N: combining two
 series truncates to the smaller order, and nothing is ever zero-padded
 implicitly.  Coefficients may be rationals, Laurent polynomials, symmetric
-functions or graded elements; mixed scalars are reconciled through the
-coefficient classes' own coercion.
+functions or graded elements, all in one ring fixed at construction: the
+widest ring among the coefficients and the one passed in (SymFunc >
+LaurentPoly > Q), to which the constructor promotes the rest once.
 
 The derivative is taken by shifting indices down; no symbolic t is ever
 materialized.  Logarithm and exponential use the standard exact recurrences
 (all coefficient rings here are Q-algebras, so division by integers is
-always available).
+always available); two-term powers use the binomial :func:`binomial_series`.
 """
 
 from __future__ import annotations
@@ -18,10 +19,28 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from .errors import ConstantTermError
-from .rings import SCALAR_TYPES, LaurentPoly, Rational, format_rational
+from .rings import SCALAR_TYPES, Rational
 
 _ZERO = Rational(0)
 _ONE = Rational(1)
+
+
+def _in_ring(value, zero) -> bool:
+    """True when value needs no promotion into zero's ring: same class,
+    alphabet and generator bound."""
+    return (
+        type(value) is type(zero)
+        and getattr(value, "vars", None) == getattr(zero, "vars", None)
+        and getattr(value, "bound", None) == getattr(zero, "bound", None)
+    )
+
+
+def _ring_zero(values, zero):
+    """Zero of the widest ring among zero's and the values' rings."""
+    for value in values:
+        if not (isinstance(value, SCALAR_TYPES) or _in_ring(value, zero)):
+            zero = zero + _ZERO * value
+    return zero
 
 
 def _invert_leading(value):
@@ -30,23 +49,19 @@ def _invert_leading(value):
         if not value:
             raise ConstantTermError("leading coefficient 0 is not invertible")
         return _ONE / value
-    if value == 1:
-        return _ONE
-    invert = getattr(value, "invert_unit", None)
-    if invert is not None:
-        try:
-            return invert()
-        except Exception as exc:
-            raise ConstantTermError(f"leading coefficient {value} is not a unit") from exc
-    raise ConstantTermError(f"leading coefficient {value} is not invertible")
+    try:
+        return value.invert_unit()
+    except Exception as exc:
+        raise ConstantTermError(f"leading coefficient {value} is not a unit") from exc
 
 
 class TruncSeries:
-    """Formal power series 1-dimensional in t, exact through order N."""
+    """Formal power series 1-dimensional in t, exact through order N, over
+    the ring of ``zero`` widened to the widest ring among the coefficients."""
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "coeffs", "_zero")
 
-    def __init__(self, coeffs: Sequence, order: int | None = None):
+    def __init__(self, coeffs: Sequence, order: int | None = None, zero=_ZERO):
         coeffs = list(coeffs)
         if order is None:
             if not coeffs:
@@ -54,12 +69,14 @@ class TruncSeries:
             order = len(coeffs) - 1
         if order < 0:
             raise ValueError(f"order must be >= 0, got {order}")
-        if len(coeffs) < order + 1:
-            coeffs = coeffs + [_ZERO] * (order + 1 - len(coeffs))
-        elif len(coeffs) > order + 1:
-            coeffs = coeffs[: order + 1]
+        del coeffs[order + 1 :]
+        zero = _ring_zero(coeffs, zero)
+        coeffs += [zero] * (order + 1 - len(coeffs))
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        object.__setattr__(
+            self, "coeffs", tuple(c if _in_ring(c, zero) else c + zero for c in coeffs)
+        )
+        object.__setattr__(self, "_zero", zero)
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncSeries is immutable")
@@ -88,23 +105,21 @@ class TruncSeries:
         if isinstance(other, TruncSeries):
             n = self._common_order(other)
             return TruncSeries(
-                [a + b for a, b in zip(self.coeffs[: n + 1], other.coeffs[: n + 1])], n
+                [a + b for a, b in zip(self.coeffs[: n + 1], other.coeffs[: n + 1])],
+                n,
+                self._zero,
             )
         coeffs = list(self.coeffs)
         coeffs[0] = coeffs[0] + other
-        return TruncSeries(coeffs, self.order)
+        return TruncSeries(coeffs, self.order, self._zero)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncSeries([-c for c in self.coeffs], self.order)
+        return TruncSeries([-c for c in self.coeffs], self.order, self._zero)
 
     def __sub__(self, other):
-        if isinstance(other, TruncSeries):
-            return self + (-other)
-        coeffs = list(self.coeffs)
-        coeffs[0] = coeffs[0] - other
-        return TruncSeries(coeffs, self.order)
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -120,14 +135,14 @@ class TruncSeries:
             for k in range(1, m + 1):
                 acc = acc + a[k] * b[m - k]
             out.append(acc)
-        return TruncSeries(out, n)
+        return TruncSeries(out, n, self._zero)
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def scale(self, factor) -> "TruncSeries":
         """Multiply every coefficient by a ring element."""
-        return TruncSeries([factor * c for c in self.coeffs], self.order)
+        return TruncSeries([factor * c for c in self.coeffs], self.order, self._zero)
 
     def __truediv__(self, other):
         if not isinstance(other, TruncSeries):
@@ -142,7 +157,7 @@ class TruncSeries:
             for k in range(1, m + 1):
                 acc = acc - b[k] * out[m - k]
             out.append(acc * inv)
-        return TruncSeries(out, n)
+        return TruncSeries(out, n, self._zero)
 
     def __rtruediv__(self, other):
         return TruncSeries.constant(other, self.order) / self
@@ -152,7 +167,7 @@ class TruncSeries:
             raise TypeError("series exponent must be an integer; use usual_power")
         if n < 0:
             return (TruncSeries.one(self.order) / self) ** (-n)
-        result = TruncSeries.one(self.order)
+        result = TruncSeries([_ONE], self.order, self._zero)
         base = self
         while n:
             if n & 1:
@@ -182,27 +197,24 @@ class TruncSeries:
             raise ValueError(
                 f"cannot extend a series of order {self.order} to order {order}"
             )
-        return TruncSeries(self.coeffs[: order + 1], order)
+        return TruncSeries(self.coeffs[: order + 1], order, self._zero)
 
     def derivative(self) -> "TruncSeries":
         """d/dt, one order shorter (indices shift down)."""
         if self.order == 0:
-            return TruncSeries([_ZERO], 0)
+            return TruncSeries([], 0, self._zero)
         return TruncSeries(
-            [k * self.coeffs[k] for k in range(1, self.order + 1)], self.order - 1
+            [k * self.coeffs[k] for k in range(1, self.order + 1)], self.order - 1, self._zero
         )
 
     def log(self) -> "TruncSeries":
         """Truncated logarithm; requires constant term 1."""
         if not self.coeffs[0] == 1:
             raise ConstantTermError(f"log needs constant term 1, got {self.coeffs[0]}")
-        if self.order == 0:
-            return TruncSeries([_ZERO], 0)
-        dlog = self.derivative() / self.truncate(self.order - 1)
         out = [_ZERO]
-        for n in range(1, self.order + 1):
-            out.append(Rational(1, n) * dlog.coeffs[n - 1])
-        return TruncSeries(out, self.order)
+        for n, c in enumerate(self.log_derivative(), start=1):
+            out.append(Rational(1, n) * c)
+        return TruncSeries(out, self.order, self._zero)
 
     def exp(self) -> "TruncSeries":
         """Truncated exponential; requires constant term 0."""
@@ -215,7 +227,7 @@ class TruncSeries:
             for k in range(2, n + 1):
                 acc = acc + (k * b[k]) * out[n - k]
             out.append(Rational(1, n) * acc)
-        return TruncSeries(out, self.order)
+        return TruncSeries(out, self.order, self._zero)
 
     def log_derivative(self) -> list:
         """Coefficients C_1..C_N with A'/A = sum C_n t^(n-1); requires a_0 = 1."""
@@ -249,26 +261,21 @@ class TruncSeries:
                 f"substituting t^{k} into a series of order {self.order} is only "
                 f"exact through order {limit}, not {order}"
             )
-        out = [_ZERO] * (order + 1)
+        out = [self._zero] * (order + 1)
         for j, c in enumerate(self.coeffs):
             if j * k > order:
                 break
             out[j * k] = c
-        return TruncSeries(out, order)
+        return TruncSeries(out, order, self._zero)
 
     # -- serialization ---------------------------------------------------------
-
-    def _coeff_str(self, c) -> str:
-        if isinstance(c, SCALAR_TYPES):
-            return format_rational(c)
-        return str(c)
 
     def __str__(self):
         chunks: list[str] = []
         for n, c in enumerate(self.coeffs):
             if c == 0:
                 continue
-            body = self._coeff_str(c)
+            body = str(c)
             if n == 0:
                 chunks.append(body)
                 continue
@@ -294,3 +301,15 @@ class TruncSeries:
 
     def __repr__(self):
         return f"TruncSeries({self})"
+
+
+def binomial_series(c, k: int, e, order: int) -> TruncSeries:
+    """(1 + c t^k)^e = sum_j C(e, j) c^j t^(kj): the exp/log power
+    ``usual_power(e)`` of the two-term series, valid in any Q-algebra, in
+    O(order / k) ring products."""
+    if k < 1:
+        raise ValueError(f"binomial_series needs k >= 1, got {k}")
+    coeffs = [_ONE] + [_ZERO] * order
+    for j in range(1, order // k + 1):
+        coeffs[j * k] = (e - (j - 1)) * Rational(1, j) * c * coeffs[(j - 1) * k]
+    return TruncSeries(coeffs, order, _ZERO * c * e)

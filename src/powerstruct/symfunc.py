@@ -24,7 +24,7 @@ from functools import lru_cache
 from math import factorial
 from typing import Iterable, Mapping, Union
 
-from .errors import GeneratorBoundError, HomogeneityError
+from .errors import GeneratorBoundError, HomogeneityError, InexactDivisionError
 from .rings import (
     SCALAR_TYPES,
     LaurentPoly,
@@ -253,7 +253,12 @@ class SymFunc:
     def __truediv__(self, other):
         if isinstance(other, SCALAR_TYPES):
             return self * (_ONE / Rational(other))
+        if isinstance(other, (LaurentPoly, SymFunc)):
+            raise InexactDivisionError(f"cannot divide a symmetric function by {other}")
         return NotImplemented
+
+    def __rtruediv__(self, other):
+        raise InexactDivisionError(f"cannot divide by the symmetric function {self}")
 
     def __eq__(self, other):
         pair = self._align(other)

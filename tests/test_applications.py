@@ -315,3 +315,44 @@ class TestHarerZagier:
             harer_zagier(1, 0)
         with pytest.raises(ValueError):
             harer_zagier(0, 5)
+
+
+TRIVIAL_ACTION = GroupActionData(
+    group_order=1,
+    classes=(ConjugacyClassData(size=1, orbit_euler={1: 0}, identity=True),),
+)
+BASE = TruncSeries([1, L, 1 - L, L**2], 3)
+
+# Each entry builds a series from one library entry point, degenerate inputs
+# (zero exponents, order 0, an action fixing nothing) included.
+ONE_RING_CASES = {
+    "power-factorize": lambda: power(BASE, 1 + L),
+    "power-product": lambda: power(BASE, 1 + L, "product"),
+    "power-zero-exponent": lambda: power(TruncSeries([1, 1], 2), 0 * L),
+    "power-product-zero-exponent": lambda: power(BASE, 0 * L, "product"),
+    "power-symfunc": lambda: power(TruncSeries([1, SymFunc.p(1, 3)], 3), L),
+    "lambda_t": lambda: lambda_t(L, 4),
+    "lambda_t-order-0": lambda: lambda_t(L, 0),
+    "config": lambda: config_space_series(1 + Q, 4),
+    "config-zero-class": lambda: config_space_series(0 * Q, 3),
+    "config-order-0": lambda: config_space_series(1 + Q, 0),
+    "unordered": lambda: unordered_config_product([1, 0, 1], 4),
+    "unordered-signed": lambda: unordered_config_product([1, 2], 4, signed=True),
+    "unordered-zero-class": lambda: unordered_config_product([0], 3),
+    "unordered-order-0": lambda: unordered_config_product([1, 0, 1], 0),
+    "quotient": lambda: quotient_euler_series(z2_on_sphere(), 4),
+    "quotient-trivial": lambda: quotient_euler_series(TRIVIAL_ACTION, 2),
+    "quotient-order-0": lambda: quotient_euler_series(z2_on_sphere(), 0),
+    "moduli-g2": lambda: moduli_g2_series(6),
+    "moduli-g2-order-0": lambda: moduli_g2_series(0),
+}
+
+
+@pytest.mark.parametrize("build", ONE_RING_CASES.values(), ids=ONE_RING_CASES.keys())
+def test_every_coefficient_shares_one_ring(build):
+    series = build()
+    rings = {
+        (type(c), getattr(c, "vars", None), getattr(c, "bound", None))
+        for c in series.coeffs
+    }
+    assert len(rings) == 1, rings

@@ -100,6 +100,10 @@ class TestCoreCommands:
         assert text == "1 + 2*t + t^2 + O(t^4)"
 
 
+def action_json(*classes):
+    return json.dumps({"group_order": 1, "classes": list(classes)})
+
+
 class TestExitCodes:
     def test_verify_pass_is_zero(self):
         code, _ = run("verify", {"identity": "exp_moebius"}, order=12)
@@ -129,10 +133,43 @@ class TestExitCodes:
     def test_parse_error_is_one_via_main(self, capsys):
         assert main(["pow", "--base", "1+{t", "--exponent", "1"]) == 1
 
+    @pytest.mark.parametrize(
+        "argv, names",
+        [
+            (["factorize", "--series", "0/p[1]", "--order", "4"], "p[1]"),
+            (["adams", "--element", "p[1]/e[2]", "--k", "2"], "p[2]"),
+            (["quotient", "--action", "{}"], "'classes'"),
+            (
+                ["quotient", "--action", action_json({"size": 1})],
+                "class 0 has no 'orbit_euler'",
+            ),
+            (
+                ["quotient", "--action", action_json({"size": 1.5, "orbit_euler": {"1": 0}})],
+                "class 0 field 'size'",
+            ),
+        ],
+    )
+    def test_domain_errors_are_one_line(self, capsys, argv, names):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert names in err
+
     def test_usage_error_is_two_via_main(self):
         with pytest.raises(SystemExit) as exc:
             main(["pow", "--no-such-flag"])
         assert exc.value.code == 2
+
+
+TRIVIAL_ACTION = {
+    "group_order": 1,
+    "classes": [{"size": 1, "identity": True, "orbit_euler": {"1": 0}}],
+}
+ONE_TERM = [{"p": [], "c": {"vars": [], "terms": [{"e": [], "c": "1"}]}}]
+
+
+def symfunc_json(bound, terms=()):
+    return {"bound": bound, "vars": [], "terms": list(terms)}
 
 
 class TestJsonOutput:
@@ -155,6 +192,35 @@ class TestJsonOutput:
         data = json.loads(text)
         assert data["holds"] is False
         assert data["first_discrepancy"]["term"] == "x^2*y"
+
+    @pytest.mark.parametrize(
+        "command, params, order, expected",
+        [
+            ("moduli-g2", {}, 0, [symfunc_json(1, ONE_TERM)]),
+            (
+                "quotient",
+                {"action": json.dumps(TRIVIAL_ACTION)},
+                2,
+                [symfunc_json(2, ONE_TERM), symfunc_json(2), symfunc_json(2)],
+            ),
+            ("pow", {"base": "1+t", "exponent": "0*L"}, 2, ["1", "0", "0"]),
+            (
+                "lambda",
+                {"element": "L"},
+                1,
+                [
+                    {"vars": ["L"], "terms": [{"e": [0], "c": "1"}]},
+                    {"vars": ["L"], "terms": [{"e": [1], "c": "1"}]},
+                ],
+            ),
+        ],
+        ids=["moduli-g2-order-0", "quotient-trivial", "pow-zero-exponent", "lambda"],
+    )
+    def test_series_json_ring(self, command, params, order, expected):
+        """A printed series has the widest coefficient ring present."""
+        code, text = run(command, params, order=order, fmt="json")
+        assert code == 0
+        assert json.loads(text) == {"order": order, "coeffs": expected}
 
     def test_factorize_json(self):
         code, text = run("factorize", {"series": "1+t"}, order=3, fmt="json")

@@ -50,6 +50,12 @@ class TestLambdaT:
     def test_zero_gives_one(self):
         assert lambda_t(LaurentPoly.zero(("L",)), 6) == TruncSeries.one(6)
 
+    def test_graded_series_log(self):
+        # oracle: log lambda_t(x) = sum_n adams(x, n) t^n / n
+        x = GradedAdamsElement({1: 1})
+        expected = [0] + [Fraction(1, n) * adams(x, n) for n in range(1, 4)]
+        assert lambda_t(x, 3).log() == TruncSeries(expected, 3)
+
     def test_graded_element(self):
         for j in (1, 2, 3):
             series = lambda_t(GradedAdamsElement({j: 1}), 3)

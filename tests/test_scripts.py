@@ -1,0 +1,61 @@
+"""The example scripts run end to end and print their pinned lines."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+@pytest.mark.parametrize(
+    "script, args, pinned",
+    [
+        (
+            "genus2_series.py",
+            ["6"],
+            [
+                "series to order 6:",
+                "  t^0: s[]",
+                "  t^1: 2*s[1]",
+                "  t^2: s[1,1] + s[2]",
+                "  t^3: 0",
+                "  t^4: -s[2,2] - s[3,1] + s[4]",
+                "  t^5: -2*s[3,2] + 2*s[4,1] + 2*s[5]",
+            ],
+        ),
+        (
+            "irr_table.py",
+            ["2", "3"],
+            [
+                "# 2 variables",
+                "  degree 1: [Irr] = L^2 + L",
+                "            e(u,v) = u^2*v^2 + u*v   chi = 2",
+                "  degree 2: [Irr] = L^5 - L^2",
+                "  degree 3: [Irr] = L^9 + L^8 - L^6 - L^5",
+            ],
+        ),
+    ],
+)
+def test_script_output(script, args, pinned):
+    lines = run_script(script, *args)
+    for line in pinned:
+        assert line in lines

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from powerstruct import ConstantTermError, LaurentPoly, TruncSeries
+from powerstruct import (
+    ConstantTermError,
+    LaurentPoly,
+    SymFunc,
+    TruncSeries,
+    binomial_series,
+)
 
 L = LaurentPoly.var("L")
 
@@ -167,3 +173,77 @@ class TestUsualPower:
     @settings(max_examples=40)
     def test_power_inverse_pair(self, a, e):
         assert a.usual_power(e).usual_power(1 / e) == a
+
+
+BOUND = 4
+
+
+def ring_scalars():
+    return st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+def ring_polys():
+    coeffs = st.integers(-2, 2).map(Fraction)
+    return st.dictionaries(st.integers(0, 2).map(lambda e: (e,)), coeffs, max_size=3).map(
+        lambda terms: LaurentPoly(("L",), terms)
+    )
+
+
+class TestBinomialSeries:
+    """binomial_series is the closed form of the two-term usual_power."""
+
+    @given(
+        st.one_of(
+            ring_scalars(),
+            ring_polys(),
+            st.builds(
+                lambda q, j: q * SymFunc.p(j, BOUND), ring_scalars(), st.integers(1, 2)
+            ),
+        ),
+        st.one_of(
+            ring_scalars(),
+            ring_polys(),
+            ring_scalars().map(lambda q: SymFunc.constant(q, BOUND)),
+        ),
+        st.integers(1, 4),
+        st.integers(0, 10),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_usual_power(self, c, e, k, order):
+        two_term = TruncSeries([1] + [0] * (k - 1) + [c], order)
+        assert binomial_series(c, k, e, order) == two_term.usual_power(e)
+
+    def test_negative_integer_exponent_is_geometric(self):
+        assert binomial_series(-L, 1, -1, 3) == TruncSeries([1, L, L**2, L**3], 3)
+
+    def test_ring_joins_base_and_exponent(self):
+        series = binomial_series(SymFunc.p(2, BOUND), 2, L, 1)
+        assert all(isinstance(c, SymFunc) and c.vars == ("L",) for c in series.coeffs)
+
+
+def ring_of(value):
+    return type(value), getattr(value, "vars", None), getattr(value, "bound", None)
+
+
+class TestOneRing:
+    def test_scalar_constant_term_is_promoted(self):
+        series = TruncSeries([1, L], 3)
+        assert {ring_of(c) for c in series.coeffs} == {ring_of(L)}
+
+    def test_widest_ring_wins(self):
+        p1 = SymFunc.p(1, 3)
+        series = TruncSeries([Fraction(1), L, p1], 2)
+        assert {ring_of(c) for c in series.coeffs} == {(SymFunc, ("L",), 3)}
+
+    def test_explicit_ring_covers_padding_and_constants(self):
+        series = TruncSeries([1], 2, SymFunc.zero(2))
+        assert series == TruncSeries([1, 0, 0], 2)
+        assert {ring_of(c) for c in series.coeffs} == {(SymFunc, (), 2)}
+
+    def test_integer_coefficients_become_rationals(self):
+        assert {ring_of(c) for c in TruncSeries([1, 2], 3).coeffs} == {ring_of(Fraction(0))}
+
+    def test_derived_series_keep_the_ring(self):
+        series = TruncSeries([LaurentPoly.constant(1, ("L",)), L], 0)
+        for derived in (series.log(), series.log().exp(), series**0, series.derivative()):
+            assert {ring_of(c) for c in derived.coeffs} == {ring_of(L)}
