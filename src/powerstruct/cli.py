@@ -5,19 +5,25 @@ codes: 0 success, 1 domain error, 2 usage error, 3 identity-verification
 failure.  Output is deterministic: identical requests produce identical
 bytes.
 
-Values are written in the grammar of :mod:`powerstruct.parsing`; any
+Values are written in the grammar of :mod:`powerstruct.parsing`, and a
+series value may keep the ``+ O(t^M)`` tail of printed output.  Any
 value-taking option also accepts ``@file.json`` to load the JSON form, and
 the data-heavy commands take ``--input file.json`` holding a JSON object of
-parameters keyed by option name (explicit flags win).
+parameters keyed by option name (explicit flags win).  Values from
+``--input`` or a :class:`CommandRequest` are checked as flags are: the type
+and the choices of the option in the command table.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import applications, parsing, reproduce
 from .power import (
@@ -90,7 +96,7 @@ def _emit(value, fmt: str) -> str:
 
 def _load_at_value(raw: str):
     """Values starting with @ name a JSON file holding the value."""
-    if isinstance(raw, str) and raw.startswith("@"):
+    if raw.startswith("@"):
         data = json.loads(Path(raw[1:]).read_text())
         return value_from_json(data)
     return raw
@@ -104,23 +110,27 @@ def _parse_element(raw, order: int, vars: tuple[str, ...] | None = None):
     return parsing.parse_expression(loaded, order=None, bound=order, vars=vars)
 
 
+# The tail of a printed series, "1 + t + O(t^4)": known through t^(M-1).
+_ORDER_TAIL = re.compile(r"\+\s*O\(\s*t\s*\^\s*([1-9]\d*)\s*\)\s*$")
+
+
 def _parse_series_arg(raw, order: int, vars: tuple[str, ...] | None = None) -> TruncSeries:
     loaded = _load_at_value(raw)
-    if isinstance(loaded, TruncSeries):
-        if loaded.order < order:
-            raise PowerStructError(
-                f"input series has order {loaded.order}, need {order}"
-            )
-        return loaded.truncate(order)
-    if not isinstance(loaded, str):
+    if isinstance(loaded, str):
+        tail = _ORDER_TAIL.search(loaded)
+        known = min(int(tail.group(1)) - 1, order) if tail else order
+        loaded = parsing.parse_series(_ORDER_TAIL.sub("", loaded), known, bound=order, vars=vars)
+    if not isinstance(loaded, TruncSeries):
         return TruncSeries.constant(loaded, order)
-    return parsing.parse_series(loaded, order, bound=order, vars=vars)
+    if loaded.order < order:
+        raise PowerStructError(f"input series has order {loaded.order}, need {order}")
+    return loaded.truncate(order)
 
 
-def _shared_vars(*texts) -> tuple[str, ...]:
+def _shared_vars(*texts: str) -> tuple[str, ...]:
     names: set[str] = set()
     for text in texts:
-        if isinstance(text, str) and not text.startswith("@"):
+        if not text.startswith("@"):
             names.update(parsing.scan_variables(text))
     return tuple(sorted(names))
 
@@ -134,7 +144,7 @@ def _cmd_lambda(params, order, fmt):
 
 
 def _cmd_pow(params, order, fmt):
-    vars = _shared_vars(params["base"], params["exponent"])
+    vars = _shared_vars(_ORDER_TAIL.sub("", params["base"]), params["exponent"])
     base = _parse_series_arg(params["base"], order, vars)
     exponent = _parse_element(params["exponent"], order, vars)
     result = power_op(base, exponent, params.get("algorithm", "factorize"))
@@ -155,17 +165,17 @@ def _cmd_factorize(params, order, fmt):
 
 def _cmd_adams(params, order, fmt):
     element = _parse_element(params["element"], order)
-    return 0, _emit(adams(element, int(params["k"])), fmt)
+    return 0, _emit(adams(element, params["k"]), fmt)
 
 
 def _cmd_plethysm(params, order, fmt):
-    f = parsing.parse_symfunc(str(params["f"]), bound=order)
+    f = parsing.parse_symfunc(params["f"], bound=order)
     x = _parse_element(params["x"], order)
     return 0, _emit(plethysm_apply(f, x), fmt)
 
 
 def _cmd_schur(params, order, fmt):
-    f = parsing.parse_symfunc(str(params["f"]), bound=order)
+    f = parsing.parse_symfunc(params["f"], bound=order)
     expansion = p_to_schur(f)
     if fmt == "json":
         payload = [
@@ -177,19 +187,17 @@ def _cmd_schur(params, order, fmt):
 
 
 def _cmd_specialize(params, order, fmt):
-    f = parsing.parse_symfunc(str(params["f"]), bound=order)
+    f = parsing.parse_symfunc(params["f"], bound=order)
     mode = SpecializationMode(params["mode"])
     return 0, _emit(specialize(f, mode), fmt)
 
 
 def _cmd_irr(params, order, fmt):
-    n_vars = int(params["vars"])
-    degree = int(params["degree"])
     target = params.get("target", "class")
     if target == "class":
-        result = applications.irreducible_class(n_vars, degree)
+        result = applications.irreducible_class(params["vars"], params["degree"])
     else:
-        result = applications.irreducible_specialize(n_vars, degree, target)
+        result = applications.irreducible_specialize(params["vars"], params["degree"], target)
     return 0, _emit(result, fmt)
 
 
@@ -204,15 +212,11 @@ def _cmd_config(params, order, fmt):
     return 0, _emit(series, fmt)
 
 
-def _load_action(raw: str) -> applications.GroupActionData:
-    text = raw
-    if not raw.lstrip().startswith("{"):
-        text = Path(raw).read_text()
-    return applications.GroupActionData.from_json_dict(json.loads(text))
-
-
 def _cmd_quotient(params, order, fmt):
-    action = _load_action(str(params["action"]))
+    text = params["action"]
+    if not text.lstrip().startswith("{"):
+        text = Path(text).read_text()
+    action = applications.GroupActionData.from_json_dict(json.loads(text))
     if params.get("egf"):
         result = applications.quotient_euler_egf(action, order)
     else:
@@ -221,10 +225,7 @@ def _cmd_quotient(params, order, fmt):
 
 
 def _cmd_hyperelliptic(params, order, fmt):
-    result = applications.hyperelliptic_class(
-        int(params["genus"]), params.get("target", "class")
-    )
-    return 0, _emit(result, fmt)
+    return 0, _emit(applications.hyperelliptic_class(**params), fmt)
 
 
 def _cmd_moduli_g2(params, order, fmt):
@@ -232,12 +233,12 @@ def _cmd_moduli_g2(params, order, fmt):
 
 
 def _cmd_harer_zagier(params, order, fmt):
-    value = applications.harer_zagier(int(params["genus"]), int(params["points"]))
+    value = applications.harer_zagier(params["genus"], params["points"])
     return 0, _emit(value, fmt)
 
 
 def _cmd_verify(params, order, fmt):
-    report = verify_identity(str(params["identity"]), order)
+    report = verify_identity(params["identity"], order)
     if fmt == "json":
         payload = {
             "identity": report.name,
@@ -252,140 +253,137 @@ def _cmd_verify(params, order, fmt):
 
 
 def _cmd_reproduce(params, order, fmt):
-    results = reproduce.run_all(
-        order=order,
-        axiom_cases=int(params.get("axiom_cases", 100)),
-        seed=int(params.get("seed", 20240811)),
-    )
+    results = reproduce.run_all(order, **params)
     if fmt == "json":
-        payload = [
-            {
-                "name": r.name,
-                "passed": r.passed,
-                "required": r.required,
-                "detail": r.detail,
-            }
-            for r in results
-        ]
-        text = json.dumps(payload, indent=2)
+        text = json.dumps([asdict(r) for r in results], indent=2)
     else:
         text = "\n".join(r.line() for r in results)
     return (0 if reproduce.all_required_pass(results) else 3), text
 
 
-_HANDLERS = {
-    "lambda": (_cmd_lambda, {"element"}, {"element"}),
-    "pow": (_cmd_pow, {"base", "exponent", "algorithm"}, {"base", "exponent"}),
-    "factorize": (_cmd_factorize, {"series", "algorithm"}, {"series"}),
-    "adams": (_cmd_adams, {"element", "k"}, {"element", "k"}),
-    "plethysm": (_cmd_plethysm, {"f", "x"}, {"f", "x"}),
-    "schur": (_cmd_schur, {"f"}, {"f"}),
-    "specialize": (_cmd_specialize, {"f", "mode"}, {"f", "mode"}),
-    "irr": (_cmd_irr, {"vars", "degree", "target"}, {"vars", "degree"}),
-    "config": (_cmd_config, {"x_class", "specialize"}, {"x_class"}),
-    "quotient": (_cmd_quotient, {"action", "egf"}, {"action"}),
-    "hyperelliptic": (_cmd_hyperelliptic, {"genus", "target"}, {"genus"}),
-    "moduli-g2": (_cmd_moduli_g2, set(), set()),
-    "harer-zagier": (_cmd_harer_zagier, {"genus", "points"}, {"genus", "points"}),
-    "verify": (_cmd_verify, {"identity"}, {"identity"}),
-    "reproduce": (_cmd_reproduce, {"axiom_cases", "seed"}, set()),
+class _Command(NamedTuple):
+    handler: Callable
+    help: str
+    takes_input: bool
+    # parameter name -> argparse keywords; the flag is the name with dashes.
+    # A required option is required by argparse only when the command takes
+    # no --input, which may supply it instead.
+    options: dict[str, dict]
+
+
+_MODES = tuple(m.value for m in SpecializationMode)
+
+_COMMANDS = {
+    "lambda": _Command(_cmd_lambda, "(1 - t)^(-X) for a ring element X", True, {
+        "element": dict(required=True, help="ring element, e.g. 'L^2+L'")}),
+    "pow": _Command(_cmd_pow, "power-structure value A(t)^X", True, {
+        "base": dict(required=True, help="series with constant term 1, e.g. '1+t'"),
+        "exponent": dict(required=True, help="ring element, e.g. '1+L'"),
+        "algorithm": dict(choices=("factorize", "product"))}),
+    "factorize": _Command(_cmd_factorize, "Euler-product exponents of a series", True, {
+        "series": dict(required=True, help="series with constant term 1"),
+        "algorithm": dict(choices=("moebius", "iterative"))}),
+    "adams": _Command(_cmd_adams, "k-th Adams operation", False, {
+        "element": dict(required=True),
+        "k": dict(type=int, required=True)}),
+    "plethysm": _Command(_cmd_plethysm, "plethysm f o x for constant-coefficient f", False, {
+        "f": dict(required=True, help="symmetric function, e.g. 'h[2]'"),
+        "x": dict(required=True, help="lambda-ring element, e.g. 'L'")}),
+    "schur": _Command(_cmd_schur, "Schur expansion of a homogeneous symmetric function", False, {
+        "f": dict(required=True)}),
+    "specialize": _Command(_cmd_specialize, "character specialization of a symmetric function", False, {
+        "f": dict(required=True),
+        "mode": dict(required=True, choices=_MODES)}),
+    "irr": _Command(_cmd_irr, "class of the irreducible-polynomial variety", False, {
+        "vars": dict(type=int, required=True),
+        "degree": dict(type=int, required=True),
+        "target": dict(choices=("class", "euler", "hodge_deligne"))}),
+    "config": _Command(_cmd_config, "equivariant configuration-space series (1 + p1 t)^X", True, {
+        "x_class": dict(required=True, help="class polynomial, e.g. '1+q'"),
+        "specialize": dict(choices=_MODES)}),
+    "quotient": _Command(
+        _cmd_quotient, "equivariant Euler series of configurations modulo a finite action", True, {
+            "action": dict(required=True, help="group-action JSON (inline or a file path)"),
+            "egf": dict(action="store_true", default=None, help="exponential generating function instead")}),
+    "hyperelliptic": _Command(_cmd_hyperelliptic, "class of the genus-g hyperelliptic moduli space", False, {
+        "genus": dict(type=int, required=True),
+        "target": dict(choices=("class", "hodge_deligne"))}),
+    "moduli-g2": _Command(_cmd_moduli_g2, "equivariant Euler series of genus-2 moduli with marked points", False, {}),
+    "harer-zagier": _Command(_cmd_harer_zagier, "orbifold Euler characteristic of moduli of curves", False, {
+        "genus": dict(type=int, required=True),
+        "points": dict(type=int, required=True)}),
+    "verify": _Command(_cmd_verify, "check a named series identity exactly", False, {
+        "identity": dict(required=True, choices=IDENTITY_NAMES)}),
+    "reproduce": _Command(_cmd_reproduce, "run the full reproduction suite", False, {
+        "axiom_cases": dict(type=int),
+        "seed": dict(type=int)}),
 }
+
+
+class _UsageError(Exception):
+    """A malformed request for a known command (exit code 2)."""
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _checked_value(name: str, spec: dict, value):
+    """A parameter value checked as argparse checks its flag, wherever it
+    came from; a JSON integer given for a value option becomes its text."""
+    expected = bool if spec.get("action") == "store_true" else spec.get("type", str)
+    if expected is str and type(value) is int:
+        value = str(value)
+    if type(value) is not expected:
+        raise _UsageError(f"argument {_flag(name)}: expected {expected.__name__}, got {value!r}")
+    if "choices" in spec and value not in spec["choices"]:
+        raise _UsageError(f"argument {_flag(name)}: invalid choice {value!r}, not in {list(spec['choices'])}")
+    return value
 
 
 def run_command(request: CommandRequest) -> tuple[int, str]:
     """Execute one request; returns (exit code, output text)."""
-    if request.command not in _HANDLERS:
+    command = _COMMANDS.get(request.command)
+    if command is None:
         return 2, f"unknown command {request.command!r}"
-    handler, allowed, required = _HANDLERS[request.command]
     params = {k: v for k, v in request.params.items() if v is not None}
-    unknown = set(params) - allowed
+    unknown = set(params) - command.options.keys()
     if unknown:
         return 2, f"unknown parameters for {request.command}: {sorted(unknown)}"
-    missing = required - set(params)
+    missing = {n for n, spec in command.options.items() if spec.get("required") and n not in params}
     if missing:
         return 2, f"missing parameters for {request.command}: {sorted(missing)}"
+    try:
+        params = {n: _checked_value(n, command.options[n], v) for n, v in params.items()}
+    except _UsageError as exc:
+        return 2, str(exc)
     if request.output_format not in ("text", "json"):
         return 2, f"unknown output format {request.output_format!r}"
     if request.order < 0:
         return 2, f"order must be >= 0, got {request.order}"
-    return handler(params, request.order, request.output_format)
+    return command.handler(params, request.order, request.output_format)
 
 
 # -- argparse front end ---------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse front end for ``_COMMANDS``, built once per process."""
     parser = argparse.ArgumentParser(
         prog="powerstruct",
         description="Exact power-structure computations over lambda-rings.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, *, with_input=False):
-        p = sub.add_parser(name, help=help_text)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--order", type=int, default=DEFAULT_ORDER, help="truncation order (default 10)")
         p.add_argument("--output-format", choices=("text", "json"), default="text")
-        if with_input:
+        if command.takes_input:
             p.add_argument("--input", help="JSON file with parameters keyed by option name")
-        return p
-
-    p = add("lambda", "(1 - t)^(-X) for a ring element X", with_input=True)
-    p.add_argument("--element", help="ring element, e.g. 'L^2+L'")
-
-    p = add("pow", "power-structure value A(t)^X", with_input=True)
-    p.add_argument("--base", help="series with constant term 1, e.g. '1+t'")
-    p.add_argument("--exponent", help="ring element, e.g. '1+L'")
-    p.add_argument("--algorithm", choices=("factorize", "product"))
-
-    p = add("factorize", "Euler-product exponents of a series", with_input=True)
-    p.add_argument("--series", help="series with constant term 1")
-    p.add_argument("--algorithm", choices=("moebius", "iterative"))
-
-    p = add("adams", "k-th Adams operation")
-    p.add_argument("--element", required=True)
-    p.add_argument("--k", type=int, required=True)
-
-    p = add("plethysm", "plethysm f o x for constant-coefficient f")
-    p.add_argument("--f", required=True, help="symmetric function, e.g. 'h[2]'")
-    p.add_argument("--x", required=True, help="lambda-ring element, e.g. 'L'")
-
-    p = add("schur", "Schur expansion of a homogeneous symmetric function")
-    p.add_argument("--f", required=True)
-
-    p = add("specialize", "character specialization of a symmetric function")
-    p.add_argument("--f", required=True)
-    p.add_argument("--mode", required=True, choices=[m.value for m in SpecializationMode])
-
-    p = add("irr", "class of the irreducible-polynomial variety")
-    p.add_argument("--vars", type=int, required=True)
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--target", choices=("class", "euler", "hodge_deligne"))
-
-    p = add("config", "equivariant configuration-space series (1 + p1 t)^X", with_input=True)
-    p.add_argument("--x-class", dest="x_class", help="class polynomial, e.g. '1+q'")
-    p.add_argument("--specialize", choices=[m.value for m in SpecializationMode])
-
-    p = add("quotient", "equivariant Euler series of configurations modulo a finite action", with_input=True)
-    p.add_argument("--action", help="group-action JSON (inline or a file path)")
-    p.add_argument("--egf", action="store_true", help="exponential generating function instead")
-
-    p = add("hyperelliptic", "class of the genus-g hyperelliptic moduli space")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--target", choices=("class", "hodge_deligne"))
-
-    add("moduli-g2", "equivariant Euler series of genus-2 moduli with marked points")
-
-    p = add("harer-zagier", "orbifold Euler characteristic of moduli of curves")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--points", type=int, required=True)
-
-    p = add("verify", "check a named series identity exactly")
-    p.add_argument("--identity", required=True, choices=IDENTITY_NAMES)
-
-    p = add("reproduce", "run the full reproduction suite")
-    p.add_argument("--axiom-cases", dest="axiom_cases", type=int, default=100)
-    p.add_argument("--seed", type=int, default=20240811)
-
+        for option, spec in command.options.items():
+            required = spec.get("required", False) and not command.takes_input
+            p.add_argument(_flag(option), dest=option, **{**spec, "required": required})
     return parser
 
 
@@ -397,25 +395,22 @@ def _request_from_args(args: argparse.Namespace) -> CommandRequest:
     input_file = params.pop("input", None)
     if input_file:
         loaded = json.loads(Path(input_file).read_text())
+        if not isinstance(loaded, dict):
+            raise _UsageError(f"argument --input: {input_file} does not hold a JSON object")
         for key, value in loaded.items():
             key = key.replace("-", "_")
             if params.get(key) is None:
                 params[key] = value
-    if params.get("egf") is False:
-        params["egf"] = None
     return CommandRequest(command, params, order, output_format)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    request = _request_from_args(args)
+    args = build_parser().parse_args(argv)
     try:
-        code, text = run_command(request)
-    except PowerStructError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, ZeroDivisionError, KeyError, OSError, json.JSONDecodeError) as exc:
+        code, text = run_command(_request_from_args(args))
+    except _UsageError as exc:
+        code, text = 2, str(exc)
+    except (PowerStructError, ValueError, ZeroDivisionError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if code == 2:

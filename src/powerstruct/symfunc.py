@@ -506,8 +506,8 @@ def _solve_exact(matrix: list[list[Fraction]], rhs: list) -> list:
 def p_to_schur(f: SymFunc, weight: int | None = None) -> dict[Partition, LaurentPoly]:
     """Expansion of a homogeneous f over Schur functions of its weight.
 
-    Solves against the Jacobi-Trudi p-expansions of all s_lambda, lambda of
-    the given weight.  Zero coefficients are omitted from the result.
+    Solves against the Jacobi-Trudi p-expansions of the s_lambda of weight n
+    at bound max(f.bound, n).  Zero coefficients are omitted from the result.
     """
     n = f.weight()
     if weight is not None and weight != n:
@@ -517,7 +517,7 @@ def p_to_schur(f: SymFunc, weight: int | None = None) -> dict[Partition, Laurent
         return {(): c} if c else {}
     lambdas = partitions_of(n)
     mus = lambdas
-    schur_in_p = {lam: _jacobi_trudi(lam, f.bound) for lam in lambdas}
+    schur_in_p = {lam: _jacobi_trudi(lam, max(f.bound, n)) for lam in lambdas}
     matrix = [
         [schur_in_p[lam].coefficient(mu).constant_term() for lam in lambdas]
         for mu in mus

@@ -1,10 +1,14 @@
 """Command-line interface: requests, output formats, exit codes."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+import hypothesis.strategies as st
 
-from powerstruct.cli import CommandRequest, main, run_command
+from powerstruct.cli import _COMMANDS, CommandRequest, main, run_command
 
 
 def run(command, params=None, order=10, fmt="text"):
@@ -48,6 +52,16 @@ class TestCoreCommands:
     def test_schur(self):
         code, text = run("schur", {"f": "p[1,1]"})
         assert code == 0 and text == "s[1,1] + s[2]"
+
+    @pytest.mark.parametrize("f, order", [("p[1]^11", 10), ("p[1]^3", 2), ("p[1]^3+L*p[2,1]", 2)])
+    def test_schur_weight_above_order(self, f, order):
+        """The expansion does not depend on the generator bound of the input."""
+        code, text = run("schur", {"f": f}, order=order)
+        assert code == 0
+        assert text == run("schur", {"f": f}, order=12)[1]
+
+    def test_schur_weight_above_order_value(self):
+        assert run("schur", {"f": "p[1]^3"}, order=2) == (0, "s[1,1,1] + 2*s[2,1] + s[3]")
 
     def test_specialize(self):
         code, text = run("specialize", {"f": "1/2*p[1,1]+1/2*p[2]", "mode": "ordered"})
@@ -272,6 +286,88 @@ class TestFileInputs:
         assert code == 0
         assert text.startswith("1 + L*t")
 
+    def test_input_egf(self, tmp_path):
+        action = tmp_path / "action.json"
+        action.write_text(
+            json.dumps(
+                {
+                    "group_order": 1,
+                    "classes": [{"size": 1, "identity": True, "orbit_euler": {"1": 2}}],
+                }
+            )
+        )
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps({"egf": True, "action": str(action)}))
+        code, text = main_capture(["quotient", "--input", str(path), "--order", "3"])
+        assert code == 0
+        assert text == "1 + 2*t + t^2 + O(t^4)\n"
+
+    def test_input_integer_value(self, tmp_path):
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps({"base": "1+t", "exponent": 3}))
+        assert main_capture(["pow", "--input", str(path), "--order", "3"]) == (
+            0,
+            "1 + 3*t + 3*t^2 + t^3 + O(t^4)\n",
+        )
+
+    @pytest.mark.parametrize(
+        "argv, data, names",
+        [
+            (["pow"], {"base": [1], "exponent": "L"}, "--base"),
+            (["pow"], {"base": "1+t", "exponent": {"a": 1}}, "--exponent"),
+            (["pow"], {"base": "1+t", "exponent": "L", "algorithm": "bogus"}, "--algorithm"),
+            (["lambda"], {"element": {"a": 1}}, "--element"),
+            (["lambda"], {"element": True}, "--element"),
+            (["quotient"], [1], "--input"),
+            (["quotient"], {"action": "{}", "egf": "yes"}, "--egf"),
+            (["config"], {"x_class": "1+q", "specialize": "bogus"}, "--specialize"),
+        ],
+    )
+    def test_input_values_checked_like_flags(self, tmp_path, capsys, argv, data, names):
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(data))
+        assert main([*argv, "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and names in err
+
+    @pytest.mark.parametrize(
+        "command, params, names",
+        [
+            ("adams", {"element": "L", "k": "2"}, "--k"),
+            ("adams", {"element": "L", "k": True}, "--k"),
+            ("irr", {"vars": 2.0, "degree": 1}, "--vars"),
+            ("reproduce", {"seed": "1"}, "--seed"),
+            ("verify", {"identity": "nope"}, "--identity"),
+            ("quotient", {"action": "{}", "egf": 1}, "--egf"),
+        ],
+    )
+    def test_request_values_checked_like_flags(self, command, params, names):
+        code, text = run(command, params)
+        assert code == 2 and names in text and "\n" not in text
+
+    def test_printed_series_reads_back(self):
+        printed = main_capture(["lambda", "--element", "L", "--order", "3"])[1].strip()
+        argv = ["pow", "--base", printed, "--exponent", "1", "--order", "3"]
+        assert main_capture(argv) == (0, printed + "\n")
+
+    def test_printed_series_tail_is_not_a_variable(self):
+        code, text = run("pow", {"base": "1 + L*t + O(t^3)", "exponent": "1"}, order=2, fmt="json")
+        assert code == 0
+        assert [c["vars"] for c in json.loads(text)["coeffs"]] == [["L"]] * 3
+        code, text = run("pow", {"base": "1+O*t+O(t^3)", "exponent": "1"}, order=2)
+        assert (code, text) == (0, "1 + O*t + O(t^3)")
+
+    @pytest.mark.parametrize("order", [0, 2, 3])
+    def test_printed_series_truncated(self, order):
+        code, text = run("pow", {"base": "1+t+O(t^4)", "exponent": "L"}, order=order)
+        assert (code, text) == run("pow", {"base": "1+t", "exponent": "L"}, order=order)
+
+    @pytest.mark.parametrize("order", [4, 5])
+    def test_printed_series_order_checked(self, capsys, order):
+        argv = ["pow", "--base", "1+t+O(t^4)", "--exponent", "L", "--order", str(order)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: input series has order 3, need {order}\n"
+
     def test_reproduce_smoke(self):
         code, text = run("reproduce", {"axiom_cases": 2})
         assert code == 0
@@ -282,10 +378,45 @@ class TestFileInputs:
 
 
 def main_capture(argv):
-    import contextlib
-    import io
-
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
         code = main(argv)
     return code, buffer.getvalue()
+
+
+INPUT_COMMANDS = sorted(name for name, command in _COMMANDS.items() if command.takes_input)
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False)
+    | st.text(max_size=6)
+    | st.text(alphabet="1tLp[]+-*/^()@{}", max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+@st.composite
+def input_requests(draw):
+    command = draw(st.sampled_from(INPUT_COMMANDS))
+    keys = st.sampled_from([*_COMMANDS[command].options, "bogus"])
+    data = draw(st.dictionaries(keys, JSON_VALUES, max_size=4))
+    return command, data, draw(st.integers(0, 3))
+
+
+class TestInputFuzz:
+    @given(input_requests())
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_input_contract(self, tmp_path, monkeypatch, request_data):
+        """Any --input object ends in exit code 0-3, never a traceback, and a
+        nonzero code writes exactly one line to stderr."""
+        command, data, order = request_data
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "params.json").write_text(json.dumps(data))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--input", "params.json", "--order", str(order)])
+        assert code in (0, 1, 2, 3)
+        if code:
+            assert err.getvalue().count("\n") == 1
