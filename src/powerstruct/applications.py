@@ -21,6 +21,7 @@ affine-line class L (or in the Hodge variables u, v), never as geometry.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
@@ -249,13 +250,20 @@ class GroupActionData:
                 ConjugacyClassData(
                     size=_json_field(entry, "size", where, int),
                     orbit_euler={
-                        k: _json_field(orbit_euler, k, f"{where} orbit_euler", int)
+                        _orbit_length(k, where): _json_field(orbit_euler, k, f"{where} orbit_euler", int)
                         for k in orbit_euler
                     },
                     identity=bool(entry.get("identity", False)),
                 )
             )
         return cls(_json_field(data, "group_order", "group action", int), tuple(classes))
+
+
+def _orbit_length(key: str, where: str) -> int:
+    """An orbit_euler key: the canonical decimal text of a positive integer."""
+    if not (isinstance(key, str) and re.fullmatch("[1-9][0-9]*", key)):
+        raise ValueError(f"{where} orbit_euler key {key!r} must be a positive integer in decimal")
+    return int(key)
 
 
 _JSON_KINDS = {int: "an integer", dict: "an object", list: "an array"}

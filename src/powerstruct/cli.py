@@ -102,12 +102,20 @@ def _load_at_value(raw: str):
     return raw
 
 
-def _parse_element(raw, order: int, vars: tuple[str, ...] | None = None):
-    """An exponent-like value: rational, polynomial or symmetric function."""
+def _load_or_parse(raw, bound: int | None = None, vars: tuple[str, ...] | None = None):
+    """An @file value as loaded, or text parsed without the series variable."""
     loaded = _load_at_value(raw)
     if not isinstance(loaded, str):
         return loaded
-    return parsing.parse_expression(loaded, order=None, bound=order, vars=vars)
+    return parsing.parse_expression(loaded, order=None, bound=bound, vars=vars)
+
+
+def _parse_element(raw, order: int, vars: tuple[str, ...] | None = None):
+    """An exponent-like value: rational, polynomial or symmetric function."""
+    value = _load_or_parse(raw, order, vars)
+    if isinstance(value, TruncSeries):
+        raise PowerStructError(f"{raw[1:]} holds a series, expected a ring element")
+    return value
 
 
 # The tail of a printed series, "1 + t + O(t^4)": known through t^(M-1).
@@ -169,13 +177,13 @@ def _cmd_adams(params, order, fmt):
 
 
 def _cmd_plethysm(params, order, fmt):
-    f = parsing.parse_symfunc(params["f"], bound=order)
+    f = parsing.as_symfunc(_load_or_parse(params["f"], order), order)
     x = _parse_element(params["x"], order)
     return 0, _emit(plethysm_apply(f, x), fmt)
 
 
 def _cmd_schur(params, order, fmt):
-    f = parsing.parse_symfunc(params["f"], bound=order)
+    f = parsing.as_symfunc(_load_or_parse(params["f"], order), order)
     expansion = p_to_schur(f)
     if fmt == "json":
         payload = [
@@ -187,7 +195,7 @@ def _cmd_schur(params, order, fmt):
 
 
 def _cmd_specialize(params, order, fmt):
-    f = parsing.parse_symfunc(params["f"], bound=order)
+    f = parsing.as_symfunc(_load_or_parse(params["f"], order), order)
     mode = SpecializationMode(params["mode"])
     return 0, _emit(specialize(f, mode), fmt)
 
@@ -202,7 +210,7 @@ def _cmd_irr(params, order, fmt):
 
 
 def _cmd_config(params, order, fmt):
-    x_class = parsing.parse_poly(str(_load_at_value(params["x_class"])))
+    x_class = parsing.as_poly(_load_or_parse(params["x_class"]))
     series = applications.config_space_series(x_class, order)
     mode = params.get("specialize")
     if mode:

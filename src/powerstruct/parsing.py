@@ -231,7 +231,11 @@ def parse_expression(
 
 def parse_poly(text: str, vars: tuple[str, ...] | None = None) -> LaurentPoly:
     """Parse a Laurent polynomial (a bare rational becomes a constant)."""
-    value = parse_expression(text, vars=vars)
+    return as_poly(parse_expression(text, vars=vars), vars)
+
+
+def as_poly(value, vars: tuple[str, ...] | None = None) -> LaurentPoly:
+    """A parsed or loaded value as a Laurent polynomial."""
     if isinstance(value, SCALAR_TYPES):
         return LaurentPoly.constant(value, vars or ())
     if isinstance(value, LaurentPoly):
@@ -243,7 +247,12 @@ def parse_symfunc(
     text: str, bound: int, vars: tuple[str, ...] | None = None
 ) -> SymFunc:
     """Parse a symmetric function with the given generator bound."""
-    value = parse_expression(text, bound=bound, vars=vars)
+    return as_symfunc(parse_expression(text, bound=bound, vars=vars), bound)
+
+
+def as_symfunc(value, bound: int) -> SymFunc:
+    """A parsed or loaded value as a symmetric function; a rational or a
+    polynomial becomes a constant with generator bound ``bound``."""
     if isinstance(value, SCALAR_TYPES) or isinstance(value, LaurentPoly):
         return SymFunc.constant(value, bound, getattr(value, "vars", ()))
     if isinstance(value, SymFunc):

@@ -332,30 +332,7 @@ class SymFunc:
         return sorted(self.terms.items(), key=lambda item: (sum(item[0]), item[0]))
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        chunks: list[str] = []
-        for partition, coeff in self.sorted_terms():
-            monomial = f"p[{','.join(map(str, partition))}]" if partition else ""
-            if coeff.is_constant():
-                value = coeff.constant_term()
-                sign = "-" if value < 0 else "+"
-                mag = abs(value)
-                if not monomial:
-                    body = format_rational(mag)
-                elif mag == 1:
-                    body = monomial
-                else:
-                    body = f"{format_rational(mag)}*{monomial}"
-            else:
-                sign = "+"
-                body = f"({coeff})*{monomial}" if monomial else f"({coeff})"
-            chunks.append((sign, body))
-        sign, body = chunks[0]
-        text = body if sign == "+" else f"-{body}"
-        for sign, body in chunks[1:]:
-            text += f" {sign} {body}"
-        return text
+        return _combination_str(self.sorted_terms(), "p", "")
 
     def __repr__(self):
         return f"SymFunc({self})"
@@ -383,18 +360,12 @@ class SymFunc:
 # -- basis conversions -------------------------------------------------------
 
 
-def _p_expansion_h(k: int, bound: int) -> SymFunc:
-    """h_k = sum over partitions of k of p_lambda / z_lambda."""
-    return SymFunc(
-        {part: Rational(1, z_value(part)) for part in partitions_of(k)}, bound
-    )
-
-
-def _p_expansion_e(k: int, bound: int) -> SymFunc:
-    """e_k, the signed variant: coefficient (-1)^(k - length) / z_lambda."""
+def _p_expansion(k: int, bound: int, signed: bool = False) -> SymFunc:
+    """h_k = sum over partitions lambda of k of p_lambda / z_lambda, or e_k
+    when signed: each coefficient times (-1)^(k - length(lambda))."""
     return SymFunc(
         {
-            part: Rational((-1) ** (k - len(part)), z_value(part))
+            part: Rational((-1) ** (k - len(part)) if signed else 1, z_value(part))
             for part in partitions_of(k)
         },
         bound,
@@ -410,7 +381,7 @@ def _jacobi_trudi(partition: Partition, bound: int) -> SymFunc:
     def h(k: int) -> SymFunc:
         if k < 0:
             return SymFunc.zero(bound)
-        return _p_expansion_h(k, bound)
+        return _p_expansion(k, bound)
 
     matrix = [
         [h(partition[i] - (i + 1) + (j + 1)) for j in range(size)] for i in range(size)
@@ -455,7 +426,7 @@ def basis_in_p(
             raise ValueError("index must be >= 0")
         if index > bound:
             raise GeneratorBoundError(f"weight {index} exceeds the bound {bound}")
-        f = _p_expansion_h(index, bound) if basis == "h" else _p_expansion_e(index, bound)
+        f = _p_expansion(index, bound, signed=basis == "e")
     elif basis == "s":
         partition = normalize_partition(
             (index,) if isinstance(index, int) else tuple(index)
@@ -477,78 +448,61 @@ def basis_in_p(
     return f
 
 
-def _solve_exact(matrix: list[list[Fraction]], rhs: list) -> list:
-    """Solve M x = rhs by Gaussian elimination with Fraction pivots.
-
-    The right-hand side entries live in any module over the rationals
-    (LaurentPoly in practice); only rational multiples of them are formed.
-    """
-    size = len(matrix)
-    m = [row[:] for row in matrix]
-    b = list(rhs)
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if m[r][col]), None)
-        if pivot is None:
-            raise ValueError("singular conversion matrix (this is a bug)")
-        m[col], m[pivot] = m[pivot], m[col]
-        b[col], b[pivot] = b[pivot], b[col]
-        inv = _ONE / m[col][col]
-        m[col] = [inv * entry for entry in m[col]]
-        b[col] = inv * b[col]
-        for r in range(size):
-            if r != col and m[r][col]:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-                b[r] = b[r] - factor * b[col]
-    return b
-
-
 def p_to_schur(f: SymFunc, weight: int | None = None) -> dict[Partition, LaurentPoly]:
-    """Expansion of a homogeneous f over Schur functions of its weight.
+    """Expansion of a homogeneous f over Schur functions of its weight n.
 
-    Solves against the Jacobi-Trudi p-expansions of the s_lambda of weight n
-    at bound max(f.bound, n).  Zero coefficients are omitted from the result.
+    By character orthogonality p_mu = sum_lambda chi^lambda(mu) s_lambda, and
+    chi^lambda(mu) = z_mu [p_mu] s_lambda is read off the Jacobi-Trudi
+    expansion of s_lambda, so c_lambda = sum_mu chi^lambda(mu) f_mu over the
+    support of f.  Zero coefficients are omitted from the result.
     """
     n = f.weight()
     if weight is not None and weight != n:
         raise HomogeneityError(f"input has weight {n}, expected {weight}")
-    if n == 0:
-        c = f.coefficient(())
-        return {(): c} if c else {}
-    lambdas = partitions_of(n)
-    mus = lambdas
-    schur_in_p = {lam: _jacobi_trudi(lam, max(f.bound, n)) for lam in lambdas}
-    matrix = [
-        [schur_in_p[lam].coefficient(mu).constant_term() for lam in lambdas]
-        for mu in mus
-    ]
-    rhs = [f.coefficient(mu) for mu in mus]
-    solution = _solve_exact(matrix, rhs)
-    return {lam: c for lam, c in zip(lambdas, solution) if c}
+    expansion: dict[Partition, LaurentPoly] = {}
+    for lam in partitions_of(n):
+        s_lam = _jacobi_trudi(lam, n).terms
+        c = LaurentPoly.zero(f.vars)
+        for mu, f_mu in f.terms.items():
+            if mu in s_lam:
+                c = c + z_value(mu) * s_lam[mu].constant_term() * f_mu
+        if c:
+            expansion[lam] = c
+    return expansion
 
 
-def schur_expansion_str(expansion: Mapping[Partition, LaurentPoly]) -> str:
-    """Canonical text for a Schur expansion, e.g. ``s[2] + s[1,1]``."""
-    if not expansion:
-        return "0"
-    chunks: list[tuple[str, str]] = []
-    for partition in sorted(expansion, key=lambda p: (sum(p), p)):
-        coeff = expansion[partition]
-        monomial = f"s[{','.join(map(str, partition))}]" if partition else "s[]"
+def _combination_str(items: Iterable[tuple[Partition, LaurentPoly]], letter: str, empty: str) -> str:
+    """Canonical text of sum c_lambda x_lambda over the (lambda, c_lambda)
+    items in order: x_lambda is ``letter[l_1,l_2,...]``, and ``empty`` for
+    the empty partition (a bare coefficient when ``empty`` is "")."""
+    text = ""
+    for partition, coeff in items:
+        monomial = f"{letter}[{','.join(map(str, partition))}]" if partition else empty
         if coeff.is_constant():
             value = coeff.constant_term()
             sign = "-" if value < 0 else "+"
             mag = abs(value)
-            body = monomial if mag == 1 else f"{format_rational(mag)}*{monomial}"
+            if not monomial:
+                body = format_rational(mag)
+            elif mag == 1:
+                body = monomial
+            else:
+                body = f"{format_rational(mag)}*{monomial}"
         else:
             sign = "+"
-            body = f"({coeff})*{monomial}"
-        chunks.append((sign, body))
-    sign, body = chunks[0]
-    text = body if sign == "+" else f"-{body}"
-    for sign, body in chunks[1:]:
-        text += f" {sign} {body}"
-    return text
+            body = f"({coeff})*{monomial}" if monomial else f"({coeff})"
+        if text:
+            text += f" {sign} {body}"
+        else:
+            text = body if sign == "+" else f"-{body}"
+    return text or "0"
+
+
+def schur_expansion_str(expansion: Mapping[Partition, LaurentPoly]) -> str:
+    """Canonical text for a Schur expansion, e.g. ``s[2] + s[1,1]``."""
+    return _combination_str(
+        sorted(expansion.items(), key=lambda item: (sum(item[0]), item[0])), "s", "s[]"
+    )
 
 
 # -- plethysm and specialization ----------------------------------------------

@@ -251,6 +251,17 @@ class TestQuotientEuler:
         assert GroupActionData.from_json_dict(data) == action
 
 
+    @pytest.mark.parametrize("key, length", [("1", 1), ("2", 2), ("10", 10), ("12", 12)])
+    def test_orbit_length_keys(self, key, length):
+        data = {
+            "group_order": 2,
+            "classes": [
+                {"size": 1, "identity": True, "orbit_euler": {"1": 2}},
+                {"size": 1, "orbit_euler": {key: 3}},
+            ],
+        }
+        assert GroupActionData.from_json_dict(data).classes[1].orbit_euler == {length: 3}
+
 class TestHyperelliptic:
     def test_classes(self):
         for genus in range(2, 7):

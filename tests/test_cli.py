@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 import hypothesis.strategies as st
 
 from powerstruct.cli import _COMMANDS, CommandRequest, main, run_command
+from powerstruct.parsing import parse_symfunc
 
 
 def run(command, params=None, order=10, fmt="text"):
@@ -169,6 +170,13 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert names in err
 
+    @pytest.mark.parametrize("key", ["1_0", " 1", "1 ", "x", "0", "01", "+1", "-1", "1.0", "", "\u0661"])
+    def test_orbit_length_keys_are_decimal(self, capsys, key):
+        action = action_json({"size": 1, "identity": True, "orbit_euler": {key: 0}})
+        assert main(["quotient", "--action", action]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: class 0 orbit_euler key {key!r} must be a positive integer in decimal\n"
+
     def test_usage_error_is_two_via_main(self):
         with pytest.raises(SystemExit) as exc:
             main(["pow", "--no-such-flag"])
@@ -257,6 +265,42 @@ class TestFileInputs:
         path.write_text(json.dumps({"vars": ["L"], "terms": [{"e": [1], "c": "1"}]}))
         code, text = run("adams", {"element": f"@{path}", "k": 3})
         assert code == 0 and text == "L^3"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lambda", "--element", "@{}"],
+            ["pow", "--base", "1+t", "--exponent", "@{}"],
+            ["adams", "--element", "@{}", "--k", "2"],
+            ["plethysm", "--f", "p[1]", "--x", "@{}"],
+        ],
+    )
+    def test_series_file_is_not_an_element(self, tmp_path, capsys, argv):
+        path = tmp_path / "series.json"
+        path.write_text(main_capture(["lambda", "--element", "L", "--order", "2", "--output-format", "json"])[1])
+        assert main([arg.format(path) for arg in argv]) == 1
+        assert capsys.readouterr().err == f"error: {path} holds a series, expected a ring element\n"
+
+    def test_config_class_file(self, tmp_path, capsys):
+        poly = tmp_path / "poly.json"
+        poly.write_text(json.dumps({"vars": ["q"], "terms": [{"e": [0], "c": "1"}, {"e": [1], "c": "1"}]}))
+        assert run("config", {"x_class": f"@{poly}"}, order=4) == run("config", {"x_class": "1+q"}, order=4)
+        sym = tmp_path / "sym.json"
+        sym.write_text(json.dumps(symfunc_json(4, [{"p": [2], "c": ONE_TERM[0]["c"]}])))
+        assert main(["config", "--x-class", f"@{sym}"]) == 1
+        assert capsys.readouterr().err == "error: expected a polynomial, got SymFunc\n"
+
+    @pytest.mark.parametrize(
+        "command, params",
+        [("schur", {}), ("specialize", {"mode": "ordered"}), ("plethysm", {"x": "1+L"})],
+    )
+    def test_symfunc_file(self, tmp_path, command, params):
+        text = "1/2*p[1,1] - 3*p[2] + e[2]"
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(parse_symfunc(text, 10).to_json_dict()))
+        expected = run(command, {"f": text, **params})
+        assert expected[0] == 0
+        assert run(command, {"f": f"@{path}", **params}) == expected
 
     def test_input_parameter_file(self, tmp_path):
         path = tmp_path / "params.json"

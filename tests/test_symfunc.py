@@ -35,6 +35,21 @@ def sym_funcs(bound=6, max_weight=4):
     )
 
 
+@st.composite
+def homogeneous_sym_funcs(draw, max_weight=7):
+    """A homogeneous f of weight 0..max_weight with 1-4 p-monomials, its
+    coefficients in Q or in Q[L], and a generator bound >= the weight."""
+    n = draw(st.integers(0, max_weight))
+    vars = draw(st.sampled_from([(), ("L",)]))
+    rational = st.fractions(-5, 5, max_denominator=6).filter(bool)
+    coeff = rational if not vars else st.lists(rational, min_size=1, max_size=3).map(
+        lambda cs: sum((c * L**e for e, c in enumerate(cs)), LaurentPoly.zero(vars))
+    )
+    partitions = draw(st.lists(st.sampled_from(partitions_of(n)), min_size=1, max_size=4, unique=True))
+    bound = draw(st.integers(n, n + 3))
+    return SymFunc({mu: draw(coeff) for mu in partitions}, bound, vars)
+
+
 def expand_in_variables(f: SymFunc, n_vars: int = 3) -> LaurentPoly:
     """Evaluate by substituting p_m -> x_1^m + ... + x_{n_vars}^m; coefficient
     variables ride along.  Independent of any Adams/plethysm code paths."""
@@ -197,6 +212,16 @@ class TestSchur:
         back = SymFunc.zero(weight)
         for lam, coeff in expansion.items():
             back = back + coeff * basis_in_p("s", lam, weight)
+        assert back == f
+
+    @given(homogeneous_sym_funcs())
+    @settings(max_examples=40, deadline=None)
+    def test_round_trip_through_jacobi_trudi(self, f):
+        """sum_lambda c_lambda s_lambda == f: the characters read off the
+        Jacobi-Trudi expansions are column-orthogonal."""
+        back = SymFunc.zero(f.bound, f.vars)
+        for lam, coeff in p_to_schur(f).items():
+            back = back + coeff * basis_in_p("s", lam, f.bound)
         assert back == f
 
 
