@@ -174,6 +174,8 @@ class ConjugacyClassData:
 
     ``orbit_euler`` maps an orbit length k to the Euler characteristic of the
     locus of points whose orbit under a representative has exactly k points.
+    ``size``, the orbit lengths and the Euler characteristics must be ints
+    (not bools); anything else raises ``TypeError`` naming the field.
     """
 
     size: int
@@ -181,14 +183,16 @@ class ConjugacyClassData:
     identity: bool = False
 
     def __post_init__(self):
+        _require_int(self.size, "class size")
         if self.size < 1:
             raise ValueError(f"class size must be >= 1, got {self.size}")
         cleaned = {}
         for k, chi in self.orbit_euler.items():
-            k = int(k)
+            _require_int(k, "orbit length")
             if k < 1:
                 raise ValueError(f"orbit length must be >= 1, got {k}")
-            cleaned[k] = int(chi)
+            _require_int(chi, f"orbit_euler value of orbit length {k}")
+            cleaned[k] = chi
         object.__setattr__(self, "orbit_euler", cleaned)
         if self.identity:
             if self.size != 1:
@@ -257,6 +261,12 @@ class GroupActionData:
                 )
             )
         return cls(_json_field(data, "group_order", "group action", int), tuple(classes))
+
+
+def _require_int(value, field: str) -> None:
+    """Refuse anything but an int (a bool is not one) for ``field``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{field} must be an int, got {value!r}")
 
 
 def _orbit_length(key: str, where: str) -> int:

@@ -238,6 +238,23 @@ class TestQuotientEuler:
         with pytest.raises(ValueError):
             ConjugacyClassData(size=1, orbit_euler={2: 5}, identity=True)
 
+    @pytest.mark.parametrize(
+        "size, orbit_euler, field",
+        [
+            (1, {2.7: 1.9}, "orbit length"),
+            (1, {"1_0": True}, "orbit length"),
+            (1, {10: True}, "orbit_euler value of orbit length 10"),
+            (1, {2: 1.9}, "orbit_euler value of orbit length 2"),
+            (1, {True: 1}, "orbit length"),
+            (1.0, {1: 1}, "class size"),
+            (True, {1: 1}, "class size"),
+        ],
+    )
+    def test_non_int_fields_refused(self, size, orbit_euler, field):
+        # int() would read {2.7: 1.9} as {2: 1} and {"1_0": True} as {10: 1}
+        with pytest.raises(TypeError, match=f"^{field} must be an int"):
+            ConjugacyClassData(size=size, orbit_euler=orbit_euler)
+
     def test_json_round_trip(self):
         action = z2_on_sphere()
         data = action.to_json_dict()

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from powerstruct import (
@@ -13,6 +13,14 @@ from powerstruct import (
     LaurentPoly,
     SubstitutionError,
     adams,
+)
+from powerstruct.rings import (
+    _KRONECKER_MAX_SPAN,
+    _KRONECKER_MIN_TERMS,
+    Rational,
+    _kronecker_applies,
+    _mul_dict,
+    _mul_kronecker,
 )
 
 L = LaurentPoly.var("L")
@@ -172,3 +180,66 @@ def test_exact_div_inverts_multiplication(a, b):
     if not b:
         return
     assert (a * b).exact_div(b) == a
+
+
+_NUMERATORS = st.integers(1, 2**200).flatmap(lambda m: st.integers(-m, m)).filter(bool)
+
+
+@st.composite
+def kronecker_operands(draw, sizes=st.integers(_KRONECKER_MIN_TERMS, _KRONECKER_MIN_TERMS + 8)):
+    """Univariate term maps the Kronecker kernel takes: enough terms,
+    exponents (negative ones too) within the density guard, numerators up
+    to 200 bits of either sign, mixed denominators."""
+    size = draw(sizes)
+    lo = draw(st.integers(-30, 30))
+    span = st.integers(lo, lo + _KRONECKER_MAX_SPAN * size - 1)
+    exps = draw(st.lists(span, min_size=size, max_size=size, unique=True))
+    dens = st.sampled_from([1, 1, 1, 2, 3, 12, 2**61 - 1])
+    return {(e,): Rational(draw(_NUMERATORS), draw(dens)) for e in exps}
+
+
+class TestMulKernels:
+    """The Kronecker kernel against the term-by-term loop it bypasses."""
+
+    def check(self, a, b):
+        assert _kronecker_applies(a, b)
+        product = _mul_kronecker(a, b)
+        assert product == _mul_dict(a, b)
+        assert all(c != 0 for c in product.values())
+        assert all(type(c) is type(Rational(1)) for c in product.values())
+
+    @given(kronecker_operands(), kronecker_operands())
+    @settings(max_examples=200)
+    @example((L - 1).terms, (L + 1).terms)
+    @example((1 + L + L**2).terms, (1 - L).terms)
+    @example((L**-3 - L**-1).terms, (L**-3 + L**-1).terms)
+    # every slot product at its largest: the widest coefficient the slot holds
+    @example({(e,): Rational(2**64 - 1) for e in range(3)}, {(e,): Rational(2**64 - 1) for e in range(3)})
+    @example({(e,): Rational(2**64 - 1) for e in range(3)}, {(e,): Rational(1 - 2**64) for e in range(3)})
+    def test_kronecker_matches_dict_loop(self, a, b):
+        self.check(a, b)
+
+    @given(kronecker_operands(st.just(_KRONECKER_MIN_TERMS)), kronecker_operands())
+    @settings(max_examples=60)
+    def test_threshold_size_operand(self, a, b):
+        self.check(a, b)
+        self.check(a, a)
+
+    @given(kronecker_operands())
+    @settings(max_examples=60)
+    def test_cancelling_product(self, a):
+        # a(L) * a(-L) is even in L: every odd coefficient cancels
+        b = {(e,): c if e % 2 == 0 else -c for (e,), c in a.items()}
+        self.check(a, b)
+        assert all(e % 2 == 0 for (e,) in _mul_kronecker(a, b))
+
+    def test_path_choice(self):
+        dense = L**4 + 2 * L**3 - L + 5
+        # 5 terms spread over 10^6 exponents would pack ~10^6 empty slots
+        sparse = 1 + L**250_000 + L**500_000 + L**750_000 + L**1_000_000
+        assert _kronecker_applies(dense.terms, dense.terms)
+        assert not _kronecker_applies(sparse.terms, dense.terms)
+        assert not _kronecker_applies(dense.terms, sparse.terms)
+        assert (dense * sparse).terms == _mul_dict(dense.terms, sparse.terms)
+        # a monomial takes the term-by-term loop
+        assert not _kronecker_applies((L**2).terms, dense.terms)
