@@ -175,7 +175,8 @@ class ConjugacyClassData:
     ``orbit_euler`` maps an orbit length k to the Euler characteristic of the
     locus of points whose orbit under a representative has exactly k points.
     ``size``, the orbit lengths and the Euler characteristics must be ints
-    (not bools); anything else raises ``TypeError`` naming the field.
+    (not bools), and ``identity`` a bool; anything else raises ``TypeError``
+    naming the field.
     """
 
     size: int
@@ -184,6 +185,8 @@ class ConjugacyClassData:
 
     def __post_init__(self):
         _require_int(self.size, "class size")
+        if not isinstance(self.identity, bool):
+            raise TypeError(f"identity must be a bool, got {self.identity!r}")
         if self.size < 1:
             raise ValueError(f"class size must be >= 1, got {self.size}")
         cleaned = {}
@@ -257,7 +260,7 @@ class GroupActionData:
                         _orbit_length(k, where): _json_field(orbit_euler, k, f"{where} orbit_euler", int)
                         for k in orbit_euler
                     },
-                    identity=bool(entry.get("identity", False)),
+                    identity="identity" in entry and _json_field(entry, "identity", where, bool),
                 )
             )
         return cls(_json_field(data, "group_order", "group action", int), tuple(classes))
@@ -276,7 +279,7 @@ def _orbit_length(key: str, where: str) -> int:
     return int(key)
 
 
-_JSON_KINDS = {int: "an integer", dict: "an object", list: "an array"}
+_JSON_KINDS = {int: "an integer", dict: "an object", list: "an array", bool: "a boolean"}
 
 
 def _json_field(obj, key: str, where: str, kind: type):
@@ -287,7 +290,7 @@ def _json_field(obj, key: str, where: str, kind: type):
     if key not in obj:
         raise ValueError(f"{where} has no {key!r} field")
     value = obj[key]
-    if not isinstance(value, kind) or isinstance(value, bool):
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
         raise ValueError(f"{where} field {key!r} must be {_JSON_KINDS[kind]}, got {value!r}")
     return value
 

@@ -1,4 +1,4 @@
-"""Small exact number-theory helpers: divisors, Moebius, Euler phi, Bernoulli."""
+"""Small exact helpers: divisors, Moebius, Euler phi, Bernoulli, binary powers."""
 
 from __future__ import annotations
 
@@ -69,3 +69,16 @@ def bernoulli(m: int) -> Fraction:
         return Fraction(1)
     acc = sum(comb(m + 1, j) * bernoulli(j) for j in range(m))
     return Fraction(-acc, m + 1)
+
+
+def binary_power(base, n: int, one):
+    """base^n for an integer n >= 0 by square-and-multiply from ``one``;
+    squares only while higher bits of n remain."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        if n > 1:
+            base = base * base
+        n >>= 1
+    return result

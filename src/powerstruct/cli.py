@@ -39,6 +39,7 @@ from .series import TruncSeries
 from .symfunc import (
     SpecializationMode,
     SymFunc,
+    by_weight,
     p_to_schur,
     plethysm_apply,
     schur_expansion_str,
@@ -188,7 +189,7 @@ def _cmd_schur(params, order, fmt):
     if fmt == "json":
         payload = [
             {"s": list(partition), "c": value_to_json(coeff)}
-            for partition, coeff in sorted(expansion.items(), key=lambda i: (sum(i[0]), i[0]))
+            for partition, coeff in by_weight(expansion.items())
         ]
         return 0, json.dumps(payload, indent=2)
     return 0, schur_expansion_str(expansion)

@@ -40,7 +40,7 @@ from typing import Callable, Sequence
 
 from .arith import divisors, euler_phi, moebius
 from .errors import ConstantTermError, PowerStructError
-from .rings import LaurentPoly, Rational, adams
+from .rings import LaurentPoly, Rational, adams, format_monomial
 from .series import TruncSeries, binomial_series
 
 _ZERO = Rational(0)
@@ -217,7 +217,7 @@ def _first_series_discrepancy(lhs: TruncSeries, rhs: TruncSeries) -> dict | None
     for n in range(min(lhs.order, rhs.order) + 1):
         if not lhs.coeffs[n] == rhs.coeffs[n]:
             return {
-                "term": "1" if n == 0 else ("t" if n == 1 else f"t^{n}"),
+                "term": format_monomial(("t",), (n,)) or "1",
                 "lhs": str(lhs.coeffs[n]),
                 "rhs": str(rhs.coeffs[n]),
             }
@@ -281,8 +281,8 @@ def _gcd_product_discrepancy(lhs: TruncSeries, rhs: TruncSeries) -> dict | None:
             continue
         diff = left - right
         y_exp = min(e[0] for e in diff.terms)
-        x_part = "1" if n == 0 else ("x" if n == 1 else f"x^{n}")
-        y_part = "1" if y_exp == 0 else ("y" if y_exp == 1 else f"y^{y_exp}")
+        x_part = format_monomial(("x",), (n,)) or "1"
+        y_part = format_monomial(("y",), (y_exp,)) or "1"
         lhs_c = left.terms.get((y_exp,), _ZERO)
         rhs_c = right.terms.get((y_exp,), _ZERO)
         return {

@@ -23,8 +23,10 @@ values can be shared freely.
 Canonical form
 --------------
 Term maps never store zero coefficients, and serialization orders terms by
-descending lexicographic exponent tuple, e.g. ``L^5 - L^2``.  The JSON form
-is ``{"vars": ["L"], "terms": [{"e": [5], "c": "1"}, {"e": [2], "c": "-1"}]}``
+descending lexicographic exponent tuple, e.g. ``L^5 - L^2``.  Every value
+prints as a signed sum through :func:`format_sum` and :func:`format_term`.
+The JSON form is
+``{"vars": ["L"], "terms": [{"e": [5], "c": "1"}, {"e": [2], "c": "-1"}]}``
 with coefficients rendered as ``num/den`` strings (``den`` omitted when 1).
 """
 
@@ -34,6 +36,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, Union
 
+from .arith import binary_power
 from .errors import (
     AlphabetMismatchError,
     InexactDivisionError,
@@ -73,6 +76,40 @@ def format_rational(value) -> str:
 def parse_rational(text: str):
     """Parse the ``num`` / ``num/den`` form produced by :func:`format_rational`."""
     return Rational(text)
+
+
+# -- canonical text ------------------------------------------------------------
+
+
+def format_sum(terms: Iterable[tuple[bool, str]]) -> str:
+    """Join (negative, text) terms in order as ``a - b + c``; ``0`` if none."""
+    text = ""
+    for negative, body in terms:
+        if text:
+            text += f" - {body}" if negative else f" + {body}"
+        else:
+            text = f"-{body}" if negative else body
+    return text or "0"
+
+
+def format_term(coeff: str, monomial: str) -> tuple[bool, str]:
+    """(negative, text) of a coefficient times a monomial text: ``coeff`` is
+    the canonical text of a one-term value, whose leading minus is the sign,
+    and a magnitude of ``1`` is dropped before a nonempty monomial."""
+    negative = coeff.startswith("-")
+    magnitude = coeff[1:] if negative else coeff
+    if not monomial:
+        return negative, magnitude
+    if magnitude == "1":
+        return negative, monomial
+    return negative, f"{magnitude}*{monomial}"
+
+
+def format_monomial(names: Iterable[str], exps: Iterable[int]) -> str:
+    """``L``, ``L^-2``, ``u^2*v``; empty when every exponent is 0."""
+    return "*".join(
+        name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e
+    )
 
 
 class LaurentPoly:
@@ -225,14 +262,7 @@ class LaurentPoly:
             raise TypeError("polynomial exponent must be an integer")
         if n < 0:
             return self.invert_unit() ** (-n)
-        result = LaurentPoly.constant(1, self.vars)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return binary_power(self, n, LaurentPoly.constant(1, self.vars))
 
     def __eq__(self, other):
         pair = self._align(other)
@@ -386,32 +416,11 @@ class LaurentPoly:
         """Terms in canonical order: descending lexicographic exponent tuple."""
         return sorted(self.terms.items(), key=lambda item: item[0], reverse=True)
 
-    def _format_monomial(self, exps: Exponents) -> str:
-        parts = []
-        for name, e in zip(self.vars, exps):
-            if e == 0:
-                continue
-            parts.append(name if e == 1 else f"{name}^{e}")
-        return "*".join(parts)
-
     def __str__(self):
-        if not self.terms:
-            return "0"
-        chunks: list[str] = []
-        for exps, coeff in self.sorted_terms():
-            monomial = self._format_monomial(exps)
-            mag = abs(coeff)
-            if not monomial:
-                body = format_rational(mag)
-            elif mag == 1:
-                body = monomial
-            else:
-                body = f"{format_rational(mag)}*{monomial}"
-            if not chunks:
-                chunks.append(body if coeff > 0 else f"-{body}")
-            else:
-                chunks.append(f"+ {body}" if coeff > 0 else f"- {body}")
-        return " ".join(chunks)
+        return format_sum(
+            format_term(format_rational(coeff), format_monomial(self.vars, exps))
+            for exps, coeff in self.sorted_terms()
+        )
 
     def __repr__(self):
         return f"LaurentPoly({self})"

@@ -19,7 +19,8 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from .errors import ConstantTermError
-from .rings import SCALAR_TYPES, Rational
+from .arith import binary_power
+from .rings import SCALAR_TYPES, Rational, format_monomial, format_sum, format_term
 
 _ZERO = Rational(0)
 _ONE = Rational(1)
@@ -167,15 +168,7 @@ class TruncSeries:
             raise TypeError("series exponent must be an integer; use usual_power")
         if n < 0:
             return (TruncSeries.one(self.order) / self) ** (-n)
-        result = TruncSeries([_ONE], self.order, self._zero)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            if n > 1:
-                base = base * base
-            n >>= 1
-        return result
+        return binary_power(self, n, TruncSeries([_ONE], self.order, self._zero))
 
     def __eq__(self, other):
         if not isinstance(other, TruncSeries):
@@ -271,33 +264,17 @@ class TruncSeries:
     # -- serialization ---------------------------------------------------------
 
     def __str__(self):
-        chunks: list[str] = []
+        """``c_0 + c_1*t + ... + O(t^(N+1))`` without zero terms; coefficients
+        of several terms are parenthesised, except the leading constant."""
+        terms = []
         for n, c in enumerate(self.coeffs):
             if c == 0:
                 continue
             body = str(c)
-            if n == 0:
-                chunks.append(body)
-                continue
-            t_part = "t" if n == 1 else f"t^{n}"
-            if body == "1":
-                term = t_part
-            elif body == "-1":
-                term = f"-{t_part}"
-            else:
-                if " + " in body or " - " in body:
-                    body = f"({body})"
-                term = f"{body}*{t_part}"
-            chunks.append(term)
-        if not chunks:
-            chunks = ["0"]
-        joined = chunks[0]
-        for term in chunks[1:]:
-            if term.startswith("-"):
-                joined += f" - {term[1:]}"
-            else:
-                joined += f" + {term}"
-        return f"{joined} + O(t^{self.order + 1})"
+            if n and (" + " in body or " - " in body):
+                body = f"({body})"
+            terms.append(format_term(body, format_monomial(("t",), (n,))))
+        return f"{format_sum(terms)} + O(t^{self.order + 1})"
 
     def __repr__(self):
         return f"TruncSeries({self})"

@@ -24,6 +24,7 @@ from functools import lru_cache
 from math import factorial
 from typing import Iterable, Mapping, Union
 
+from .arith import binary_power
 from .errors import GeneratorBoundError, HomogeneityError, InexactDivisionError
 from .rings import (
     SCALAR_TYPES,
@@ -31,6 +32,8 @@ from .rings import (
     Rational,
     Scalar,
     format_rational,
+    format_sum,
+    format_term,
 )
 
 _ONE = Rational(1)
@@ -61,6 +64,12 @@ def partitions_of(n: int, max_part: int | None = None) -> tuple[Partition, ...]:
         for rest in partitions_of(n - first, first):
             out.append((first,) + rest)
     return tuple(out)
+
+
+def by_weight(items: Iterable[tuple[Partition, object]]) -> list:
+    """(partition, value) items in canonical order: ascending weight, then
+    ascending lex partition."""
+    return sorted(items, key=lambda item: (sum(item[0]), item[0]))
 
 
 def z_value(partition: Partition) -> int:
@@ -240,15 +249,7 @@ class SymFunc:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("SymFunc exponent must be a non-negative integer")
-        result = SymFunc.constant(1, self.bound, self.vars)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            if n > 1:
-                base = base * base
-            n >>= 1
-        return result
+        return binary_power(self, n, SymFunc.constant(1, self.bound, self.vars))
 
     def __truediv__(self, other):
         if isinstance(other, SCALAR_TYPES):
@@ -328,8 +329,8 @@ class SymFunc:
     # -- serialization -----------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[Partition, LaurentPoly]]:
-        """Canonical order: ascending weight, then ascending lex partition."""
-        return sorted(self.terms.items(), key=lambda item: (sum(item[0]), item[0]))
+        """Terms in the canonical order of :func:`by_weight`."""
+        return by_weight(self.terms.items())
 
     def __str__(self):
         return _combination_str(self.sorted_terms(), "p", "")
@@ -474,35 +475,19 @@ def p_to_schur(f: SymFunc, weight: int | None = None) -> dict[Partition, Laurent
 def _combination_str(items: Iterable[tuple[Partition, LaurentPoly]], letter: str, empty: str) -> str:
     """Canonical text of sum c_lambda x_lambda over the (lambda, c_lambda)
     items in order: x_lambda is ``letter[l_1,l_2,...]``, and ``empty`` for
-    the empty partition (a bare coefficient when ``empty`` is "")."""
-    text = ""
+    the empty partition (a bare coefficient when ``empty`` is ""); a
+    non-constant c_lambda is parenthesised."""
+    terms = []
     for partition, coeff in items:
         monomial = f"{letter}[{','.join(map(str, partition))}]" if partition else empty
-        if coeff.is_constant():
-            value = coeff.constant_term()
-            sign = "-" if value < 0 else "+"
-            mag = abs(value)
-            if not monomial:
-                body = format_rational(mag)
-            elif mag == 1:
-                body = monomial
-            else:
-                body = f"{format_rational(mag)}*{monomial}"
-        else:
-            sign = "+"
-            body = f"({coeff})*{monomial}" if monomial else f"({coeff})"
-        if text:
-            text += f" {sign} {body}"
-        else:
-            text = body if sign == "+" else f"-{body}"
-    return text or "0"
+        text = format_rational(coeff.constant_term()) if coeff.is_constant() else f"({coeff})"
+        terms.append(format_term(text, monomial))
+    return format_sum(terms)
 
 
 def schur_expansion_str(expansion: Mapping[Partition, LaurentPoly]) -> str:
     """Canonical text for a Schur expansion, e.g. ``s[2] + s[1,1]``."""
-    return _combination_str(
-        sorted(expansion.items(), key=lambda item: (sum(item[0]), item[0])), "s", "s[]"
-    )
+    return _combination_str(by_weight(expansion.items()), "s", "s[]")
 
 
 # -- plethysm and specialization ----------------------------------------------

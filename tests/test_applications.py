@@ -255,6 +255,17 @@ class TestQuotientEuler:
         with pytest.raises(TypeError, match=f"^{field} must be an int"):
             ConjugacyClassData(size=size, orbit_euler=orbit_euler)
 
+    @pytest.mark.parametrize("identity", ["false", "no", [0], 1, None])
+    def test_non_bool_identity_refused(self, identity):
+        # bool() would read "false", "no" and [0] as marking the identity
+        with pytest.raises(TypeError, match="^identity must be a bool"):
+            ConjugacyClassData(size=1, orbit_euler={1: 2}, identity=identity)
+
+    @pytest.mark.parametrize("identity", [True, False])
+    def test_bool_identity_accepted(self, identity):
+        assert ConjugacyClassData(size=1, orbit_euler={1: 2}, identity=identity).identity is identity
+        assert ConjugacyClassData(size=1, orbit_euler={1: 2}).identity is False
+
     def test_json_round_trip(self):
         action = z2_on_sphere()
         data = action.to_json_dict()

@@ -177,6 +177,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == f"error: class 0 orbit_euler key {key!r} must be a positive integer in decimal\n"
 
+    @pytest.mark.parametrize("identity", ["false", "no", [0], 1, None])
+    def test_non_bool_identity_is_one_line(self, capsys, identity):
+        action = action_json({"size": 1, "identity": identity, "orbit_euler": {"1": 2}})
+        assert main(["quotient", "--action", action, "--order", "3"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: class 0 field 'identity' must be a boolean, got {identity!r}\n"
+
+    def test_identity_true_false_or_absent(self):
+        def quotient(second):
+            action = {
+                "group_order": 2,
+                "classes": [{"size": 1, "identity": True, "orbit_euler": {"1": 2}}, second],
+            }
+            return run("quotient", {"action": json.dumps(action)}, order=3)
+
+        absent = quotient({"size": 1, "orbit_euler": {"1": 2, "2": 0}})
+        assert absent[0] == 0
+        assert quotient({"size": 1, "identity": False, "orbit_euler": {"1": 2, "2": 0}}) == absent
+
     def test_usage_error_is_two_via_main(self):
         with pytest.raises(SystemExit) as exc:
             main(["pow", "--no-such-flag"])
