@@ -100,9 +100,14 @@ class _Parser:
     def parse_product(self):
         value = self.parse_unary()
         while self.at_op("*", "/"):
-            op = self.next().text
+            op = self.next()
             rhs = self.parse_unary()
-            value = value * rhs if op == "*" else value / rhs
+            if op.text == "*":
+                value = value * rhs
+            elif isinstance(rhs, SCALAR_TYPES) and not rhs:
+                raise ParseError(f"division by zero at position {op.position}")
+            else:
+                value = value / rhs
         return value
 
     def parse_unary(self):
@@ -117,8 +122,11 @@ class _Parser:
     def parse_power(self):
         base = self.parse_primary()
         if self.at_op("^"):
-            self.next()
-            return base ** self.parse_int_exponent()
+            op = self.next()
+            exponent = self.parse_int_exponent()
+            if exponent < 0 and isinstance(base, SCALAR_TYPES) and not base:
+                raise ParseError(f"division by zero at position {op.position}")
+            return base ** exponent
         return base
 
     def parse_int_exponent(self) -> int:

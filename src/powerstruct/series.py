@@ -44,6 +44,11 @@ def _ring_zero(values, zero):
     return zero
 
 
+def _support(coeffs, n: int) -> list:
+    """(index, coefficient) of the nonzero coefficients through index n."""
+    return [(k, c) for k, c in enumerate(coeffs[: n + 1]) if c]
+
+
 def _invert_leading(value):
     """Inverse of a series' constant term, when it is a unit."""
     if isinstance(value, SCALAR_TYPES):
@@ -129,36 +134,48 @@ class TruncSeries:
         if not isinstance(other, TruncSeries):
             return self.scale(other)
         n = self._common_order(other)
-        a, b = self.coeffs, other.coeffs
-        out = []
-        for m in range(n + 1):
-            acc = a[0] * b[m]
-            for k in range(1, m + 1):
-                acc = acc + a[k] * b[m - k]
-            out.append(acc)
-        return TruncSeries(out, n, self._zero)
+        zero = _ring_zero((other._zero,), self._zero)
+        out = [None] * (n + 1)
+        b = _support(other.coeffs, n)
+        for i, x in _support(self.coeffs, n):
+            for j, y in b:
+                if i + j > n:
+                    break
+                term = x * y
+                acc = out[i + j]
+                out[i + j] = term if acc is None else acc + term
+        return TruncSeries([zero if c is None else c for c in out], n, zero)
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def scale(self, factor) -> "TruncSeries":
         """Multiply every coefficient by a ring element."""
-        return TruncSeries([factor * c for c in self.coeffs], self.order, self._zero)
+        zero = _ring_zero((factor,), self._zero)
+        return TruncSeries(
+            [factor * c if c else zero for c in self.coeffs], self.order, zero
+        )
 
     def __truediv__(self, other):
         if not isinstance(other, TruncSeries):
             inv = _invert_leading(other)
             return self.scale(inv)
         n = self._common_order(other)
+        zero = _ring_zero((other._zero,), self._zero)
         inv = _invert_leading(other.coeffs[0])
-        a, b = self.coeffs, other.coeffs
+        a = self.coeffs
+        b = _support(other.coeffs, n)[1:]
         out = [a[0] * inv]
         for m in range(1, n + 1):
-            acc = a[m]
-            for k in range(1, m + 1):
-                acc = acc - b[k] * out[m - k]
-            out.append(acc * inv)
-        return TruncSeries(out, n, self._zero)
+            acc = a[m] if a[m] else None
+            for k, y in b:
+                if k > m:
+                    break
+                if out[m - k]:
+                    term = y * out[m - k]
+                    acc = -term if acc is None else acc - term
+            out.append(acc * inv if acc else zero)
+        return TruncSeries(out, n, zero)
 
     def __rtruediv__(self, other):
         return TruncSeries.constant(other, self.order) / self
@@ -206,7 +223,7 @@ class TruncSeries:
             raise ConstantTermError(f"log needs constant term 1, got {self.coeffs[0]}")
         out = [_ZERO]
         for n, c in enumerate(self.log_derivative(), start=1):
-            out.append(Rational(1, n) * c)
+            out.append(Rational(1, n) * c if c else c)
         return TruncSeries(out, self.order, self._zero)
 
     def exp(self) -> "TruncSeries":
@@ -214,12 +231,17 @@ class TruncSeries:
         if not self.coeffs[0] == 0:
             raise ConstantTermError(f"exp needs constant term 0, got {self.coeffs[0]}")
         out = [_ONE]
-        b = self.coeffs
+        # k * b_k once per nonzero b_k (b_1 as it is)
+        b = [(k, c if k == 1 else k * c) for k, c in _support(self.coeffs, self.order)]
         for n in range(1, self.order + 1):
-            acc = b[1] * out[n - 1]
-            for k in range(2, n + 1):
-                acc = acc + (k * b[k]) * out[n - k]
-            out.append(Rational(1, n) * acc)
+            acc = None
+            for k, c in b:
+                if k > n:
+                    break
+                if out[n - k]:
+                    term = c * out[n - k]
+                    acc = term if acc is None else acc + term
+            out.append(Rational(1, n) * acc if acc else self._zero)
         return TruncSeries(out, self.order, self._zero)
 
     def log_derivative(self) -> list:

@@ -483,3 +483,86 @@ class TestInputFuzz:
         assert code in (0, 1, 2, 3)
         if code:
             assert err.getvalue().count("\n") == 1
+
+
+# Grammar fuzzer over flag values.  Structured expressions carry their total
+# degree (power-sum weight plus the degrees in t and the polynomial
+# variables) and are kept at degree <= 4; token soup uses atoms of weight
+# <= 2 and exponents |k| <= 2 in at most 6 tokens.  Either way no value
+# reaches a Schur expansion or a plethysm large enough to run unbounded.
+DEGREE_CAP = 4
+ATOMS = [
+    ("0", 0), ("1", 0), ("2", 0), ("1/2", 0), ("-3", 0), ("/0", None),
+    ("L", 1), ("u", 1), ("q", 1), ("t", 1),
+    ("p[1]", 1), ("p[2]", 2), ("p[1,1]", 2), ("p[]", 0), ("p[0]", 0),
+    ("h[2]", 2), ("e[2]", 2), ("e[0]", 0), ("s[2,1]", 3), ("s[]", 0), ("h[5]", 5),
+]
+
+
+def _combine(pair):
+    (a, da), (b, db) = pair
+    return st.sampled_from([
+        (f"{a} + {b}", max(da, db)),
+        (f"{a} - {b}", max(da, db)),
+        (f"{a}*{b}", da + db),
+        (f"({a})/({b})", da + db),
+        (f"-({a})", da),
+    ])
+
+
+def _atom(item):
+    text, degree = item
+    if degree is None:  # "/0": a zero divisor after a number
+        return st.just(("1/0", 0))
+    return st.integers(-4, 4).map(
+        lambda k: (text, degree) if k == 1 else (f"{text}^{k}" if k >= 0 else f"{text}^({k})", degree * abs(k))
+    )
+
+
+EXPRESSIONS = st.recursive(
+    st.sampled_from(ATOMS).flatmap(_atom),
+    lambda inner: st.tuples(inner, inner).flatmap(_combine),
+    max_leaves=4,
+).filter(lambda value: value[1] <= DEGREE_CAP).map(lambda value: value[0])
+SOUP = st.lists(
+    st.sampled_from(
+        ["1", "0", "2", "L", "u", "t", "p[1]", "p[2]", "h[2]", "(", ")", "+", "-", "*",
+         "/", "^2", "^-1", "^0", "/0", "[", "]", ",", "$", "@x", "t^-2", "O(t^2)"]
+    ),
+    min_size=1,
+    max_size=6,
+).map("".join)
+VALUES = EXPRESSIONS | SOUP
+UNIT_SERIES = VALUES | EXPRESSIONS.map(lambda e: f"1 + ({e})*t")
+
+
+@st.composite
+def flag_requests(draw):
+    command = draw(st.sampled_from(["pow", "factorize", "adams", "lambda", "plethysm", "schur"]))
+    argv = [command, f"--order={draw(st.integers(0, 4))}"]
+    argv.append(f"--output-format={draw(st.sampled_from(['text', 'json']))}")
+    for name, spec in _COMMANDS[command].options.items():
+        if "choices" in spec:
+            if draw(st.booleans()):
+                argv.append(f"--{name}={draw(st.sampled_from(spec['choices']))}")
+        elif spec.get("type") is int:
+            argv.append(f"--{name}={draw(st.integers(-1, 6))}")
+        else:
+            values = UNIT_SERIES if name in ("base", "series") else VALUES
+            argv.append(f"--{name}={draw(values)}")
+    return argv
+
+
+class TestGrammarFuzz:
+    @given(flag_requests())
+    @settings(max_examples=150, deadline=None)
+    def test_flag_contract(self, argv):
+        """Any flag value in the grammar's alphabet ends in exit code 0-3,
+        never a traceback, and a nonzero code writes exactly one line to
+        stderr."""
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2, 3)
+        if code:
+            assert err.getvalue().count("\n") == 1
