@@ -12,6 +12,8 @@ The derivative is taken by shifting indices down; no symbolic t is ever
 materialized.  Logarithm and exponential use the standard exact recurrences
 (all coefficient rings here are Q-algebras, so division by integers is
 always available); two-term powers use the binomial :func:`binomial_series`.
+Every recurrence multiplies only nonzero coefficients, so a sparse series
+such as ``t^k`` costs in proportion to its nonzero terms.
 """
 
 from __future__ import annotations

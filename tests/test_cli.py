@@ -170,6 +170,20 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert names in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["adams", "--element", "1/0", "--k", "2"],
+            ["pow", "--base", "1/0", "--exponent", "2"],
+            ["pow", "--base", "1+t", "--exponent", "1/0"],
+            ["schur", "--f", "1/0"],
+            ["lambda", "--element", "1/(2-2)"],
+        ],
+    )
+    def test_rational_division_by_zero_is_one_line(self, capsys, argv):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: division by zero at position 1\n"
+
     @pytest.mark.parametrize("key", ["1_0", " 1", "1 ", "x", "0", "01", "+1", "-1", "1.0", "", "\u0661"])
     def test_orbit_length_keys_are_decimal(self, capsys, key):
         action = action_json({"size": 1, "identity": True, "orbit_euler": {key: 0}})
@@ -555,7 +569,7 @@ def flag_requests(draw):
 
 class TestGrammarFuzz:
     @given(flag_requests())
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=300, deadline=None)
     def test_flag_contract(self, argv):
         """Any flag value in the grammar's alphabet ends in exit code 0-3,
         never a traceback, and a nonzero code writes exactly one line to

@@ -116,6 +116,18 @@ class TestErrors:
         with pytest.raises(ParseError):
             parse_poly("p[1]")
 
+    @pytest.mark.parametrize(
+        "text, position",
+        [("1/0", 1), ("L + 3/(1-1)", 5), ("(1+t)/0", 5), ("2*0^-1", 3), ("(2-2)^(-3)", 5)],
+    )
+    def test_rational_division_by_zero(self, text, position):
+        with pytest.raises(ParseError, match=f"^division by zero at position {position}$"):
+            parse_expression(text, order=3)
+
+    def test_zero_polynomial_divisor_keeps_its_message(self):
+        with pytest.raises(ZeroDivisionError, match="^division by the zero polynomial$"):
+            parse_expression("L/(L-L)")
+
 
 def test_scan_variables():
     assert scan_variables("1/2*p[1,1] + u*t + L") == ("L", "u")

@@ -247,3 +247,195 @@ class TestOneRing:
         series = TruncSeries([LaurentPoly.constant(1, ("L",)), L], 0)
         for derived in (series.log(), series.log().exp(), series**0, series.derivative()):
             assert {ring_of(c) for c in derived.coeffs} == {ring_of(L)}
+
+
+# -- sparse recurrences against the schoolbook loops ------------------------------
+#
+# The oracles below are the dense O(N^2) loops that TruncSeries used before
+# its recurrences skipped zero coefficients: every coefficient pair is
+# multiplied, zeros included.
+
+
+def dense_mul(a, b):
+    n = min(a.order, b.order)
+    x, y = a.coeffs, b.coeffs
+    out = []
+    for m in range(n + 1):
+        acc = x[0] * y[m]
+        for k in range(1, m + 1):
+            acc = acc + x[k] * y[m - k]
+        out.append(acc)
+    return TruncSeries(out, n, a._zero)
+
+
+def dense_div(a, b):
+    n = min(a.order, b.order)
+    inv = 1 / b.coeffs[0] if isinstance(b.coeffs[0], Fraction) else b.coeffs[0].invert_unit()
+    x, y = a.coeffs, b.coeffs
+    out = [x[0] * inv]
+    for m in range(1, n + 1):
+        acc = x[m]
+        for k in range(1, m + 1):
+            acc = acc - y[k] * out[m - k]
+        out.append(acc * inv)
+    return TruncSeries(out, n, a._zero)
+
+
+def dense_exp(b):
+    out = [Fraction(1)]
+    x = b.coeffs
+    for n in range(1, b.order + 1):
+        acc = x[1] * out[n - 1]
+        for k in range(2, n + 1):
+            acc = acc + (k * x[k]) * out[n - k]
+        out.append(Fraction(1, n) * acc)
+    return TruncSeries(out, b.order, b._zero)
+
+
+def dense_log(a):
+    out = [Fraction(0)]
+    if a.order:
+        ratio = dense_div(a.derivative(), a.truncate(a.order - 1))
+        out += [Fraction(1, n) * c for n, c in enumerate(ratio.coeffs, start=1)]
+    return TruncSeries(out, a.order, a._zero)
+
+
+def dense_scale(a, factor):
+    return TruncSeries([factor * c for c in a.coeffs], a.order, a._zero)
+
+
+def same_series(got, expected):
+    """Equal coefficients, and every coefficient and the zero in one ring."""
+    assert got == expected
+    assert ring_of(got._zero) == ring_of(expected._zero)
+    assert {ring_of(c) for c in got.coeffs} == {ring_of(got._zero)}
+
+
+SYM_BOUND = 3
+SYM_PARTS = [(), (1,), (2,), (1, 1), (3,)]
+
+
+def q_value(nonzero=False):
+    value = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    return value.filter(bool) if nonzero else value
+
+
+def ql_value(nonzero=False):
+    terms = st.dictionaries(
+        st.integers(-1, 2).map(lambda e: (e,)), q_value(True), min_size=int(nonzero), max_size=3
+    )
+    return terms.map(lambda t: LaurentPoly(("L",), t))
+
+
+def sym_value(nonzero=False):
+    terms = st.dictionaries(
+        st.sampled_from(SYM_PARTS), ql_value(True), min_size=int(nonzero), max_size=3
+    )
+    return terms.map(lambda t: SymFunc(t, SYM_BOUND, ("L",)))
+
+
+# name -> (zero, coefficient strategy, unit strategy)
+RINGS = {
+    "Q": (Fraction(0), q_value, q_value(True)),
+    "Q[L]": (
+        LaurentPoly.zero(("L",)),
+        ql_value,
+        st.tuples(q_value(True), st.integers(-1, 2)).map(
+            lambda ce: LaurentPoly(("L",), {(ce[1],): ce[0]})
+        ),
+    ),
+    "SymFunc": (
+        SymFunc.zero(SYM_BOUND, ("L",)),
+        sym_value,
+        q_value(True).map(lambda q: SymFunc.constant(q, SYM_BOUND, ("L",))),
+    ),
+}
+
+
+@st.composite
+def ring_series(draw, head=None):
+    """A series of order 0-12 over one of RINGS with a random zero pattern:
+    dense, sparse, all zero or a single term.  head fixes the constant term
+    ("zero", "one" or "unit")."""
+    zero, value, unit = RINGS[draw(st.sampled_from(sorted(RINGS)))]
+    order = draw(st.integers(0, 12))
+    pattern = draw(st.sampled_from(["dense", "sparse", "zero", "single"]))
+    if pattern == "dense":
+        coeffs = draw(st.lists(value(), min_size=order + 1, max_size=order + 1))
+    elif pattern == "sparse":
+        coeffs = [
+            draw(value(True)) if draw(st.integers(0, 3)) == 0 else zero for _ in range(order + 1)
+        ]
+    else:
+        coeffs = [zero] * (order + 1)
+        if pattern == "single":
+            coeffs[draw(st.integers(0, order))] = draw(value(True))
+    if head == "zero":
+        coeffs[0] = zero
+    elif head == "one":
+        coeffs[0] = Fraction(1)
+    elif head == "unit":
+        coeffs[0] = draw(unit)
+    return TruncSeries(coeffs, order, zero)
+
+
+RING_ELEMENTS = st.sampled_from(sorted(RINGS)).flatmap(lambda name: RINGS[name][1]())
+
+
+class TestSparseRecurrences:
+    """Each sparse recurrence gives the schoolbook loop's coefficients in
+    the schoolbook loop's ring, over Q, Q[L] and SymFunc coefficients."""
+
+    @given(ring_series(), ring_series())
+    @settings(max_examples=150, deadline=None)
+    def test_mul(self, a, b):
+        same_series(a * b, dense_mul(a, b))
+
+    @given(ring_series(), ring_series(head="unit"))
+    @settings(max_examples=150, deadline=None)
+    def test_div(self, a, b):
+        same_series(a / b, dense_div(a, b))
+
+    @given(ring_series(head="zero"))
+    @settings(max_examples=100, deadline=None)
+    def test_exp(self, b):
+        same_series(b.exp(), dense_exp(b))
+
+    @given(ring_series(head="one"))
+    @settings(max_examples=100, deadline=None)
+    def test_log(self, a):
+        same_series(a.log(), dense_log(a))
+
+    @given(ring_series(), st.one_of(RING_ELEMENTS, st.just(Fraction(0)), st.just(0)))
+    @settings(max_examples=150, deadline=None)
+    def test_scale(self, a, factor):
+        same_series(a.scale(factor), dense_scale(a, factor))
+        same_series(factor * a, dense_scale(a, factor))
+
+    @pytest.mark.parametrize("ring", sorted(RINGS))
+    def test_all_zero_product_keeps_the_joined_ring(self, ring):
+        zero = RINGS[ring][0]
+        for a, b in [(TruncSeries([], 3), TruncSeries([], 3, zero)),
+                     (TruncSeries([], 3, zero), TruncSeries([], 3))]:
+            same_series(a * b, dense_mul(a, b))
+            assert ring_of((a * b)._zero) == ring_of(zero)
+        same_series(TruncSeries([], 3).scale(zero), dense_scale(TruncSeries([], 3), zero))
+
+    def test_t_powers(self):
+        """t^k for k = 0..30 at orders 0..12, by binary powering through the
+        sparse product, against the same powering through the dense one."""
+        for order in range(13):
+            t = TruncSeries.t_var(order)
+            dense = TruncSeries.one(order)
+            for k in range(31):
+                expected = TruncSeries([0] * k + [1], order) if k <= order else TruncSeries([], order)
+                same_series(t**k, expected)
+                same_series(dense, expected)
+                dense = dense_mul(dense, t)
+
+    @given(ring_series(), st.integers(0, 30))
+    @settings(max_examples=100, deadline=None)
+    def test_t_power_times_series(self, a, k):
+        tk = TruncSeries.t_var(a.order) ** k
+        same_series(tk * a, dense_mul(tk, a))
+        same_series(a * tk, dense_mul(a, tk))
