@@ -1,0 +1,275 @@
+#!/usr/bin/env python3
+"""Capture the CLI's bytes over a fixed request list, and diff two captures.
+
+Runs a seeded list of requests through ``powerstruct.cli.main`` in one
+process and writes, per request, its argv, stdout, stderr and exit code to a
+JSON file.  The list covers every subcommand in text and JSON at orders 0-8,
+values over Q, Q[L], Q[u,v] and symmetric functions, zero exponents, both
+algorithms of ``pow`` and ``factorize``, ``--input`` and ``@file`` values,
+and error paths.  Two captures of the same seed, taken from two source
+trees, show whether a change kept the CLI's output byte-identical.
+
+Usage:
+  python scripts/cli_capture.py --src SRC_DIR --out FILE [--seed N] [--limit N]
+  python scripts/cli_capture.py --diff A.json B.json
+
+``--src`` is the directory holding the ``powerstruct`` package (``src`` of a
+checkout).  ``--diff`` prints each request whose output differs and exits 1
+when any does.  Stdlib only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import random
+import sys
+import tempfile
+
+ORDERS = range(9)
+FORMATS = ("text", "json")
+
+ELEMENTS = {
+    "Q": ["0", "1", "-2", "1/2", "-3/4", "7/3"],
+    "Q[L]": ["L", "-L", "0*L", "L + 1", "L^2 - 3*L + 1/2", "L^-1", "2*L^3 - L"],
+    "Q[u,v]": ["u*v", "u + v", "u^2*v - 1/2", "u - v", "0*u*v"],
+    "SymFunc": ["p[1]", "h[2]", "e[2]", "s[2,1]", "p[1]^2 + p[2]", "L + p[1]", "L*p[1] - p[2]", "0*p[1]"],
+}
+SERIES = [
+    "1 + t",
+    "1 - t",
+    "1 + t + O(t^4)",
+    "1/(1 - t)",
+    "(1 + t)^3",
+    "1 + 2*t - 1/3*t^3",
+    "1 + (L + 2)*t - (2*L^2 - 1)*t^2 + L*t^3",
+    "1 + L*t^2",
+    "1/(1 - L*t)",
+    "1 + u*t + v*t^2",
+    "1 + p[1]*t",
+    "1 + h[2]*t^2 - p[1]*t",
+]
+SYMFUNCS = ["p[1]", "p[1]^2", "h[3]", "e[3]", "s[2,1]", "p[2] + p[1]^2", "L*p[1]^2 - p[2]", "s[3,1] - s[2,2]", "0*p[1]", "1"]
+ACTIONS = [
+    {"group_order": 1, "classes": [{"size": 1, "identity": True, "orbit_euler": {"1": 2}}]},
+    {
+        "group_order": 2,
+        "classes": [
+            {"size": 1, "identity": True, "orbit_euler": {"1": 2}},
+            {"size": 1, "orbit_euler": {"1": 0, "2": 1}},
+        ],
+    },
+    {
+        "group_order": 3,
+        "classes": [
+            {"size": 1, "identity": True, "orbit_euler": {"1": 3}},
+            {"size": 2, "orbit_euler": {"3": 1}},
+        ],
+    },
+]
+# Requests whose values are wrong in some way: each must exit 1 or 2 with one line.
+ERRORS = [
+    [],
+    ["nope"],
+    ["pow", "--no-such-flag"],
+    ["pow", "--base", "1+t"],
+    ["pow", "--base", "2+t", "--exponent", "1"],
+    ["pow", "--base", "1+{t", "--exponent", "1"],
+    ["pow", "--base", "1/0", "--exponent", "2"],
+    ["pow", "--base", "1+t", "--exponent", "1/0"],
+    ["pow", "--base", "1+t", "--exponent", "t"],
+    ["pow", "--base", "1+t", "--exponent", "1", "--algorithm", "bogus"],
+    ["pow", "--base", "1+t+O(t^2)", "--exponent", "1", "--order", "4"],
+    ["pow", "--base", "1+L*t", "--exponent", "u"],
+    ["factorize", "--series", "t"],
+    ["factorize", "--series", "2 + t", "--algorithm", "iterative"],
+    ["factorize", "--series", "0/p[1]", "--order", "4"],
+    ["lambda", "--element", "1/(2-2)"],
+    ["lambda", "--element", "p[9]", "--order", "3"],
+    ["lambda", "--element", "@{}"],
+    ["adams", "--element", "L", "--k", "0"],
+    ["adams", "--element", "L", "--k", "x"],
+    ["adams", "--element", "p[1]/e[2]", "--k", "2"],
+    ["adams", "--element", "1/0", "--k", "2"],
+    ["adams", "--element", "p[2]", "--k", "3", "--order", "4"],
+    ["plethysm", "--f", "L*p[1]", "--x", "L"],
+    ["plethysm", "--f", "p[1]", "--x", "@{}"],
+    ["schur", "--f", "1/0"],
+    ["schur", "--f", "L + p[1]"],
+    ["schur", "--f", "p[1] + p[1]^2"],
+    ["specialize", "--f", "L + p[1]", "--mode", "ordered"],
+    ["specialize", "--f", "p[1]", "--mode", "bogus"],
+    ["irr", "--vars", "0", "--degree", "1"],
+    ["irr", "--vars", "2", "--degree", "0"],
+    ["config", "--x-class", "p[1]"],
+    ["quotient", "--action", "{}"],
+    ["quotient", "--action", '{"group_order": 1, "classes": [{"size": 1}]}'],
+    ["quotient", "--action", '{"group_order": 1, "classes": [{"size": 1, "identity": "false", "orbit_euler": {"1": 2}}]}'],
+    ["quotient", "--action", "no-such-file.json"],
+    ["hyperelliptic", "--genus", "0"],
+    ["harer-zagier", "--genus", "0", "--points", "1"],
+    ["verify", "--identity", "nope"],
+    ["reproduce", "--seed", "x"],
+    ["lambda", "--element", "1", "--order", "-1"],
+    ["lambda", "--element", "1", "--output-format", "xml"],
+    ["lambda", "--input", "no-such-file.json"],
+    ["lambda", "--input", "list.json"],
+    ["pow", "--input", "bad_base.json"],
+    ["adams", "--element", "@no-such-file.json", "--k", "2"],
+    ["schur", "--f=--"],
+    ["schur", "--f", "--"],
+    ["pow", "--base", "1+t", "--exponent=--"],
+    ["adams", "--element", "L", "--k=--"],
+    ["irr", "--vars=--", "--degree", "2"],
+    ["irr", "--vars", "2", "--degree", "2", "--target=--"],
+    ["lambda", "--element", "1", "--order=--"],
+    ["lambda", "--element", "1", "--output-format=--"],
+    ["lambda", "--element", "1", "--input=--"],
+    ["quotient", "--action", "{}", "--egf=--"],
+]
+# Files the requests name, written to the working directory of the run.
+FILES = {
+    "params.json": {"base": "1 + L*t", "exponent": "L - 1"},
+    "list.json": [1, 2],
+    "bad_base.json": {"base": [1], "exponent": "L"},
+    "action.json": ACTIONS[1],
+    "config.json": {"x_class": "1 + q", "specialize": "invariants"},
+}
+
+
+def _all_elements() -> list[str]:
+    return [e for ring in ELEMENTS.values() for e in ring]
+
+
+def requests(seed: int) -> list[list[str]]:
+    """The request list: every value combination of each command, at a
+    seeded order, in both formats, then the error paths."""
+    rng = random.Random(seed)
+    combos: list[list[str]] = []
+    for element in _all_elements():
+        combos.append(["lambda", "--element", element])
+        for k in (1, 2, 3):
+            combos.append(["adams", "--element", element, "--k", str(k)])
+    exponents = ELEMENTS["Q"] + ELEMENTS["Q[L]"][:4] + ELEMENTS["Q[u,v]"][:2] + ELEMENTS["SymFunc"][:3]
+    for base in SERIES:
+        for exponent in rng.sample(exponents, 8):
+            for algorithm in ([], ["--algorithm", "factorize"], ["--algorithm", "product"]):
+                combos.append(["pow", "--base", base, "--exponent", exponent, *algorithm])
+        for algorithm in ([], ["--algorithm", "moebius"], ["--algorithm", "iterative"]):
+            combos.append(["factorize", "--series", base, *algorithm])
+    for f in ["p[1]", "h[2]", "e[2]", "p[1]^2 - p[2]", "0*p[1]", "3"]:
+        for x in rng.sample(_all_elements(), 8):
+            combos.append(["plethysm", "--f", f, "--x", x])
+    for f in SYMFUNCS:
+        combos.append(["schur", "--f", f])
+        for mode in ("invariants", "sign", "ordered"):
+            combos.append(["specialize", "--f", f, "--mode", mode])
+    for n_vars in (1, 2, 3):
+        for degree in (1, 2, 3, 4):
+            for target in ([], ["--target", "class"], ["--target", "euler"], ["--target", "hodge_deligne"]):
+                combos.append(["irr", "--vars", str(n_vars), "--degree", str(degree), *target])
+    for x_class in ["1 + q", "1 + L", "0*q", "2", "q^2 - 1/2"]:
+        for mode in ([], ["--specialize", "invariants"], ["--specialize", "sign"], ["--specialize", "ordered"]):
+            combos.append(["config", "--x-class", x_class, *mode])
+    for action in ACTIONS:
+        for egf in ([], ["--egf"]):
+            combos.append(["quotient", "--action", json.dumps(action), *egf])
+    combos.append(["quotient", "--action", "action.json"])
+    for genus in (1, 2, 3, 4):
+        for target in ([], ["--target", "class"], ["--target", "hodge_deligne"]):
+            combos.append(["hyperelliptic", "--genus", str(genus), *target])
+    for genus in (1, 2, 3):
+        for points in (0, 1, 2, 3):
+            combos.append(["harer-zagier", "--genus", str(genus), "--points", str(points)])
+    for identity in ("exp_moebius", "euler_phi", "gcd_product"):
+        combos.extend([["verify", "--identity", identity]] * 3)
+    combos.extend([["moduli-g2"]] * 9)
+    combos.append(["pow", "--input", "params.json"])
+    combos.append(["pow", "--input", "params.json", "--exponent", "2"])
+    combos.append(["config", "--input", "config.json"])
+    combos.append(["lambda", "--element", "@lambda.json"])
+    out = []
+    for argv in combos:
+        order = str(rng.choice(ORDERS))
+        out.extend([*argv, "--order", order, "--output-format", fmt] for fmt in FORMATS)
+    out.append(["reproduce", "--order", "3", "--axiom-cases", "1", "--seed", str(seed)])
+    out.append(["reproduce", "--order", "2", "--axiom-cases", "2", "--seed", str(seed), "--output-format", "json"])
+    return out + ERRORS
+
+
+def _run(main, argv: list[str]) -> dict:
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:  # a traceback is an outcome to record
+            code = f"uncaught {type(exc).__name__}: {exc}"
+    return {"argv": argv, "stdout": stdout.getvalue(), "stderr": stderr.getvalue(), "exit": code}
+
+
+def capture(src: str, seed: int, limit: int | None) -> list[dict]:
+    sys.path.insert(0, os.path.abspath(src))
+    from powerstruct import cli
+
+    # argparse wraps its usage text to the terminal width.
+    os.environ["COLUMNS"] = "80"
+    todo = requests(seed)[:limit]
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for name, data in FILES.items():
+                with open(name, "w") as fh:
+                    json.dump(data, fh)
+            with open("lambda.json", "w") as fh:
+                fh.write(_run(cli.main, ["lambda", "--element", "L", "--order", "2", "--output-format", "json"])["stdout"])
+            return [_run(cli.main, argv) for argv in todo]
+        finally:
+            os.chdir(cwd)
+
+
+def diff(a_path: str, b_path: str) -> int:
+    with open(a_path) as fh:
+        a = json.load(fh)
+    with open(b_path) as fh:
+        b = json.load(fh)
+    if [r["argv"] for r in a] != [r["argv"] for r in b]:
+        print("the two captures ran different request lists")
+        return 1
+    differing = [(x, y) for x, y in zip(a, b) if x != y]
+    for x, y in differing:
+        print(json.dumps(x["argv"]))
+        for key in ("exit", "stdout", "stderr"):
+            if x[key] != y[key]:
+                print(f"  {key}: {x[key]!r}")
+                print(f"  {' ' * len(key)}  {y[key]!r}")
+    print(f"{len(differing)} of {len(a)} requests differ")
+    return 1 if differing else 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", help="directory holding the powerstruct package")
+    parser.add_argument("--out", help="JSON file to write the capture to")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--limit", type=int, help="run only the first N requests")
+    parser.add_argument("--diff", nargs=2, metavar=("A", "B"), help="compare two captures")
+    args = parser.parse_args()
+    if args.diff:
+        return diff(*args.diff)
+    if not (args.src and args.out):
+        parser.error("--src and --out are required unless --diff is given")
+    results = capture(args.src, args.seed, args.limit)
+    with open(args.out, "w") as fh:
+        json.dump(results, fh, indent=1)
+    print(f"{len(results)} requests written to {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

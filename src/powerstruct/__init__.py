@@ -20,7 +20,6 @@ from .symfunc import (
     z_value,
 )
 from .power import (
-    FactorizationResult,
     IdentityReport,
     binomial_power,
     factorize,
@@ -74,7 +73,6 @@ __all__ = [
     "plethysm_apply",
     "specialize",
     "z_value",
-    "FactorizationResult",
     "IdentityReport",
     "binomial_power",
     "factorize",

@@ -229,12 +229,6 @@ class GroupActionData:
         if sum(1 for c in self.classes if c.identity) != 1:
             raise ValueError("exactly one class must be marked as the identity")
 
-    @property
-    def total_euler(self) -> int:
-        """Euler characteristic of the whole space, read off the identity class."""
-        identity = next(c for c in self.classes if c.identity)
-        return identity.orbit_euler.get(1, 0)
-
     def to_json_dict(self) -> dict:
         out_classes = []
         for c in self.classes:

@@ -398,6 +398,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _request_from_args(args: argparse.Namespace) -> CommandRequest:
     params = dict(vars(args))
+    # "--f=--" reaches here as the empty list argparse leaves once it drops "--".
+    for name, value in params.items():
+        if isinstance(value, list):
+            raise _UsageError(f"argument {_flag(name)}: expected one argument")
     command = params.pop("command")
     order = params.pop("order")
     output_format = params.pop("output_format")

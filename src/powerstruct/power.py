@@ -39,17 +39,12 @@ from math import gcd
 from typing import Callable, Sequence
 
 from .arith import divisors, euler_phi, moebius
-from .errors import ConstantTermError, PowerStructError
+from .errors import PowerStructError
 from .rings import LaurentPoly, Rational, adams, format_monomial
 from .series import TruncSeries, binomial_series
 
 _ZERO = Rational(0)
 _ONE = Rational(1)
-
-
-def _require_unit_constant(series: TruncSeries, what: str) -> None:
-    if not series.coeffs[0] == 1:
-        raise ConstantTermError(f"{what} needs constant term 1, got {series.coeffs[0]}")
 
 
 def lambda_t(x, order: int) -> TruncSeries:
@@ -60,10 +55,57 @@ def lambda_t(x, order: int) -> TruncSeries:
     return TruncSeries(log_coeffs, order).exp()
 
 
-def _euler_product(exponents: Sequence, order: int) -> TruncSeries:
-    """prod_k (1 - t^k)^{-b_k} computed through one exponential:
+def moebius_exponent(x, n: int):
+    """(1/n) sum_{m | n} mu(n/m) adams(x, m), the n-th product exponent."""
+    acc = _ZERO
+    for m in divisors(n):
+        mu = moebius(n // m)
+        if mu:
+            acc = acc + mu * adams(x, m)
+    return Rational(1, n) * acc
 
-    log of the product is sum_n t^n (1/n) sum_{k | n} k adams(b_k, n/k).
+
+def factorize(series: TruncSeries, algorithm: str = "moebius") -> tuple:
+    """Decompose a constant-term-1 series into prod (1 - t^k)^{-b_k},
+    returning the exponents (b_1, ..., b_N).
+
+    ``moebius`` uses the closed inversion formula (valid because every ring
+    here has multiplicative Adams operations with adams_i o adams_j =
+    adams_{ij}); ``iterative`` strips one factor per order.  Division by n in
+    the Moebius route happens in the ambient Q-algebra, so exponents may be
+    rational even when the input is integral.
+    """
+    series._require_constant(1, "factorize")
+    order = series.order
+    if algorithm == "moebius":
+        log_deriv = series.log_derivative()
+        exponents = []
+        for n in range(1, order + 1):
+            acc = _ZERO
+            for d in divisors(n):
+                mu = moebius(d)
+                if mu:
+                    acc = acc + mu * adams(log_deriv[n // d - 1], d)
+            exponents.append(Rational(1, n) * acc)
+        return tuple(exponents)
+    if algorithm == "iterative":
+        remaining = series
+        exponents = []
+        for k in range(1, order + 1):
+            b_k = remaining.coeffs[k]
+            exponents.append(b_k)
+            if b_k == 0:
+                continue
+            factor = lambda_t(b_k, order // k).substitute_tk(k, order)
+            remaining = remaining / factor
+        return tuple(exponents)
+    raise ValueError(f"unknown factorize algorithm {algorithm!r}")
+
+
+def recompose(exponents: Sequence, order: int) -> TruncSeries:
+    """Multiply out prod_k (1 - t^k)^{-b_k} to the given order through one
+    exponential: log of the product is
+    sum_n t^n (1/n) sum_{k | n} k adams(b_k, n/k).
     """
     log_coeffs = [_ZERO]
     for n in range(1, order + 1):
@@ -79,85 +121,18 @@ def _euler_product(exponents: Sequence, order: int) -> TruncSeries:
     return TruncSeries(log_coeffs, order).exp()
 
 
-def moebius_exponent(x, n: int):
-    """(1/n) sum_{m | n} mu(n/m) adams(x, m), the n-th product exponent."""
-    acc = _ZERO
-    for m in divisors(n):
-        mu = moebius(n // m)
-        if mu:
-            acc = acc + mu * adams(x, m)
-    return Rational(1, n) * acc
-
-
-@dataclass(frozen=True)
-class FactorizationResult:
-    """Exponents b_1..b_N with input = prod_k (1 - t^k)^{-b_k}."""
-
-    exponents: tuple
-
-    def __iter__(self):
-        return iter(self.exponents)
-
-    def __len__(self):
-        return len(self.exponents)
-
-
-def factorize(series: TruncSeries, algorithm: str = "moebius") -> FactorizationResult:
-    """Decompose a constant-term-1 series into prod (1 - t^k)^{-b_k}.
-
-    ``moebius`` uses the closed inversion formula (valid because every ring
-    here has multiplicative Adams operations with adams_i o adams_j =
-    adams_{ij}); ``iterative`` strips one factor per order.  Division by n in
-    the Moebius route happens in the ambient Q-algebra, so exponents may be
-    rational even when the input is integral.
-    """
-    _require_unit_constant(series, "factorize")
-    order = series.order
-    if algorithm == "moebius":
-        log_deriv = series.log_derivative()
-        exponents = []
-        for n in range(1, order + 1):
-            acc = _ZERO
-            for d in divisors(n):
-                mu = moebius(d)
-                if mu:
-                    acc = acc + mu * adams(log_deriv[n // d - 1], d)
-            exponents.append(Rational(1, n) * acc)
-        return FactorizationResult(tuple(exponents))
-    if algorithm == "iterative":
-        remaining = series
-        exponents = []
-        for k in range(1, order + 1):
-            b_k = remaining.coeffs[k]
-            exponents.append(b_k)
-            if b_k == 0:
-                continue
-            factor = lambda_t(b_k, order // k).substitute_tk(k, order)
-            remaining = remaining / factor
-        return FactorizationResult(tuple(exponents))
-    raise ValueError(f"unknown factorize algorithm {algorithm!r}")
-
-
-def recompose(exponents, order: int) -> TruncSeries:
-    """Multiply out prod_k (1 - t^k)^{-b_k} to the given order."""
-    if isinstance(exponents, FactorizationResult):
-        exponents = exponents.exponents
-    return _euler_product(tuple(exponents), order)
-
-
 def power(base: TruncSeries, exponent, algorithm: str = "factorize") -> TruncSeries:
     """The power-structure value base^exponent.
 
-    ``factorize`` (default) goes through the Euler-product decomposition and
-    needs one lambda-series per nonzero factor; ``product`` evaluates the
-    termwise Moebius-exponent product with plain exp/log powers.  Both give
-    identical results on every input.
+    ``factorize`` (default) scales the Euler-product exponents of the base
+    by the exponent and multiplies them out with :func:`recompose`;
+    ``product`` evaluates the termwise Moebius-exponent product with plain
+    exp/log powers.  Both give identical results on every input.
     """
-    _require_unit_constant(base, "power")
+    base._require_constant(1, "power")
     order = base.order
     if algorithm == "factorize":
-        scaled = tuple(b_k * exponent for b_k in factorize(base, "moebius"))
-        return _euler_product(scaled, order)
+        return recompose([b_k * exponent for b_k in factorize(base, "moebius")], order)
     if algorithm == "product":
         result = TruncSeries.one(order)
         for n in range(1, order + 1):

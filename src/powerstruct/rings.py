@@ -112,7 +112,27 @@ def format_monomial(names: Iterable[str], exps: Iterable[int]) -> str:
     )
 
 
-class LaurentPoly:
+class _Value:
+    """Behaviour shared by the value types: immutable after construction,
+    subtraction as addition of the negative, and a repr that wraps the
+    canonical text in the type name."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
+
+
+class LaurentPoly(_Value):
     """Multivariate Laurent polynomial with Rational coefficients.
 
     ``vars`` is the ordered variable alphabet, fixed at construction;
@@ -141,9 +161,6 @@ class LaurentPoly:
                     del clean[exps]
         object.__setattr__(self, "vars", vars)
         object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentPoly is immutable")
 
     # -- constructors ------------------------------------------------------
 
@@ -220,20 +237,6 @@ class LaurentPoly:
     def __neg__(self):
         return LaurentPoly._raw(self.vars, {e: -c for e, c in self.terms.items()})
 
-    def __sub__(self, other):
-        pair = self._align(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        return a + (-b)
-
-    def __rsub__(self, other):
-        pair = self._align(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        return b + (-a)
-
     def __mul__(self, other):
         pair = self._align(other)
         if pair is None:
@@ -286,11 +289,6 @@ class LaurentPoly:
 
     def constant_term(self):
         return self.terms.get((0,) * len(self.vars), _ZERO)
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError(f"{self} is not constant")
-        return self.constant_term()
 
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
@@ -422,9 +420,6 @@ class LaurentPoly:
             for exps, coeff in self.sorted_terms()
         )
 
-    def __repr__(self):
-        return f"LaurentPoly({self})"
-
     def to_json_dict(self) -> dict:
         return {
             "vars": list(self.vars),
@@ -535,7 +530,7 @@ def _pack(ints: list[int], width: int) -> int:
     return packed
 
 
-class GradedAdamsElement:
+class GradedAdamsElement(_Value):
     """Finitely supported element of a graded Q-algebra.
 
     The degree-j component is a rational; multiplication adds degrees.
@@ -555,9 +550,6 @@ class GradedAdamsElement:
                 if not clean[int(degree)]:
                     del clean[int(degree)]
         object.__setattr__(self, "components", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GradedAdamsElement is immutable")
 
     def _coerce(self, other) -> "GradedAdamsElement | None":
         if isinstance(other, SCALAR_TYPES):
@@ -583,18 +575,6 @@ class GradedAdamsElement:
 
     def __neg__(self):
         return GradedAdamsElement({d: -c for d, c in self.components.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
 
     def __mul__(self, other):
         other = self._coerce(other)

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 from .errors import ConstantTermError
 from .arith import binary_power
-from .rings import SCALAR_TYPES, Rational, format_monomial, format_sum, format_term
+from .rings import SCALAR_TYPES, Rational, _Value, format_monomial, format_sum, format_term
 
 _ZERO = Rational(0)
 _ONE = Rational(1)
@@ -63,7 +63,7 @@ def _invert_leading(value):
         raise ConstantTermError(f"leading coefficient {value} is not a unit") from exc
 
 
-class TruncSeries:
+class TruncSeries(_Value):
     """Formal power series 1-dimensional in t, exact through order N, over
     the ring of ``zero`` widened to the widest ring among the coefficients."""
 
@@ -85,9 +85,6 @@ class TruncSeries:
             self, "coeffs", tuple(c if _in_ring(c, zero) else c + zero for c in coeffs)
         )
         object.__setattr__(self, "_zero", zero)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncSeries is immutable")
 
     # -- constructors --------------------------------------------------------
 
@@ -125,12 +122,6 @@ class TruncSeries:
 
     def __neg__(self):
         return TruncSeries([-c for c in self.coeffs], self.order, self._zero)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, TruncSeries):
@@ -201,6 +192,12 @@ class TruncSeries:
 
     # -- calculus ------------------------------------------------------------
 
+    def _require_constant(self, value, what: str) -> None:
+        """Raise :class:`ConstantTermError` for ``what`` unless the constant
+        term equals ``value``."""
+        if not self.coeffs[0] == value:
+            raise ConstantTermError(f"{what} needs constant term {value}, got {self.coeffs[0]}")
+
     def map_coeffs(self, fn: Callable) -> "TruncSeries":
         return TruncSeries([fn(c) for c in self.coeffs], self.order)
 
@@ -221,8 +218,7 @@ class TruncSeries:
 
     def log(self) -> "TruncSeries":
         """Truncated logarithm; requires constant term 1."""
-        if not self.coeffs[0] == 1:
-            raise ConstantTermError(f"log needs constant term 1, got {self.coeffs[0]}")
+        self._require_constant(1, "log")
         out = [_ZERO]
         for n, c in enumerate(self.log_derivative(), start=1):
             out.append(Rational(1, n) * c if c else c)
@@ -230,8 +226,7 @@ class TruncSeries:
 
     def exp(self) -> "TruncSeries":
         """Truncated exponential; requires constant term 0."""
-        if not self.coeffs[0] == 0:
-            raise ConstantTermError(f"exp needs constant term 0, got {self.coeffs[0]}")
+        self._require_constant(0, "exp")
         out = [_ONE]
         # k * b_k once per nonzero b_k (b_1 as it is)
         b = [(k, c if k == 1 else k * c) for k, c in _support(self.coeffs, self.order)]
@@ -248,10 +243,7 @@ class TruncSeries:
 
     def log_derivative(self) -> list:
         """Coefficients C_1..C_N with A'/A = sum C_n t^(n-1); requires a_0 = 1."""
-        if not self.coeffs[0] == 1:
-            raise ConstantTermError(
-                f"log_derivative needs constant term 1, got {self.coeffs[0]}"
-            )
+        self._require_constant(1, "log_derivative")
         if self.order == 0:
             return []
         ratio = self.derivative() / self.truncate(self.order - 1)
@@ -299,9 +291,6 @@ class TruncSeries:
                 body = f"({body})"
             terms.append(format_term(body, format_monomial(("t",), (n,))))
         return f"{format_sum(terms)} + O(t^{self.order + 1})"
-
-    def __repr__(self):
-        return f"TruncSeries({self})"
 
 
 def binomial_series(c, k: int, e, order: int) -> TruncSeries:

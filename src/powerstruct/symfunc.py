@@ -31,7 +31,7 @@ from .rings import (
     LaurentPoly,
     Rational,
     Scalar,
-    format_rational,
+    _Value,
     format_sum,
     format_term,
 )
@@ -95,7 +95,7 @@ class SpecializationMode(Enum):
     ORDERED = "ordered"
 
 
-class SymFunc:
+class SymFunc(_Value):
     """Polynomial in p_1..p_K with LaurentPoly coefficients."""
 
     __slots__ = ("bound", "vars", "terms")
@@ -134,9 +134,6 @@ class SymFunc:
         object.__setattr__(self, "bound", bound)
         object.__setattr__(self, "vars", vars)
         object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SymFunc is immutable")
 
     # -- constructors --------------------------------------------------------
 
@@ -207,20 +204,6 @@ class SymFunc:
 
     def __neg__(self):
         return SymFunc({p: -c for p, c in self.terms.items()}, self.bound, self.vars)
-
-    def __sub__(self, other):
-        pair = self._align(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        return a + (-b)
-
-    def __rsub__(self, other):
-        pair = self._align(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        return b + (-a)
 
     def __mul__(self, other):
         pair = self._align(other)
@@ -300,9 +283,6 @@ class SymFunc:
             raise HomogeneityError(f"{self} is not homogeneous: weights {sorted(weights)}")
         return weights.pop() if weights else 0
 
-    def is_homogeneous(self) -> bool:
-        return len({sum(p) for p in self.terms}) <= 1
-
     def adams(self, k: int) -> "SymFunc":
         """p_m -> p_{km} on indices, adams on every coefficient."""
         if k < 1:
@@ -334,9 +314,6 @@ class SymFunc:
 
     def __str__(self):
         return _combination_str(self.sorted_terms(), "p", "")
-
-    def __repr__(self):
-        return f"SymFunc({self})"
 
     def to_json_dict(self) -> dict:
         return {
@@ -476,11 +453,12 @@ def _combination_str(items: Iterable[tuple[Partition, LaurentPoly]], letter: str
     """Canonical text of sum c_lambda x_lambda over the (lambda, c_lambda)
     items in order: x_lambda is ``letter[l_1,l_2,...]``, and ``empty`` for
     the empty partition (a bare coefficient when ``empty`` is ""); a
-    non-constant c_lambda is parenthesised."""
+    non-constant c_lambda is parenthesised unless it stands alone, so a
+    leading constant term is never parenthesised."""
     terms = []
     for partition, coeff in items:
         monomial = f"{letter}[{','.join(map(str, partition))}]" if partition else empty
-        text = format_rational(coeff.constant_term()) if coeff.is_constant() else f"({coeff})"
+        text = str(coeff) if coeff.is_constant() or not monomial else f"({coeff})"
         terms.append(format_term(text, monomial))
     return format_sum(terms)
 

@@ -75,7 +75,7 @@ class TestIrreducibleClass:
         exponents = factorize(series)
         assert recompose(exponents, order) == series
         for k in range(1, order + 1):
-            assert exponents.exponents[k - 1] == irreducible_class(n_vars, k)
+            assert exponents[k - 1] == irreducible_class(n_vars, k)
 
     @pytest.mark.parametrize("n_vars", [1, 2, 3])
     def test_integrality(self, n_vars):

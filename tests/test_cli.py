@@ -37,6 +37,9 @@ class TestCoreCommands:
         assert code == 0
         assert text == "1 + L*t + L^2*t^2 + L^3*t^3 + O(t^4)"
 
+    def test_adams_leading_constant_term_is_bare(self):
+        assert run("adams", {"element": "L + p[1]", "k": 2}, order=3) == (0, "L^2 + p[2]")
+
     def test_factorize(self):
         code, text = run("factorize", {"series": "1+t"}, order=4)
         assert code == 0
@@ -214,6 +217,43 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["pow", "--no-such-flag"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "command, option",
+        [
+            (command, option)
+            for command, spec in _COMMANDS.items()
+            for option in ["order", "output_format", *(["input"] if spec.takes_input else []),
+                           *(n for n, o in spec.options.items() if o.get("action") != "store_true")]
+        ],
+    )
+    def test_value_option_given_only_dashes(self, capsys, command, option):
+        """``--f=--`` leaves argparse an empty list; it is refused as
+        argparse refuses ``--f --``."""
+        argv = [command]
+        for name, spec in _COMMANDS[command].options.items():
+            if spec.get("required") and name != option:
+                value = spec["choices"][0] if "choices" in spec else "1"
+                argv.append(f"--{name.replace('_', '-')}={value}")
+        flag = "--" + option.replace("_", "-")
+        assert main([*argv, f"{flag}=--"]) == 2
+        assert capsys.readouterr().err == f"argument {flag}: expected one argument\n"
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["pow", "--base", "2+t", "--exponent", "1"], "error: power needs constant term 1, got 2\n"),
+            (["factorize", "--series", "t"], "error: factorize needs constant term 1, got 0\n"),
+            (["schur", "--f", "L + p[1]"], "error: L + p[1] is not homogeneous: weights [0, 1]\n"),
+            (
+                ["specialize", "--f", "L + p[1]", "--mode", "ordered"],
+                "error: L + p[1] is not homogeneous: weights [0, 1]\n",
+            ),
+        ],
+    )
+    def test_domain_error_text(self, capsys, argv, err):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == err
 
 
 TRIVIAL_ACTION = {

@@ -118,6 +118,39 @@ class TestFactorize:
         assert recompose(factorize(series), series.order) == series
 
 
+class TestConstantTermMessages:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: TruncSeries([2, 1], 2).log(), "log needs constant term 1, got 2"),
+            (lambda: TruncSeries([1, 1], 2).exp(), "exp needs constant term 0, got 1"),
+            (
+                lambda: TruncSeries([L, 1], 2).log_derivative(),
+                "log_derivative needs constant term 1, got L",
+            ),
+            (
+                lambda: power(TruncSeries([0, 1], 2), L),
+                "power needs constant term 1, got 0",
+            ),
+            (
+                lambda: factorize(TruncSeries([-1, 1], 2), "iterative"),
+                "factorize needs constant term 1, got -1",
+            ),
+        ],
+    )
+    def test_exact_text(self, call, message):
+        from powerstruct import ConstantTermError
+
+        with pytest.raises(ConstantTermError) as exc:
+            call()
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("algorithm", ["moebius", "iterative"])
+def test_factorize_returns_a_tuple(algorithm):
+    assert factorize(TruncSeries.one(3) / TruncSeries([1, -L], 3), algorithm) == (L, 0, 0)
+
+
 class TestRecompose:
     def test_single_exponent(self):
         assert recompose([L], 4) == TruncSeries([1, L, L**2, L**3, L**4], 4)

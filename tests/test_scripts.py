@@ -59,3 +59,11 @@ def test_script_output(script, args, pinned):
     lines = run_script(script, *args)
     for line in pinned:
         assert line in lines
+
+
+def test_cli_capture_of_one_tree_diffs_to_zero(tmp_path):
+    captures = [tmp_path / "a.json", tmp_path / "b.json"]
+    for out in captures:
+        lines = run_script("cli_capture.py", "--src", str(ROOT / "src"), "--out", str(out), "--limit", "30")
+        assert lines == [f"30 requests written to {out}"]
+    assert run_script("cli_capture.py", "--diff", *map(str, captures)) == ["0 of 30 requests differ"]

@@ -8,6 +8,7 @@ import hypothesis.strategies as st
 
 from powerstruct import (
     ConstantTermError,
+    GradedAdamsElement,
     LaurentPoly,
     SymFunc,
     TruncSeries,
@@ -439,3 +440,50 @@ class TestSparseRecurrences:
         tk = TruncSeries.t_var(a.order) ** k
         same_series(tk * a, dense_mul(tk, a))
         same_series(a * tk, dense_mul(a, tk))
+
+
+# Operands of the value rules: rationals, Laurent polynomials, symmetric
+# functions over Q and Q[L], graded elements and series over each of RINGS.
+VALUES = st.one_of(
+    q_value(),
+    ql_value(),
+    sym_value(),
+    st.dictionaries(st.sampled_from(SYM_PARTS), q_value(True), max_size=3).map(
+        lambda t: SymFunc(t, SYM_BOUND)
+    ),
+    st.dictionaries(st.integers(0, 3), q_value(True), max_size=3).map(GradedAdamsElement),
+    ring_series(),
+)
+
+
+class TestValueRules:
+    """Rules every value type shares: subtraction is addition of the
+    negative, and no attribute can be set after construction."""
+
+    @given(VALUES, VALUES)
+    @settings(max_examples=300, deadline=None)
+    def test_subtraction_adds_the_negative(self, x, y):
+        try:
+            expected = x + (-y)
+        except TypeError:
+            # No sum, so no difference either.
+            with pytest.raises(TypeError):
+                x - y
+            return
+        assert x - y == expected
+        assert y - x == -x + y
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            L,
+            GradedAdamsElement({1: 2}),
+            SymFunc.p(1, SYM_BOUND),
+            TruncSeries([1, L], 2),
+        ],
+        ids=lambda value: type(value).__name__,
+    )
+    @pytest.mark.parametrize("name", ["terms", "vars", "order", "coeffs", "components", "other"])
+    def test_immutable(self, value, name):
+        with pytest.raises(AttributeError, match=f"^{type(value).__name__} is immutable$"):
+            setattr(value, name, None)

@@ -290,6 +290,20 @@ class TestSerialization:
         f = basis_in_p("h", 2, 4)
         assert str(f) == "1/2*p[1,1] + 1/2*p[2]"
 
+    @pytest.mark.parametrize(
+        "terms, text",
+        [
+            ({(): L}, "L"),
+            ({(): L - 1, (1,): 1}, "L - 1 + p[1]"),
+            ({(): -L, (1,): L}, "-L + (L)*p[1]"),
+            ({(): 2, (2,): -L}, "2 + (-L)*p[2]"),
+        ],
+    )
+    def test_leading_constant_term_is_bare(self, terms, text):
+        """A constant term leads and is never parenthesised; the other
+        non-constant coefficients are."""
+        assert str(SymFunc(terms, 2, ("L",))) == text
+
     def test_json_round_trip(self):
         f = U * SymFunc.p(2, 4, ("u", "v")) - SymFunc.constant(3, 4, ("u", "v"))
         assert SymFunc.from_json_dict(f.to_json_dict()) == f
