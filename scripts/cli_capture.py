@@ -5,8 +5,8 @@ Runs a seeded list of requests through ``powerstruct.cli.main`` in one
 process and writes, per request, its argv, stdout, stderr and exit code to a
 JSON file.  The list covers every subcommand in text and JSON at orders 0-8,
 values over Q, Q[L], Q[u,v] and symmetric functions, zero exponents, both
-algorithms of ``pow`` and ``factorize``, ``--input`` and ``@file`` values,
-and error paths.  Two captures of the same seed, taken from two source
+algorithms of ``pow`` and ``factorize``, one Q[L] ``pow`` at order 24,
+``--input`` and ``@file`` values, and error paths.  Two captures of the same seed, taken from two source
 trees, show whether a change kept the CLI's output byte-identical.
 
 Usage:
@@ -51,6 +51,15 @@ SERIES = [
     "1 + u*t + v*t^2",
     "1 + p[1]*t",
     "1 + h[2]*t^2 - p[1]*t",
+    # Edge cases of the series division kernel: an L^-1 term beside a
+    # denominator, a unit-monomial leading coefficient, a sparse divisor.
+    "1 + (L^-1 + 1/2)*t - 3/7*L^2*t^2",
+    "(L + L*t)/(L + t)",
+    "1/(1 - 1/2*L*t + L^-2*t^2)",
+]
+# Requests run at their own order rather than a seeded one.
+AT_ORDER = [
+    (["pow", "--base", "1 + (L + 2)*t - (2*L^2 - 1)*t^2 + L*t^3", "--exponent", "L^2 - 3*L + 1/2"], 24),
 ]
 SYMFUNCS = ["p[1]", "p[1]^2", "h[3]", "e[3]", "s[2,1]", "p[2] + p[1]^2", "L*p[1]^2 - p[2]", "s[3,1] - s[2,2]", "0*p[1]", "1"]
 ACTIONS = [
@@ -195,6 +204,8 @@ def requests(seed: int) -> list[list[str]]:
     for argv in combos:
         order = str(rng.choice(ORDERS))
         out.extend([*argv, "--order", order, "--output-format", fmt] for fmt in FORMATS)
+    for argv, order in AT_ORDER:
+        out.extend([*argv, "--order", str(order), "--output-format", fmt] for fmt in FORMATS)
     out.append(["reproduce", "--order", "3", "--axiom-cases", "1", "--seed", str(seed)])
     out.append(["reproduce", "--order", "2", "--axiom-cases", "2", "--seed", str(seed), "--output-format", "json"])
     return out + ERRORS

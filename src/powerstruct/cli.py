@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from dataclasses import asdict, dataclass, field
@@ -421,15 +422,26 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code, text = run_command(_request_from_args(args))
+        stream = sys.stderr if code == 2 else sys.stdout
     except _UsageError as exc:
-        code, text = 2, str(exc)
+        code, text, stream = 2, str(exc), sys.stderr
     except (PowerStructError, ValueError, ZeroDivisionError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        code, text, stream = 1, f"error: {exc}", sys.stderr
+    try:
+        print(text, file=stream)
+        stream.flush()
+    except BrokenPipeError:
+        # The reader has gone (``powerstruct reproduce | head -1``): write
+        # nothing more.  The interpreter flushes the stream again at exit,
+        # so its descriptor is pointed at the null device.
+        try:
+            fd = stream.fileno()
+        except (AttributeError, OSError):
+            return 1
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
         return 1
-    if code == 2:
-        print(text, file=sys.stderr)
-    else:
-        print(text)
     return code
 
 

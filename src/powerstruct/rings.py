@@ -33,7 +33,7 @@ with coefficients rendered as ``num/den`` strings (``den`` omitted when 1).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping, Union
 
 from .arith import binary_power
@@ -438,7 +438,7 @@ class LaurentPoly(_Value):
         return cls(vars, terms)
 
 
-# -- multiplication kernels -------------------------------------------------
+# -- integer kernels: products and series quotients ---------------------------
 
 # Crossover of the two kernels, timed on random dense and sparse products:
 # the Kronecker kernel breaks even with the dict loop at 1 x 2 terms and wins
@@ -490,6 +490,24 @@ def _dense_integers(terms: Mapping) -> tuple[int, int, list[int]]:
     return lo, den, ints
 
 
+def _dense(value) -> tuple[int, int, list[int]]:
+    """The dense form (lowest exponent, denominator, integer coefficients) of
+    a nonzero rational or one-variable Laurent polynomial."""
+    if isinstance(value, LaurentPoly):
+        if value.vars:
+            return _dense_integers(value.terms)
+        value = value.constant_term()
+    return 0, int(value.denominator), [int(value.numerator)]
+
+
+def _dense_terms(lo: int, den: int, ints: list[int]) -> dict[Exponents, Fraction]:
+    """The univariate term map of a dense form: the inverse of
+    :func:`_dense_integers`."""
+    if den == 1:
+        return {(lo + i,): Rational(c) for i, c in enumerate(ints) if c}
+    return {(lo + i,): Rational(c, den) for i, c in enumerate(ints) if c}
+
+
 def _mul_kronecker(a_terms: Mapping, b_terms: Mapping) -> dict[Exponents, Fraction]:
     """Product of two univariate term maps by Kronecker substitution
     (Harvey, arXiv:0712.4046): each operand, scaled to integers, is packed
@@ -506,20 +524,8 @@ def _mul_kronecker(a_terms: Mapping, b_terms: Mapping) -> dict[Exponents, Fracti
         + 1
     )
     packed = _pack(a_ints, width) * _pack(b_ints, width)
-    # Unpack with a borrow: a slot read as an unsigned value of half or more
-    # holds a negative coefficient, which borrowed 1 from the slot above;
-    # subtracting the coefficient pays it back.
-    mask, half = (1 << width) - 1, 1 << (width - 1)
-    den = a_den * b_den
-    product: dict[Exponents, Fraction] = {}
-    for e in range(a_lo + b_lo, a_lo + b_lo + len(a_ints) + len(b_ints) - 1):
-        coeff = packed & mask
-        if coeff >= half:
-            coeff -= 1 << width
-        packed = (packed - coeff) >> width
-        if coeff:
-            product[(e,)] = Rational(coeff) if den == 1 else Rational(coeff, den)
-    return product
+    ints = _unpack(packed, width, len(a_ints) + len(b_ints) - 1)
+    return _dense_terms(a_lo + b_lo, a_den * b_den, ints)
 
 
 def _pack(ints: list[int], width: int) -> int:
@@ -528,6 +534,111 @@ def _pack(ints: list[int], width: int) -> int:
     for c in reversed(ints):
         packed = (packed << width) + c
     return packed
+
+
+def _unpack(packed: int, width: int, count: int) -> list[int]:
+    """The ints of ``packed = sum(ints[i] * 2^(width * i))`` for i < count,
+    each of magnitude below 2^(width - 1): the inverse of :func:`_pack`."""
+    # A slot read as an unsigned value of half or more holds a negative
+    # coefficient, which borrowed 1 from the slot above; subtracting the
+    # coefficient pays it back.
+    mask, half, full = (1 << width) - 1, 1 << (width - 1), 1 << width
+    ints = []
+    for _ in range(count):
+        coeff = packed & mask
+        if coeff >= half:
+            coeff -= full
+        packed = (packed - coeff) >> width
+        ints.append(coeff)
+    return ints
+
+
+def _dense_ring(zero) -> bool:
+    """Whether series over zero's ring divide on :func:`_dense_quotient`:
+    rationals or one-variable Laurent polynomials."""
+    return isinstance(zero, SCALAR_TYPES) or (
+        type(zero) is LaurentPoly and len(zero.vars) == 1
+    )
+
+
+class _Dense:
+    """A nonzero coefficient in the dense form of :func:`_dense`, with
+    its l1 norm and its packing at a quotient's current slot width."""
+
+    __slots__ = ("lo", "den", "ints", "norm", "packed")
+
+    def __init__(self, lo: int, den: int, ints: list[int], width: int):
+        self.lo, self.den, self.ints = lo, den, ints
+        self.norm = sum(map(abs, ints))
+        self.packed = _pack(ints, width)
+
+
+def _dense_quotient(a, b, n: int, zero, inv) -> list:
+    """Coefficients 0..n of the series quotient a/b, given as coefficient
+    sequences over Q or a one-variable Q[L] with ring zero ``zero``, where
+    inv is 1/b_0 (a rational or a unit monomial c L^e), by the schoolbook
+    recurrence out_m = inv (a_m - sum_k b_k out_(m-k)) on integers.
+
+    Each nonzero b_k and out_j is converted once to :class:`_Dense` and
+    packed at one slot width (Kronecker substitution, as in
+    :func:`_mul_kronecker`).  A step sums the packed products
+    b_k out_(m-k) over their common denominator, shifted to a common lowest
+    exponent, unpacks the sum once, applies inv, divides out the gcd of
+    denominator and content and converts the result back once.  The width
+    holds the step's exact l1 bound; when a bound outgrows it, it grows and
+    every stored operand is repacked.
+    """
+    inv_lo, inv_den, (inv_num,) = _dense(inv)
+    width = 0  # no slot width before the first step with products
+    divisor = [(k, _Dense(*_dense(b[k]), width)) for k in range(1, n + 1) if b[k]]
+    quotient: list = []  # the _Dense of each out_j, None when it is zero
+    out = []
+    for m in range(n + 1):
+        pairs = [(x, quotient[m - k]) for k, x in divisor if k <= m and quotient[m - k]]
+        head = _dense(a[m]) if a[m] else None
+        if pairs:
+            dens = [x.den * y.den for x, y in pairs]
+            den = lcm(*dens, head[1] if head else 1)
+            bound = sum(den // d * x.norm * y.norm for d, (x, y) in zip(dens, pairs))
+            if head:
+                bound += den // head[1] * sum(map(abs, head[2]))
+            if bound.bit_length() + 1 > width:
+                # Doubling keeps the repacks to a few per quotient.
+                width = max(bound.bit_length() + 1, 2 * width)
+                for x in [x for _, x in divisor] + [y for y in quotient if y]:
+                    x.packed = _pack(x.ints, width)
+            lo = min(x.lo + y.lo for x, y in pairs)
+            top = max(x.lo + y.lo + len(x.ints) + len(y.ints) - 1 for x, y in pairs)
+            acc = 0
+            if head:
+                lo, top = min(lo, head[0]), max(top, head[0] + len(head[2]))
+                acc = _pack(head[2], width) * (den // head[1]) << width * (head[0] - lo)
+            for d, (x, y) in zip(dens, pairs):
+                acc -= x.packed * y.packed * (den // d) << width * (x.lo + y.lo - lo)
+            ints = _unpack(acc, width, top - lo)
+        elif head:
+            lo, den, ints = head
+        else:
+            ints = []
+        # out_m = inv * ints / den in lowest terms, without zero end slots
+        nonzero = [i for i, c in enumerate(ints) if c]
+        if not nonzero:
+            quotient.append(None)
+            out.append(zero)
+            continue
+        ints = [c * inv_num for c in ints[nonzero[0] : nonzero[-1] + 1]]
+        lo += nonzero[0] + inv_lo
+        den *= inv_den
+        g = gcd(den, *ints)
+        if g != 1:
+            ints = [c // g for c in ints]
+            den //= g
+        quotient.append(_Dense(lo, den, ints, width))
+        if isinstance(zero, LaurentPoly):
+            out.append(LaurentPoly._raw(zero.vars, _dense_terms(lo, den, ints)))
+        else:
+            out.append(Rational(ints[0], den))
+    return out
 
 
 class GradedAdamsElement(_Value):

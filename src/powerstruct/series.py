@@ -13,7 +13,9 @@ materialized.  Logarithm and exponential use the standard exact recurrences
 (all coefficient rings here are Q-algebras, so division by integers is
 always available); two-term powers use the binomial :func:`binomial_series`.
 Every recurrence multiplies only nonzero coefficients, so a sparse series
-such as ``t^k`` costs in proportion to its nonzero terms.
+such as ``t^k`` costs in proportion to its nonzero terms.  Quotients over Q
+and one-variable Q[L] run on packed integers (``rings._dense_quotient``);
+every other ring takes the coefficient loop.
 """
 
 from __future__ import annotations
@@ -22,7 +24,16 @@ from typing import Callable, Sequence
 
 from .errors import ConstantTermError
 from .arith import binary_power
-from .rings import SCALAR_TYPES, Rational, _Value, format_monomial, format_sum, format_term
+from .rings import (
+    SCALAR_TYPES,
+    Rational,
+    _dense_quotient,
+    _dense_ring,
+    _Value,
+    format_monomial,
+    format_sum,
+    format_term,
+)
 
 _ZERO = Rational(0)
 _ONE = Rational(1)
@@ -109,10 +120,15 @@ class TruncSeries(_Value):
     def __add__(self, other):
         if isinstance(other, TruncSeries):
             n = self._common_order(other)
+            # A zero term keeps the other one; the constructor promotes it
+            # into the joined ring.
             return TruncSeries(
-                [a + b for a, b in zip(self.coeffs[: n + 1], other.coeffs[: n + 1])],
+                [
+                    a + b if a and b else b if b else a
+                    for a, b in zip(self.coeffs[: n + 1], other.coeffs[: n + 1])
+                ],
                 n,
-                self._zero,
+                _ring_zero((other._zero,), self._zero),
             )
         coeffs = list(self.coeffs)
         coeffs[0] = coeffs[0] + other
@@ -157,6 +173,8 @@ class TruncSeries(_Value):
         zero = _ring_zero((other._zero,), self._zero)
         inv = _invert_leading(other.coeffs[0])
         a = self.coeffs
+        if _dense_ring(zero):
+            return TruncSeries(_dense_quotient(a, other.coeffs, n, zero, inv), n, zero)
         b = _support(other.coeffs, n)[1:]
         out = [a[0] * inv]
         for m in range(1, n + 1):

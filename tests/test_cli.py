@@ -3,6 +3,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -261,6 +265,42 @@ TRIVIAL_ACTION = {
     "classes": [{"size": 1, "identity": True, "orbit_euler": {"1": 0}}],
 }
 ONE_TERM = [{"p": [], "c": {"vars": [], "terms": [{"e": [], "c": "1"}]}}]
+
+
+class ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone: every write fails."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early ends the run with exit code 1, no
+    traceback and nothing more written."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["lambda", "--element", "L", "--order", "3"], ["reproduce", "--order", "2", "--axiom-cases", "1"]],
+    )
+    def test_write_raising_broken_pipe(self, argv):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(ClosedPipe()), contextlib.redirect_stderr(err):
+            assert main(argv) == 1
+        assert err.getvalue() == ""
+
+    def test_closed_pipe_on_the_command_line(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        with subprocess.Popen(
+            [sys.executable, "-m", "powerstruct.cli", "lambda", "--element", "L", "--order", "3"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        ) as proc:
+            proc.stdout.close()  # long before the interpreter has started
+            stderr = proc.stderr.read()
+            assert proc.wait(timeout=60) == 1
+        assert stderr == b""
 
 
 def symfunc_json(bound, terms=()):

@@ -13,7 +13,9 @@ from powerstruct import (
     SymFunc,
     TruncSeries,
     binomial_series,
+    lambda_t,
 )
+from powerstruct import series as series_module
 
 L = LaurentPoly.var("L")
 
@@ -440,6 +442,192 @@ class TestSparseRecurrences:
         tk = TruncSeries.t_var(a.order) ** k
         same_series(tk * a, dense_mul(tk, a))
         same_series(a * tk, dense_mul(a, tk))
+
+
+# -- the integer division kernel against the schoolbook loop -------------------
+#
+# Quotients over Q and one-variable Q[L] run on packed integers; dense_div,
+# ring arithmetic coefficient by coefficient, stays the oracle.
+
+# A numerator of 2^200 or more outgrows any slot width the small
+# coefficients before it need, so the kernel widens mid-recurrence.
+HUGE = st.builds(lambda n, sign: sign * n, st.integers(2**200, 2**210), st.sampled_from([1, -1]))
+
+
+def kernel_q(nonzero=False, huge=False):
+    numerator = st.one_of(st.integers(-5, 5), HUGE) if huge else st.integers(-5, 5)
+    value = st.builds(Fraction, numerator, st.integers(1, 6))
+    return value.filter(bool) if nonzero else value
+
+
+def kernel_ql(nonzero=False, huge=False):
+    terms = st.dictionaries(
+        st.integers(-3, 3).map(lambda e: (e,)),
+        kernel_q(True, huge),
+        min_size=int(nonzero),
+        max_size=4,
+    )
+    return terms.map(lambda t: LaurentPoly(("L",), t))
+
+
+def kernel_unit(ring):
+    """c or c L^e: the units the kernel divides by."""
+    if ring == "Q":
+        return kernel_q(True)
+    return st.tuples(kernel_q(True), st.integers(-3, 3)).map(
+        lambda ce: LaurentPoly(("L",), {(ce[1],): ce[0]})
+    )
+
+
+@st.composite
+def kernel_series(draw, ring=None, head=None, huge=False):
+    """A series over Q or Q[L] of order 0-12, dense, sparse or all zero, with
+    denominators and negative exponents; head="unit" makes the constant
+    term c or c L^e."""
+    ring = ring or draw(st.sampled_from(["Q", "Q[L]"]))
+    value = kernel_q if ring == "Q" else kernel_ql
+    zero = Fraction(0) if ring == "Q" else LaurentPoly.zero(("L",))
+    order = draw(st.integers(0, 12))
+    pattern = draw(st.sampled_from(["dense", "sparse", "zero"]))
+    if pattern == "dense":
+        coeffs = draw(st.lists(value(huge=huge), min_size=order + 1, max_size=order + 1))
+    elif pattern == "sparse":
+        coeffs = [
+            draw(value(True, huge)) if draw(st.integers(0, 3)) == 0 else zero
+            for _ in range(order + 1)
+        ]
+    else:
+        coeffs = [zero] * (order + 1)
+    if head == "unit":
+        coeffs[0] = draw(kernel_unit(ring))
+    return TruncSeries(coeffs, order, zero)
+
+
+@st.composite
+def t_power_divisor(draw):
+    """(1 - t^k)^(-c) as the iterative factorize divides by it, or a unit
+    plus terms at multiples of k only."""
+    order, k = draw(st.integers(0, 12)), draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        c = draw(st.one_of(kernel_q(True), kernel_ql(True)))
+        return lambda_t(c, order // k).substitute_tk(k, order)
+    ring = draw(st.sampled_from(["Q", "Q[L]"]))
+    coeffs = [draw(kernel_unit(ring))] + [0] * order
+    for j in range(k, order + 1, k):
+        coeffs[j] = draw(kernel_q() if ring == "Q" else kernel_ql())
+    return TruncSeries(coeffs, order)
+
+
+class TestDenseDivision:
+    """a / b over Q and Q[L] gives the schoolbook quotient's coefficients in
+    its ring; other rings never reach the integer kernel."""
+
+    @given(kernel_series(), kernel_series(head="unit"))
+    @settings(max_examples=300, deadline=None)
+    def test_div(self, a, b):
+        same_series(a / b, dense_div(a, b))
+
+    @given(kernel_series(huge=True), kernel_series(head="unit", huge=True))
+    @settings(max_examples=100, deadline=None)
+    def test_div_huge_numerators(self, a, b):
+        same_series(a / b, dense_div(a, b))
+
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda order: st.tuples(
+                st.lists(kernel_ql(), min_size=order + 1, max_size=order + 1),
+                st.integers(1, order),
+                kernel_ql(True, huge=True),
+            )
+        ),
+        kernel_series(ring="Q[L]", head="unit"),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_width_grows_mid_recurrence(self, drawn, b):
+        """Small coefficients, then one of 2^200 or more at position m >= 1."""
+        coeffs, m, huge = drawn
+        coeffs[m] = huge
+        a = TruncSeries(coeffs, len(coeffs) - 1, LaurentPoly.zero(("L",)))
+        same_series(a / b, dense_div(a, b))
+
+    @given(kernel_series(), t_power_divisor())
+    @settings(max_examples=150, deadline=None)
+    def test_sparse_t_power_divisors(self, a, b):
+        same_series(a / b, dense_div(a, b))
+
+    @given(
+        kernel_series(ring="Q"),
+        kernel_series(ring="Q", head="unit"),
+        kernel_series(ring="Q[L]"),
+        kernel_series(ring="Q[L]", head="unit"),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_empty_alphabet_operands(self, a, b, c, d):
+        """Series over Laurent polynomials in no variable divide on the
+        kernel beside a Q[L] operand."""
+        no_vars = LaurentPoly.zero(())
+        a, b = (TruncSeries(s.coeffs, s.order, no_vars) for s in (a, b))
+        same_series(a / d, dense_div(a, d))
+        same_series(c / b, dense_div(c, b))
+
+    @given(kernel_series(head="unit"), st.integers(1, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_reciprocal_and_negative_power(self, b, n):
+        one = TruncSeries.one(b.order)
+        inverse = dense_div(one, b)
+        same_series(1 / b, inverse)
+        power = inverse
+        for _ in range(n - 1):
+            power = dense_mul(power, inverse)
+        same_series(b**-n, power)
+
+    def test_other_rings_take_the_generic_loop(self, monkeypatch):
+        calls = []
+        kernel = series_module._dense_quotient
+        monkeypatch.setattr(
+            series_module, "_dense_quotient", lambda *args: calls.append(1) or kernel(*args)
+        )
+        u, v = LaurentPoly.var("u", ("u", "v")), LaurentPoly.var("v", ("u", "v"))
+        p1 = SymFunc.p(1, SYM_BOUND, ("L",))
+        for a, b in [
+            (TruncSeries([1, p1, L], 4), TruncSeries([1, -p1], 4)),
+            (TruncSeries([1, u, v], 4), TruncSeries([1, u - v], 4)),
+            (TruncSeries([1, 2], 4), TruncSeries([GradedAdamsElement({0: 2}), 1], 4)),
+        ]:
+            same_series(a / b, dense_div(a, b))
+        assert calls == []
+        same_series(TruncSeries([1, L], 4) / TruncSeries([2, 1], 4),
+                    dense_div(TruncSeries([1, L], 4), TruncSeries([2, 1], 4)))
+        assert calls == [1]
+
+
+# -- sums -----------------------------------------------------------------------
+
+
+def dense_add(a, b, sign=1):
+    n = min(a.order, b.order)
+    x, y = a.coeffs[: n + 1], b.coeffs[: n + 1]
+    return TruncSeries([p + q if sign > 0 else p - q for p, q in zip(x, y)], n, a._zero)
+
+
+class TestSums:
+    """A sum that keeps the nonzero operand of a zero pair gives the
+    coefficient-wise sum in the joined ring."""
+
+    @given(ring_series(), ring_series())
+    @settings(max_examples=300, deadline=None)
+    def test_add_and_sub(self, a, b):
+        same_series(a + b, dense_add(a, b))
+        same_series(a - b, dense_add(a, b, -1))
+
+    @pytest.mark.parametrize("left", sorted(RINGS))
+    @pytest.mark.parametrize("right", sorted(RINGS))
+    def test_all_zero_operands_join_the_rings(self, left, right):
+        x = TruncSeries([1, 0, L if left != "Q" else 2], 3, RINGS[left][0])
+        zero = TruncSeries([], 3, RINGS[right][0])
+        for a, b in [(x, zero), (zero, x), (zero, zero)]:
+            same_series(a + b, dense_add(a, b))
+            same_series(a - b, dense_add(a, b, -1))
 
 
 # Operands of the value rules: rationals, Laurent polynomials, symmetric
