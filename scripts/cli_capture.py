@@ -6,8 +6,9 @@ process and writes, per request, its argv, stdout, stderr and exit code to a
 JSON file.  The list covers every subcommand in text and JSON at orders 0-8,
 values over Q, Q[L], Q[u,v] and symmetric functions, zero exponents, both
 algorithms of ``pow`` and ``factorize``, one Q[L] ``pow`` at order 24,
-``--input`` and ``@file`` values, and error paths.  Two captures of the same seed, taken from two source
-trees, show whether a change kept the CLI's output byte-identical.
+``--input`` and ``@file`` values, and error paths.  Two captures of the
+same seed, taken from two source trees, show whether a change kept the
+CLI's output byte-identical.
 
 Usage:
   python scripts/cli_capture.py --src SRC_DIR --out FILE [--seed N] [--limit N]
