@@ -5,8 +5,11 @@ Runs a seeded list of requests through ``powerstruct.cli.main`` in one
 process and writes, per request, its argv, stdout, stderr and exit code to a
 JSON file.  The list covers every subcommand in text and JSON at orders 0-8,
 values over Q, Q[L], Q[u,v] and symmetric functions, zero exponents, both
-algorithms of ``pow`` and ``factorize``, one Q[L] ``pow`` at order 24,
-``--input`` and ``@file`` values, and error paths.  Two captures of the
+algorithms of ``pow`` and ``factorize``, the edges of the dense Euler-product
+route (one Q[L] ``pow`` and one ``factorize`` at order 24, a Q base with a
+Q[L] exponent, ``L^-2``, ``1/3`` and zero exponents, a Q[u,v] exponent),
+values given as separate words that start with ``-``, ``--input`` and
+``@file`` values, size caps and error paths.  Two captures of the
 same seed, taken from two source trees, show whether a change kept the
 CLI's output byte-identical.
 
@@ -61,6 +64,21 @@ SERIES = [
 # Requests run at their own order rather than a seeded one.
 AT_ORDER = [
     (["pow", "--base", "1 + (L + 2)*t - (2*L^2 - 1)*t^2 + L*t^3", "--exponent", "L^2 - 3*L + 1/2"], 24),
+    # The dense Euler-product route of pow and factorize, and its edges.
+    (["factorize", "--series", "1 + (L + 2)*t - (2*L^2 - 1)*t^2 + L*t^3", "--algorithm", "moebius"], 24),
+    (["pow", "--base", "1 + 2*t - 1/3*t^3", "--exponent", "L^2 - 1"], 12),
+    (["pow", "--base", "1 + (L + 2)*t - L^-1*t^2", "--exponent", "0"], 8),
+    (["pow", "--base", "1 + (L + 2)*t - L^-1*t^2", "--exponent", "0*L"], 8),
+    (["pow", "--base", "1 + (L + 2)*t - L^-1*t^2", "--exponent", "L^-2"], 10),
+    (["pow", "--base", "1 + L*t + 1/2*t^2", "--exponent", "1/3"], 10),
+    (["pow", "--base", "1 + t - 1/2*t^2", "--exponent", "u*v - 1"], 6),
+    (["pow", "--base", "1 + u*t", "--exponent", "1/3"], 6),
+]
+# Values given as a separate word that starts with "-".
+DASH_VALUES = [
+    ["pow", "--base", "1+t", "--exponent", "-3/4"],
+    ["pow", "--base", "1+L*t", "--exponent", "-L", "--order", "4"],
+    ["pow", "--base", "1+t", "--exponent", "-h"],
 ]
 SYMFUNCS = ["p[1]", "p[1]^2", "h[3]", "e[3]", "s[2,1]", "p[2] + p[1]^2", "L*p[1]^2 - p[2]", "s[3,1] - s[2,2]", "0*p[1]", "1"]
 ACTIONS = [
@@ -139,6 +157,10 @@ ERRORS = [
     ["lambda", "--element", "1", "--output-format=--"],
     ["lambda", "--element", "1", "--input=--"],
     ["quotient", "--action", "{}", "--egf=--"],
+    # Size caps; each value here is still cheap where it is accepted.
+    ["lambda", "--element", "0", "--order", "257"],
+    ["adams", "--element", "L", "--k", "99999999999999999999"],
+    ["lambda", "--element", "(1+L)^1001", "--order", "0"],
 ]
 # Files the requests name, written to the working directory of the run.
 FILES = {
@@ -209,7 +231,7 @@ def requests(seed: int) -> list[list[str]]:
         out.extend([*argv, "--order", str(order), "--output-format", fmt] for fmt in FORMATS)
     out.append(["reproduce", "--order", "3", "--axiom-cases", "1", "--seed", str(seed)])
     out.append(["reproduce", "--order", "2", "--axiom-cases", "2", "--seed", str(seed), "--output-format", "json"])
-    return out + ERRORS
+    return out + DASH_VALUES + ERRORS
 
 
 def _run(main, argv: list[str]) -> dict:

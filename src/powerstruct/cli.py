@@ -3,7 +3,10 @@
 Every operation is exposed as a subcommand with text or JSON output.  Exit
 codes: 0 success, 1 domain error, 2 usage error, 3 identity-verification
 failure.  Output is deterministic: identical requests produce identical
-bytes.
+bytes.  Sizes are capped before any work starts: ``--order`` at
+:data:`MAX_ORDER`, ``adams --k`` at :data:`MAX_ADAMS_K` and an integer
+exponent of ``^`` at :data:`parsing.MAX_EXPONENT`; a larger value exits 2
+with one line.
 
 Values are written in the grammar of :mod:`powerstruct.parsing`, and a
 series value may keep the ``+ O(t^M)`` tail of printed output.  Any
@@ -34,7 +37,7 @@ from .power import (
     power as power_op,
     verify_identity,
 )
-from .errors import PowerStructError
+from .errors import LimitError, PowerStructError
 from .rings import SCALAR_TYPES, LaurentPoly, adams, format_rational, parse_rational
 from .series import TruncSeries
 from .symfunc import (
@@ -48,6 +51,12 @@ from .symfunc import (
 )
 
 DEFAULT_ORDER = 10
+# pow at order 48 takes ~1 s and its cost grows faster than order^3, so
+# order 256 already runs for minutes; the cap only rules out the unbounded.
+MAX_ORDER = 256
+# adams on a polynomial only scales its exponents; on a symmetric function
+# --k is bounded by the generator bound (the order) anyway.
+MAX_ADAMS_K = 1000
 
 
 @dataclass
@@ -295,7 +304,7 @@ _COMMANDS = {
         "algorithm": dict(choices=("moebius", "iterative"))}),
     "adams": _Command(_cmd_adams, "k-th Adams operation", False, {
         "element": dict(required=True),
-        "k": dict(type=int, required=True)}),
+        "k": dict(type=int, required=True, max=MAX_ADAMS_K)}),
     "plethysm": _Command(_cmd_plethysm, "plethysm f o x for constant-coefficient f", False, {
         "f": dict(required=True, help="symmetric function, e.g. 'h[2]'"),
         "x": dict(required=True, help="lambda-ring element, e.g. 'L'")}),
@@ -348,6 +357,8 @@ def _checked_value(name: str, spec: dict, value):
         raise _UsageError(f"argument {_flag(name)}: expected {expected.__name__}, got {value!r}")
     if "choices" in spec and value not in spec["choices"]:
         raise _UsageError(f"argument {_flag(name)}: invalid choice {value!r}, not in {list(spec['choices'])}")
+    if "max" in spec and value > spec["max"]:
+        raise _UsageError(f"argument {_flag(name)}: must be <= {spec['max']}, got {value}")
     return value
 
 
@@ -371,6 +382,8 @@ def run_command(request: CommandRequest) -> tuple[int, str]:
         return 2, f"unknown output format {request.output_format!r}"
     if request.order < 0:
         return 2, f"order must be >= 0, got {request.order}"
+    if request.order > MAX_ORDER:
+        return 2, f"order must be <= {MAX_ORDER}, got {request.order}"
     return command.handler(params, request.order, request.output_format)
 
 
@@ -387,14 +400,38 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in _COMMANDS.items():
         p = sub.add_parser(name, help=command.help)
-        p.add_argument("--order", type=int, default=DEFAULT_ORDER, help="truncation order (default 10)")
+        p.add_argument(
+            "--order", type=int, default=DEFAULT_ORDER,
+            help=f"truncation order (default {DEFAULT_ORDER}, at most {MAX_ORDER})",
+        )
         p.add_argument("--output-format", choices=("text", "json"), default="text")
         if command.takes_input:
             p.add_argument("--input", help="JSON file with parameters keyed by option name")
         for option, spec in command.options.items():
             required = spec.get("required", False) and not command.takes_input
-            p.add_argument(_flag(option), dest=option, **{**spec, "required": required})
+            keywords = {k: v for k, v in spec.items() if k != "max"}
+            p.add_argument(_flag(option), dest=option, **{**keywords, "required": required})
     return parser
+
+
+def _join_dash_values(argv: list[str]) -> list[str]:
+    """argv with each word that follows a value option, starts with a single
+    ``-`` and is no option (``--exponent -3/4``) joined to that option as
+    ``--exponent=-3/4``: argparse would take the word for an unknown option.
+    ``--`` and everything after it, ``--word`` and ``-h`` stay as they are."""
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return argv
+    takes_value = {"--order", "--output-format", *(["--input"] if command.takes_input else [])}
+    takes_value.update(_flag(n) for n, spec in command.options.items() if spec.get("action") != "store_true")
+    out = argv[:1]
+    for word in argv[1:]:
+        joins = word.startswith("-") and not word.startswith("--") and word != "-h"
+        if joins and out[-1] in takes_value and "--" not in out:
+            out[-1] += "=" + word
+        else:
+            out.append(word)
+    return out
 
 
 def _request_from_args(args: argparse.Namespace) -> CommandRequest:
@@ -419,11 +456,12 @@ def _request_from_args(args: argparse.Namespace) -> CommandRequest:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(_join_dash_values(argv))
     try:
         code, text = run_command(_request_from_args(args))
         stream = sys.stderr if code == 2 else sys.stdout
-    except _UsageError as exc:
+    except (_UsageError, LimitError) as exc:
         code, text, stream = 2, str(exc), sys.stderr
     except (PowerStructError, ValueError, ZeroDivisionError, KeyError, OSError) as exc:
         code, text, stream = 1, f"error: {exc}", sys.stderr

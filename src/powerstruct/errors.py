@@ -42,3 +42,9 @@ class HomogeneityError(PowerStructError):
 
 class ParseError(PowerStructError):
     """A textual expression could not be parsed."""
+
+
+class LimitError(PowerStructError):
+    """A value exceeded a documented size limit, such as the integer
+    exponent of ``^`` in the value grammar; raised before the work it
+    would have started."""

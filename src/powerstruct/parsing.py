@@ -8,6 +8,7 @@ One grammar covers every value the command line accepts:
 * power sums and friends: ``p[2]``, ``p[1,1]``, ``h[3]``, ``e[2]``, ``s[3,1]``
 * the series variable ``t`` (meaningful only when an order is supplied)
 * operators ``+ - * / ^`` and parentheses; ``^`` takes an integer exponent
+  of magnitude at most :data:`MAX_EXPONENT`
 
 so ``1/2*p[1,1] + 1/2*p[2]``, ``L^5 - L^2``, ``1/(1 - L*t)`` and
 ``(1 + t)^3`` all parse.  The name ``t`` is reserved, and ``p``/``h``/``e``/
@@ -19,7 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import ParseError
+from .errors import LimitError, ParseError
 from .rings import SCALAR_TYPES, LaurentPoly, Rational
 from .series import TruncSeries
 from .symfunc import SymFunc, basis_in_p
@@ -29,6 +30,11 @@ _TOKEN_RE = re.compile(
 )
 
 _BASIS_NAMES = ("p", "h", "e", "s")
+
+# Largest magnitude of an integer exponent of ``^``: (1 + L)^1000 has 1001
+# terms of ~1000 bits, a bounded cost; a larger exponent is refused before
+# the power is taken.
+MAX_EXPONENT = 1000
 
 
 @dataclass(frozen=True)
@@ -142,6 +148,10 @@ class _Parser:
         token = self.next()
         if token.kind != "int":
             raise ParseError(f"expected an integer exponent at position {token.position}")
+        if int(token.text) > MAX_EXPONENT:
+            raise LimitError(
+                f"exponent {token.text} at position {token.position} exceeds the limit {MAX_EXPONENT}"
+            )
         return sign * int(token.text)
 
     def parse_int_list(self) -> list[int]:

@@ -40,8 +40,19 @@ from typing import Callable, Sequence
 
 from .arith import divisors, euler_phi, moebius
 from .errors import PowerStructError
-from .rings import LaurentPoly, Rational, adams, format_monomial
-from .series import TruncSeries, binomial_series
+from .rings import (
+    LaurentPoly,
+    Rational,
+    _dense,
+    _dense_adams_sum,
+    _dense_product,
+    _dense_quotient,
+    _dense_ring,
+    _from_dense,
+    adams,
+    format_monomial,
+)
+from .series import TruncSeries, _ring_zero, binomial_series
 
 _ZERO = Rational(0)
 _ONE = Rational(1)
@@ -65,6 +76,59 @@ def moebius_exponent(x, n: int):
     return Rational(1, n) * acc
 
 
+def _moebius_weight(n: int, d: int) -> int:
+    return moebius(d)
+
+
+def _divisor_weight(n: int, d: int) -> int:
+    return n // d
+
+
+def _adams_sums(values: Sequence, order: int, weight: Callable[[int, int], int], zero=None) -> list:
+    """s_n = (1/n) sum_{d | n} weight(n, d) adams(v_(n/d), d) for n = 1..order
+    over the nonzero v_1, v_2, ... of ``values``: the Moebius sum of
+    :func:`factorize` (weight mu(d)) and the log of :func:`recompose`
+    (weight n/d).
+
+    With ``zero`` the values are ring elements and an empty sum is zero;
+    without it they are dense forms (None for 0), summed on integers by
+    ``rings._dense_adams_sum``.
+    """
+    sums = []
+    for n in range(1, order + 1):
+        terms = []
+        for d in divisors(n):
+            if n // d <= len(values) and values[n // d - 1]:
+                w = weight(n, d)
+                if w:
+                    terms.append((w, d, values[n // d - 1]))
+        if zero is None:
+            sums.append(_dense_adams_sum(terms, n))
+        elif terms:
+            acc = _ZERO
+            for w, d, v in terms:
+                acc = acc + w * adams(v, d)
+            sums.append(Rational(1, n) * acc)
+        else:
+            sums.append(zero)
+    return sums
+
+
+def _dense_exponents(series: TruncSeries) -> list:
+    """The Euler-product exponents of a constant-term-1 series over Q or a
+    one-variable Q[L] as dense forms (None for 0): the Moebius sum over the
+    log-derivative coefficients as the division kernel leaves them."""
+    log_deriv = _dense_quotient(series.derivative().coeffs, series.coeffs, series.order - 1, _ONE)
+    return _adams_sums(log_deriv, series.order, _moebius_weight)
+
+
+def _dense_recompose(forms: list, order: int, zero) -> TruncSeries:
+    """:func:`recompose` of exponents given as dense forms (None for 0),
+    with its log converted once into zero's ring."""
+    logs = _adams_sums(forms, order, _divisor_weight)
+    return TruncSeries([zero] + [_from_dense(c, zero) for c in logs], order, zero).exp()
+
+
 def factorize(series: TruncSeries, algorithm: str = "moebius") -> tuple:
     """Decompose a constant-term-1 series into prod (1 - t^k)^{-b_k},
     returning the exponents (b_1, ..., b_N).
@@ -73,21 +137,16 @@ def factorize(series: TruncSeries, algorithm: str = "moebius") -> tuple:
     here has multiplicative Adams operations with adams_i o adams_j =
     adams_{ij}); ``iterative`` strips one factor per order.  Division by n in
     the Moebius route happens in the ambient Q-algebra, so exponents may be
-    rational even when the input is integral.
+    rational even when the input is integral.  Over Q and one-variable Q[L]
+    the Moebius route runs on dense integer forms.
     """
     series._require_constant(1, "factorize")
     order = series.order
     if algorithm == "moebius":
-        log_deriv = series.log_derivative()
-        exponents = []
-        for n in range(1, order + 1):
-            acc = _ZERO
-            for d in divisors(n):
-                mu = moebius(d)
-                if mu:
-                    acc = acc + mu * adams(log_deriv[n // d - 1], d)
-            exponents.append(Rational(1, n) * acc)
-        return tuple(exponents)
+        zero = series._zero
+        if _dense_ring(zero):
+            return tuple(_from_dense(b, zero) for b in _dense_exponents(series))
+        return tuple(_adams_sums(series.log_derivative(), order, _moebius_weight, zero))
     if algorithm == "iterative":
         remaining = series
         exponents = []
@@ -105,20 +164,14 @@ def factorize(series: TruncSeries, algorithm: str = "moebius") -> tuple:
 def recompose(exponents: Sequence, order: int) -> TruncSeries:
     """Multiply out prod_k (1 - t^k)^{-b_k} to the given order through one
     exponential: log of the product is
-    sum_n t^n (1/n) sum_{k | n} k adams(b_k, n/k).
+    sum_n t^n (1/n) sum_{k | n} k adams(b_k, n/k),
+    over the ring of the nonzero b_k (Q when there are none).
     """
-    log_coeffs = [_ZERO]
-    for n in range(1, order + 1):
-        acc = _ZERO
-        for k in divisors(n):
-            if k > len(exponents):
-                break
-            b_k = exponents[k - 1]
-            if b_k == 0:
-                continue
-            acc = acc + k * adams(b_k, n // k)
-        log_coeffs.append(Rational(1, n) * acc)
-    return TruncSeries(log_coeffs, order).exp()
+    exponents = exponents[:order]
+    if _dense_ring(*exponents):
+        zero = _ring_zero([b for b in exponents if b], _ZERO)
+        return _dense_recompose([_dense(b) if b else None for b in exponents], order, zero)
+    return TruncSeries([_ZERO] + _adams_sums(exponents, order, _divisor_weight, _ZERO), order).exp()
 
 
 def power(base: TruncSeries, exponent, algorithm: str = "factorize") -> TruncSeries:
@@ -127,11 +180,18 @@ def power(base: TruncSeries, exponent, algorithm: str = "factorize") -> TruncSer
     ``factorize`` (default) scales the Euler-product exponents of the base
     by the exponent and multiplies them out with :func:`recompose`;
     ``product`` evaluates the termwise Moebius-exponent product with plain
-    exp/log powers.  Both give identical results on every input.
+    exp/log powers.  Both give identical results on every input.  Over Q
+    and one-variable Q[L] the ``factorize`` route keeps every exponent in
+    dense integer form from the division kernel to the exponential.
     """
     base._require_constant(1, "power")
     order = base.order
     if algorithm == "factorize":
+        if _dense_ring(base._zero, exponent):
+            x = _dense(exponent) if exponent else None
+            products = [_dense_product(b, x) if b and x else None for b in _dense_exponents(base)]
+            zero = _ring_zero((exponent,), base._zero) if any(products) else _ZERO
+            return _dense_recompose(products, order, zero)
         return recompose([b_k * exponent for b_k in factorize(base, "moebius")], order)
     if algorithm == "product":
         result = TruncSeries.one(order)

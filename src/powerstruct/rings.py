@@ -509,23 +509,27 @@ def _dense_terms(lo: int, den: int, ints: list[int]) -> dict[Exponents, Fraction
 
 
 def _mul_kronecker(a_terms: Mapping, b_terms: Mapping) -> dict[Exponents, Fraction]:
-    """Product of two univariate term maps by Kronecker substitution
-    (Harvey, arXiv:0712.4046): each operand, scaled to integers, is packed
-    into one integer at x = 2^width, the two are multiplied once, and the
-    product's coefficients are read back from its width-bit slots."""
-    a_lo, a_den, a_ints = _dense_integers(a_terms)
-    b_lo, b_den, b_ints = _dense_integers(b_terms)
+    """Product of two univariate term maps by :func:`_dense_product`."""
+    return _dense_terms(*_dense_product(_dense_integers(a_terms), _dense_integers(b_terms)))
+
+
+def _dense_product(a, b) -> tuple[int, int, list[int]]:
+    """The dense form of the product of two dense forms by Kronecker
+    substitution (Harvey, arXiv:0712.4046): each int list is packed into one
+    integer at x = 2^width, the two are multiplied once, and the product's
+    coefficients are read back from its width-bit slots.  Not reduced."""
+    a_lo, a_den, a_ints = a
+    b_lo, b_den, b_ints = b
     # A product coefficient sums at most min(|a|, |b|) products of magnitude
     # below 2^(bits(max|a|) + bits(max|b|)); one more bit holds its sign.
     width = (
         max(map(abs, a_ints)).bit_length()
         + max(map(abs, b_ints)).bit_length()
-        + min(len(a_terms), len(b_terms)).bit_length()
+        + min(len(a_ints), len(b_ints)).bit_length()
         + 1
     )
     packed = _pack(a_ints, width) * _pack(b_ints, width)
-    ints = _unpack(packed, width, len(a_ints) + len(b_ints) - 1)
-    return _dense_terms(a_lo + b_lo, a_den * b_den, ints)
+    return a_lo + b_lo, a_den * b_den, _unpack(packed, width, len(a_ints) + len(b_ints) - 1)
 
 
 def _pack(ints: list[int], width: int) -> int:
@@ -553,12 +557,61 @@ def _unpack(packed: int, width: int, count: int) -> list[int]:
     return ints
 
 
-def _dense_ring(zero) -> bool:
-    """Whether series over zero's ring divide on :func:`_dense_quotient`:
-    rationals or one-variable Laurent polynomials."""
-    return isinstance(zero, SCALAR_TYPES) or (
-        type(zero) is LaurentPoly and len(zero.vars) == 1
-    )
+def _dense_reduce(lo: int, den: int, ints: list[int]):
+    """The dense form of ints / den from exponent lo up, in lowest terms and
+    without zero end slots; None when every slot is zero."""
+    nonzero = [i for i, c in enumerate(ints) if c]
+    if not nonzero:
+        return None
+    ints = ints[nonzero[0] : nonzero[-1] + 1]
+    g = gcd(den, *ints)
+    if g != 1:
+        ints = [c // g for c in ints]
+        den //= g
+    return lo + nonzero[0], den, ints
+
+
+def _from_dense(form, zero):
+    """The value of a dense form (None for 0) in zero's ring: Q or a
+    one-variable Q[L]."""
+    if form is None:
+        return zero
+    if isinstance(zero, LaurentPoly):
+        return LaurentPoly._raw(zero.vars, _dense_terms(*form))
+    return Rational(form[2][0], form[1])
+
+
+def _dense_ring(*values) -> bool:
+    """Whether values all lie in Q or in one common one-variable Q[L], the
+    rings whose elements take the dense form of :func:`_dense`."""
+    alphabets = set()
+    for value in values:
+        if type(value) is LaurentPoly and len(value.vars) == 1:
+            alphabets.add(value.vars)
+        elif not isinstance(value, SCALAR_TYPES):
+            return False
+    return len(alphabets) <= 1
+
+
+def _dense_adams_sum(terms, n: int):
+    """The dense form (None for 0) of (1/n) sum w adams(x, d) over the
+    (w, d, x) of terms, each x a dense form.
+
+    adams(x, d) multiplies x's exponents by d, so its int list lands in the
+    sum with stride d.  The sum is one integer accumulation over the common
+    denominator followed by one gcd reduction.
+    """
+    if not terms:
+        return None
+    den = lcm(*[x[1] for _, _, x in terms])
+    lo = min(x[0] * d for _, d, x in terms)
+    acc = [0] * (max((x[0] + len(x[2]) - 1) * d for _, d, x in terms) - lo + 1)
+    for w, d, (x_lo, x_den, ints) in terms:
+        start = x_lo * d - lo
+        stop = start + d * (len(ints) - 1) + 1
+        scale = w * (den // x_den)
+        acc[start:stop:d] = [a + scale * c for a, c in zip(acc[start:stop:d], ints)]
+    return _dense_reduce(lo, den * n, acc)
 
 
 class _Dense:
@@ -573,20 +626,20 @@ class _Dense:
         self.packed = _pack(ints, width)
 
 
-def _dense_quotient(a, b, n: int, zero, inv) -> list:
-    """Coefficients 0..n of the series quotient a/b, given as coefficient
-    sequences over Q or a one-variable Q[L] with ring zero ``zero``, where
-    inv is 1/b_0 (a rational or a unit monomial c L^e), by the schoolbook
-    recurrence out_m = inv (a_m - sum_k b_k out_(m-k)) on integers.
+def _dense_quotient(a, b, n: int, inv) -> list:
+    """Dense forms (None for 0) of the coefficients 0..n of the series
+    quotient a/b, given as coefficient sequences over Q or a one-variable
+    Q[L], where inv is 1/b_0 (a rational or a unit monomial c L^e), by the
+    schoolbook recurrence out_m = inv (a_m - sum_k b_k out_(m-k)) on
+    integers.
 
     Each nonzero b_k and out_j is converted once to :class:`_Dense` and
     packed at one slot width (Kronecker substitution, as in
-    :func:`_mul_kronecker`).  A step sums the packed products
+    :func:`_dense_product`).  A step sums the packed products
     b_k out_(m-k) over their common denominator, shifted to a common lowest
-    exponent, unpacks the sum once, applies inv, divides out the gcd of
-    denominator and content and converts the result back once.  The width
-    holds the step's exact l1 bound; when a bound outgrows it, it grows and
-    every stored operand is repacked.
+    exponent, unpacks the sum once, applies inv and reduces it with
+    :func:`_dense_reduce`.  The width holds the step's exact l1 bound; when
+    a bound outgrows it, it grows and every stored operand is repacked.
     """
     inv_lo, inv_den, (inv_num,) = _dense(inv)
     width = 0  # no slot width before the first step with products
@@ -620,24 +673,9 @@ def _dense_quotient(a, b, n: int, zero, inv) -> list:
             lo, den, ints = head
         else:
             ints = []
-        # out_m = inv * ints / den in lowest terms, without zero end slots
-        nonzero = [i for i, c in enumerate(ints) if c]
-        if not nonzero:
-            quotient.append(None)
-            out.append(zero)
-            continue
-        ints = [c * inv_num for c in ints[nonzero[0] : nonzero[-1] + 1]]
-        lo += nonzero[0] + inv_lo
-        den *= inv_den
-        g = gcd(den, *ints)
-        if g != 1:
-            ints = [c // g for c in ints]
-            den //= g
-        quotient.append(_Dense(lo, den, ints, width))
-        if isinstance(zero, LaurentPoly):
-            out.append(LaurentPoly._raw(zero.vars, _dense_terms(lo, den, ints)))
-        else:
-            out.append(Rational(ints[0], den))
+        form = _dense_reduce(lo + inv_lo, den * inv_den, [c * inv_num for c in ints]) if ints else None
+        quotient.append(_Dense(*form, width) if form else None)
+        out.append(form)
     return out
 
 

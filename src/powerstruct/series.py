@@ -29,6 +29,7 @@ from .rings import (
     Rational,
     _dense_quotient,
     _dense_ring,
+    _from_dense,
     _Value,
     format_monomial,
     format_sum,
@@ -174,7 +175,8 @@ class TruncSeries(_Value):
         inv = _invert_leading(other.coeffs[0])
         a = self.coeffs
         if _dense_ring(zero):
-            return TruncSeries(_dense_quotient(a, other.coeffs, n, zero, inv), n, zero)
+            forms = _dense_quotient(a, other.coeffs, n, inv)
+            return TruncSeries([_from_dense(f, zero) for f in forms], n, zero)
         b = _support(other.coeffs, n)[1:]
         out = [a[0] * inv]
         for m in range(1, n + 1):

@@ -260,6 +260,110 @@ class TestExitCodes:
         assert capsys.readouterr().err == err
 
 
+def main_streams(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestDashValues:
+    """A separate word that starts with ``-`` and is no option is the value
+    of the value option before it, as in the ``--option=value`` form."""
+
+    @pytest.mark.parametrize(
+        "argv, option, value",
+        [
+            (["pow", "--base", "1+t", "--order", "4"], "--exponent", "-3/4"),
+            (["pow", "--base", "1+L*t", "--order", "4"], "--exponent", "-L"),
+            (["pow", "--base", "1+u*t", "--order", "3"], "--exponent", "-u*v"),
+            (["pow", "--exponent", "2", "--order", "3"], "--base", "-(1+t)^-1*(-1)"),
+            (["lambda", "--order", "3"], "--element", "-L^2"),
+            (["adams", "--k", "2"], "--element", "-L^-1"),
+            (["plethysm", "--f", "h[2]"], "--x", "-L"),
+            (["lambda", "--element", "L"], "--order", "-1"),
+        ],
+    )
+    def test_separate_word_equals_joined_form(self, argv, option, value):
+        joined = main_streams([*argv, f"{option}={value}"])
+        assert main_streams([*argv, option, value]) == joined
+        assert main_streams([argv[0], option, value, *argv[1:]]) == joined
+
+    def test_negative_exponent_value(self):
+        code, out, err = main_streams(["pow", "--base", "1+t", "--exponent", "-3/4", "--order", "2"])
+        assert (code, out, err) == (0, "1 - 3/4*t + 21/32*t^2 + O(t^3)\n", "")
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["schur", "--f", "--"], "--f"),
+            (["pow", "--base", "1+t", "--exponent", "-h"], "--exponent"),
+            (["pow", "--base", "1+t", "--exponent", "--order", "2"], "--exponent"),
+            (["pow", "--base", "1+t", "--exponent", "--bogus"], "--exponent"),
+        ],
+    )
+    def test_options_are_not_values(self, argv, flag):
+        code, out, err = main_streams_exit(argv)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1].endswith(f"error: argument {flag}: expected one argument")
+
+    def test_only_dashes_joined_form(self):
+        assert main_streams(["schur", "--f=--"]) == (2, "", "argument --f: expected one argument\n")
+
+
+def main_streams_exit(argv):
+    """main_streams for a request argparse refuses with SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestCaps:
+    """Sizes over a documented cap exit 2 with one line before any work;
+    only the refusal is run here, never the huge computation."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        from powerstruct import cli
+
+        def refuse(*args):
+            raise AssertionError("work started past a cap")
+
+        for name in ("power_op", "lambda_t", "adams", "factorize_op"):
+            monkeypatch.setattr(cli, name, refuse)
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["lambda", "--element", "L", "--order", "257"], "order must be <= 256, got 257"),
+            (["pow", "--base", "1+t", "--exponent", "L", "--order", "100000000000000000000"],
+             "order must be <= 256, got 100000000000000000000"),
+            (["adams", "--element", "L", "--k", "99999999999999999999"],
+             "argument --k: must be <= 1000, got 99999999999999999999"),
+            (["adams", "--element", "L", "--k", "1001"], "argument --k: must be <= 1000, got 1001"),
+            (["lambda", "--element", "(1+L)^1001"], "exponent 1001 at position 6 exceeds the limit 1000"),
+            (["pow", "--base", "1+t", "--exponent", "L^(-100000)"],
+             "exponent 100000 at position 4 exceeds the limit 1000"),
+            (["pow", "--base", "(1 + t)^99999999", "--exponent", "2", "--order", "3"],
+             "exponent 99999999 at position 8 exceeds the limit 1000"),
+        ],
+    )
+    def test_over_cap_is_two_and_one_line(self, argv, err):
+        assert main_streams(argv) == (2, "", err + "\n")
+
+    def test_over_cap_by_request_and_input(self, tmp_path, monkeypatch):
+        assert run("adams", {"element": "L", "k": 1001}) == (2, "argument --k: must be <= 1000, got 1001")
+        assert run("lambda", {"element": "L"}, order=257) == (2, "order must be <= 256, got 257")
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "params.json").write_text(json.dumps({"element": "(1+L)^1001"}))
+        assert main_streams(["lambda", "--input", "params.json"]) == (
+            2, "", "exponent 1001 at position 6 exceeds the limit 1000\n")
+
+
 TRIVIAL_ACTION = {
     "group_order": 1,
     "classes": [{"size": 1, "identity": True, "orbit_euler": {"1": 0}}],

@@ -1,5 +1,6 @@
 """The power structure: lambda series, factorization, exponentiation."""
 
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,8 @@ from powerstruct import (
     verify_identity,
 )
 from powerstruct.arith import moebius
+from powerstruct.power import _adams_sums, _divisor_weight, _moebius_weight
+from powerstruct.rings import _dense, _from_dense
 
 L = LaurentPoly.var("L")
 Q = LaurentPoly.var("q")
@@ -249,6 +252,155 @@ class TestAxioms:
     @settings(max_examples=15, deadline=None)
     def test_substitution_axiom(self, a, m, k):
         assert power(a.substitute_tk(k), m) == power(a, m).substitute_tk(k)
+
+
+# -- the dense Euler-product route against the generic loop --------------------
+#
+# Over Q and one-variable Q[L] the Moebius sums of factorize and recompose,
+# and the factorize route of power, run on dense integer forms; the generic
+# loop of power._adams_sums over ring elements stays the reference.
+
+QL_ZERO = LaurentPoly.zero(("L",))
+# The package exports the function power under the module's name.
+power_module = importlib.import_module("powerstruct.power")
+
+
+def ring_of(value):
+    return type(value), getattr(value, "vars", None), getattr(value, "bound", None)
+
+
+def same_value(got, expected):
+    assert got == expected
+    assert ring_of(got) == ring_of(expected)
+
+
+def same_series(got, expected):
+    """Equal coefficients, and every coefficient and the zero in one ring."""
+    assert got == expected
+    assert ring_of(got._zero) == ring_of(expected._zero)
+    assert {ring_of(c) for c in got.coeffs} == {ring_of(got._zero)}
+
+
+def dense_q(nonzero=False):
+    value = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+    return value.filter(bool) if nonzero else value
+
+
+def dense_ql(nonzero=False):
+    """Q[L] values with denominators, negative exponents, zero or not."""
+    terms = st.dictionaries(
+        st.integers(-3, 3).map(lambda e: (e,)), dense_q(True), min_size=int(nonzero), max_size=4
+    )
+    return terms.map(lambda t: LaurentPoly(("L",), t))
+
+
+def dense_values(ring):
+    """Q or Q[L] values, a third of them zero."""
+    value = dense_q if ring == "Q" else dense_ql
+    zero = Fraction(0) if ring == "Q" else QL_ZERO
+    return st.one_of(st.just(zero), value(True), value(True))
+
+
+@st.composite
+def dense_unit_series(draw, ring=None):
+    """A constant-term-1 series over Q or Q[L] of order 0-12, dense, sparse
+    or all zero past the constant term."""
+    ring = ring or draw(st.sampled_from(["Q", "Q[L]"]))
+    zero = Fraction(0) if ring == "Q" else QL_ZERO
+    order = draw(st.integers(0, 12))
+    pattern = draw(st.sampled_from(["dense", "sparse", "zero"]))
+    values = dense_values(ring) if pattern == "sparse" else (dense_q if ring == "Q" else dense_ql)()
+    tail = [zero] * order if pattern == "zero" else draw(st.lists(values, min_size=order, max_size=order))
+    return TruncSeries([zero + 1] + tail, order, zero)
+
+
+def generic_factorize(series):
+    return tuple(_adams_sums(series.log_derivative(), series.order, _moebius_weight, series._zero))
+
+
+def generic_recompose(exponents, order):
+    logs = _adams_sums(exponents[:order], order, _divisor_weight, Fraction(0))
+    return TruncSeries([Fraction(0)] + logs, order).exp()
+
+
+class TestDenseEulerProduct:
+    @given(
+        st.sampled_from(["Q", "Q[L]"]).flatmap(lambda ring: st.tuples(
+            st.just(ring), st.lists(dense_values(ring), max_size=12))),
+        st.integers(0, 12),
+        st.sampled_from([_moebius_weight, _divisor_weight]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_adams_sums(self, drawn, order, weight):
+        ring, values = drawn
+        zero = Fraction(0) if ring == "Q" else QL_ZERO
+        forms = [_dense(v) if v else None for v in values]
+        got = [_from_dense(f, zero) for f in _adams_sums(forms, order, weight)]
+        expected = _adams_sums(values, order, weight, zero)
+        assert len(got) == len(expected) == order
+        for g, e in zip(got, expected):
+            same_value(g, e)
+
+    @given(dense_unit_series())
+    @settings(max_examples=200, deadline=None)
+    def test_factorize(self, series):
+        got, expected = factorize(series, "moebius"), generic_factorize(series)
+        assert len(got) == len(expected) == series.order
+        for g, e in zip(got, expected):
+            same_value(g, e)
+
+    @given(
+        st.lists(st.one_of(dense_values("Q"), dense_values("Q[L]")), max_size=14),
+        st.integers(0, 12),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_recompose(self, exponents, order):
+        """Q and Q[L] exponents mixed, zeros among them, more or fewer than
+        the order; the result is over Q when every exponent is zero."""
+        same_series(recompose(exponents, order), generic_recompose(exponents, order))
+
+    @given(
+        dense_unit_series(),
+        st.one_of(dense_values("Q"), dense_values("Q[L]"), st.integers(-3, 3)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_power(self, base, exponent):
+        """Q and Q[L] bases with Q, Q[L] and integer exponents, zero
+        exponents included."""
+        expected = generic_recompose([b * exponent for b in generic_factorize(base)], base.order)
+        same_series(power(base, exponent), expected)
+
+    @given(
+        st.integers(0, 7).flatmap(lambda order: dense_unit_series().filter(lambda s: s.order <= order)),
+        st.one_of(dense_values("Q"), dense_values("Q[L]")),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_power_routes_agree(self, base, exponent):
+        assert power(base, exponent, "factorize") == power(base, exponent, "product")
+
+    def test_zero_exponent_is_one_over_q(self):
+        base = TruncSeries([1, L, L**-2 / 3], 5)
+        for zero in (0, Fraction(0), QL_ZERO):
+            same_series(power(base, zero), TruncSeries.one(5))
+        same_series(recompose([QL_ZERO, 0], 3), TruncSeries.one(3))
+
+    def test_other_rings_take_the_generic_loop(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(power_module, "_dense_adams_sum", lambda *args: calls.append(args))
+        u, v = LaurentPoly.var("u", ("u", "v")), LaurentPoly.var("v", ("u", "v"))
+        p1 = SymFunc.p(1, 4, ("L",))
+        graded = GradedAdamsElement({1: 1})
+        for base, exponent in [
+            (TruncSeries([1, p1, L], 4), L),
+            (TruncSeries([1, u, v], 4), u - v),
+            (TruncSeries([1, graded], 4), 2),
+            (TruncSeries([1, 2], 4, LaurentPoly.zero(())), 2),
+        ]:
+            power(base, exponent)
+            factorize(base)
+        recompose([p1, L], 4)
+        recompose([u, 2], 4)
+        assert calls == []
 
 
 class TestVerifyIdentity:
