@@ -53,6 +53,7 @@ from .errors import (
     HomogeneityError,
     InexactDivisionError,
     IntegralityError,
+    LimitError,
     ParseError,
     PowerStructError,
     SubstitutionError,
@@ -102,6 +103,7 @@ __all__ = [
     "HomogeneityError",
     "InexactDivisionError",
     "IntegralityError",
+    "LimitError",
     "ParseError",
     "PowerStructError",
     "SubstitutionError",

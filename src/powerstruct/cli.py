@@ -3,8 +3,8 @@
 Every operation is exposed as a subcommand with text or JSON output.  Exit
 codes: 0 success, 1 domain error, 2 usage error, 3 identity-verification
 failure.  Output is deterministic: identical requests produce identical
-bytes.  Sizes are capped before any work starts: ``--order`` at
-:data:`MAX_ORDER`, ``adams --k`` at :data:`MAX_ADAMS_K` and an integer
+bytes.  Sizes are capped before the work they bound starts: ``--order``
+at :data:`MAX_ORDER`, ``adams --k`` at :data:`MAX_ADAMS_K` and an integer
 exponent of ``^`` at :data:`parsing.MAX_EXPONENT`; a larger value exits 2
 with one line.
 
@@ -51,8 +51,8 @@ from .symfunc import (
 )
 
 DEFAULT_ORDER = 10
-# pow at order 48 takes ~1 s and its cost grows faster than order^3, so
-# order 256 already runs for minutes; the cap only rules out the unbounded.
+# Caps rule out unbounded runs, not slow ones: 256 is four times the
+# largest order the performance goals name (pow at order 64).
 MAX_ORDER = 256
 # adams on a polynomial only scales its exponents; on a symmetric function
 # --k is bounded by the generator bound (the order) anyway.

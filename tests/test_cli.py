@@ -261,9 +261,13 @@ class TestExitCodes:
 
 
 def main_streams(argv):
+    """(exit code, stdout, stderr) of main, also when argparse exits."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -303,23 +307,12 @@ class TestDashValues:
         ],
     )
     def test_options_are_not_values(self, argv, flag):
-        code, out, err = main_streams_exit(argv)
+        code, out, err = main_streams(argv)
         assert (code, out) == (2, "")
         assert err.splitlines()[-1].endswith(f"error: argument {flag}: expected one argument")
 
     def test_only_dashes_joined_form(self):
         assert main_streams(["schur", "--f=--"]) == (2, "", "argument --f: expected one argument\n")
-
-
-def main_streams_exit(argv):
-    """main_streams for a request argparse refuses with SystemExit."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    return code, out.getvalue(), err.getvalue()
 
 
 class TestCaps:
