@@ -9,9 +9,9 @@ algorithms of ``pow`` and ``factorize``, the edges of the dense Euler-product
 route (one Q[L] ``pow`` and one ``factorize`` at order 24, a Q base with a
 Q[L] exponent, ``L^-2``, ``1/3`` and zero exponents, a Q[u,v] exponent),
 values given as separate words that start with ``-``, ``--input`` and
-``@file`` values, size caps and error paths.  Two captures of the
-same seed, taken from two source trees, show whether a change kept the
-CLI's output byte-identical.
+``@file`` values, malformed JSON values, size caps and error paths.  Two
+captures of the same seed, taken from two source trees, show whether a
+change kept the CLI's output byte-identical.
 
 Usage:
   python scripts/cli_capture.py --src SRC_DIR --out FILE [--seed N] [--limit N]
@@ -161,6 +161,19 @@ ERRORS = [
     ["lambda", "--element", "0", "--order", "257"],
     ["adams", "--element", "L", "--k", "99999999999999999999"],
     ["lambda", "--element", "(1+L)^1001", "--order", "0"],
+    ["irr", "--vars", "7", "--degree", "1"],
+    ["irr", "--vars", "2", "--degree", "17", "--target", "euler"],
+    ["hyperelliptic", "--genus", "128"],
+    ["harer-zagier", "--genus", "128", "--points", "0"],
+    ["harer-zagier", "--genus", "2", "--points", "1001"],
+    # JSON values whose shape is not the one the JSON output has.
+    ["pow", "--base", "@padded.json", "--exponent", "1", "--order", "2"],
+    ["pow", "--base", "@truncated.json", "--exponent", "1", "--order", "2"],
+    ["pow", "--base", "@float_order.json", "--exponent", "1", "--order", "2"],
+    ["pow", "--base", "@int_coeffs.json", "--exponent", "1", "--order", "2"],
+    ["pow", "--base", "@null_order.json", "--exponent", "1", "--order", "2"],
+    ["adams", "--element", "@int_terms.json", "--k", "2"],
+    ["adams", "--element", "@str_bound.json", "--k", "2"],
 ]
 # Files the requests name, written to the working directory of the run.
 FILES = {
@@ -169,6 +182,13 @@ FILES = {
     "bad_base.json": {"base": [1], "exponent": "L"},
     "action.json": ACTIONS[1],
     "config.json": {"x_class": "1 + q", "specialize": "invariants"},
+    "padded.json": {"order": 4, "coeffs": ["1", "1"]},
+    "truncated.json": {"order": 2, "coeffs": ["1", "1", "0", "0", "1"]},
+    "float_order.json": {"order": 2.9, "coeffs": ["1", "1", "0"]},
+    "int_coeffs.json": {"order": 2, "coeffs": 5},
+    "null_order.json": {"order": None, "coeffs": ["1"]},
+    "int_terms.json": {"vars": ["L"], "terms": 5},
+    "str_bound.json": {"bound": "2", "vars": [], "terms": []},
 }
 
 

@@ -28,8 +28,8 @@ from math import comb, factorial
 from typing import Mapping, Sequence
 
 from .arith import bernoulli, divisors, moebius
-from .errors import IntegralityError, PowerStructError
-from .power import lambda_t, power
+from .errors import IntegralityError, PowerStructError, json_field
+from .power import power
 from .rings import LaurentPoly
 from .series import TruncSeries, binomial_series
 from .symfunc import SymFunc
@@ -111,10 +111,7 @@ def config_space_series(
     if bound is None:
         bound = max(order, 1)
     base = TruncSeries([1, SymFunc.p(1, bound, x_class.vars)], order)
-    result = power(base, SymFunc.constant(x_class, bound))
-    # power() keeps the ring of the coefficients it computes: only rationals
-    # when x_class is 0 or the order is 0.
-    return TruncSeries(result.coeffs, order, SymFunc.zero(bound, x_class.vars))
+    return power(base, SymFunc.constant(x_class, bound))
 
 
 def unordered_config_product(
@@ -161,8 +158,7 @@ def unordered_config_product(
         raise PowerStructError(
             "power-structure and explicit-product routes disagree (internal bug)"
         )
-    # Over Q[q] even when P = 0 or the order is 0 leaves only rationals.
-    return TruncSeries(route_power.coeffs, order, zero)
+    return route_power
 
 
 # -- finite group actions ------------------------------------------------------
@@ -244,20 +240,20 @@ class GroupActionData:
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "GroupActionData":
         classes = []
-        for i, entry in enumerate(_json_field(data, "classes", "group action", list)):
+        for i, entry in enumerate(json_field(data, "classes", "group action", list)):
             where = f"class {i}"
-            orbit_euler = _json_field(entry, "orbit_euler", where, dict)
+            orbit_euler = json_field(entry, "orbit_euler", where, dict)
             classes.append(
                 ConjugacyClassData(
-                    size=_json_field(entry, "size", where, int),
+                    size=json_field(entry, "size", where, int),
                     orbit_euler={
-                        _orbit_length(k, where): _json_field(orbit_euler, k, f"{where} orbit_euler", int)
+                        _orbit_length(k, where): json_field(orbit_euler, k, f"{where} orbit_euler", int)
                         for k in orbit_euler
                     },
-                    identity="identity" in entry and _json_field(entry, "identity", where, bool),
+                    identity="identity" in entry and json_field(entry, "identity", where, bool),
                 )
             )
-        return cls(_json_field(data, "group_order", "group action", int), tuple(classes))
+        return cls(json_field(data, "group_order", "group action", int), tuple(classes))
 
 
 def _require_int(value, field: str) -> None:
@@ -271,22 +267,6 @@ def _orbit_length(key: str, where: str) -> int:
     if not (isinstance(key, str) and re.fullmatch("[1-9][0-9]*", key)):
         raise ValueError(f"{where} orbit_euler key {key!r} must be a positive integer in decimal")
     return int(key)
-
-
-_JSON_KINDS = {int: "an integer", dict: "an object", list: "an array", bool: "a boolean"}
-
-
-def _json_field(obj, key: str, where: str, kind: type):
-    """obj[key] from the JSON object obj, of JSON type kind; errors name the
-    missing or ill-typed field and where it sits."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"{where} must be a JSON object, got {obj!r}")
-    if key not in obj:
-        raise ValueError(f"{where} has no {key!r} field")
-    value = obj[key]
-    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
-        raise ValueError(f"{where} field {key!r} must be {_JSON_KINDS[kind]}, got {value!r}")
-    return value
 
 
 def _twisted_product_sum(terms, order: int, bound: int) -> TruncSeries:

@@ -4,7 +4,10 @@ Every operation is exposed as a subcommand with text or JSON output.  Exit
 codes: 0 success, 1 domain error, 2 usage error, 3 identity-verification
 failure.  Output is deterministic: identical requests produce identical
 bytes.  Sizes are capped before the work they bound starts: ``--order``
-at :data:`MAX_ORDER`, ``adams --k`` at :data:`MAX_ADAMS_K` and an integer
+at :data:`MAX_ORDER`, ``adams --k`` at :data:`MAX_ADAMS_K`, ``irr --vars``
+and ``--degree`` at :data:`MAX_IRR_VARS` and :data:`MAX_IRR_DEGREE`, a genus
+at :data:`MAX_GENUS`, ``harer-zagier --points`` at :data:`MAX_POINTS`,
+``reproduce --axiom-cases`` at :data:`MAX_AXIOM_CASES` and an integer
 exponent of ``^`` at :data:`parsing.MAX_EXPONENT`; a larger value exits 2
 with one line.
 
@@ -37,7 +40,7 @@ from .power import (
     power as power_op,
     verify_identity,
 )
-from .errors import LimitError, PowerStructError
+from .errors import LimitError, PowerStructError, json_field
 from .rings import SCALAR_TYPES, LaurentPoly, adams, format_rational, parse_rational
 from .series import TruncSeries
 from .symfunc import (
@@ -57,6 +60,16 @@ MAX_ORDER = 256
 # adams on a polynomial only scales its exponents; on a symmetric function
 # --k is bounded by the generator bound (the order) anyway.
 MAX_ADAMS_K = 1000
+# The class of irr has C(vars + degree, vars) terms at most: at the caps,
+# 74584 terms in ~90 s and ~92 MB on a 2-core machine.
+MAX_IRR_VARS = 6
+MAX_IRR_DEGREE = 16
+# hyperelliptic works at series order 2g + 2, within MAX_ORDER up to g = 127;
+# harer-zagier needs the Bernoulli number B_2g, ~0.2 s at g = 127.
+MAX_GENUS = 127
+MAX_POINTS = 1000
+# The default of 100 cases takes ~15 s; the cost grows linearly.
+MAX_AXIOM_CASES = 1000
 
 
 @dataclass
@@ -81,10 +94,23 @@ def value_to_json(value):
 
 
 def value_from_json(data):
+    """The value of a JSON form of :func:`value_to_json`; a malformed form
+    raises ValueError naming the field."""
     if isinstance(data, str):
         return parse_rational(data)
     if isinstance(data, dict) and "coeffs" in data:
-        return TruncSeries([value_from_json(c) for c in data["coeffs"]], int(data["order"]))
+        order = json_field(data, "order", "series", int)
+        coeffs = json_field(data, "coeffs", "series", list)
+        if order < 0:
+            raise ValueError(f"series field 'order' must be >= 0, got {order}")
+        if len(coeffs) != order + 1:
+            raise ValueError(
+                f"series field 'coeffs' must have order + 1 = {order + 1} entries, got {len(coeffs)}"
+            )
+        values = [value_from_json(c) for c in coeffs]
+        if any(isinstance(c, TruncSeries) for c in values):
+            raise ValueError("series field 'coeffs' must hold ring elements, not series")
+        return TruncSeries(values, order)
     if isinstance(data, dict) and "bound" in data:
         return SymFunc.from_json_dict(data)
     if isinstance(data, dict) and "vars" in data:
@@ -314,8 +340,8 @@ _COMMANDS = {
         "f": dict(required=True),
         "mode": dict(required=True, choices=_MODES)}),
     "irr": _Command(_cmd_irr, "class of the irreducible-polynomial variety", False, {
-        "vars": dict(type=int, required=True),
-        "degree": dict(type=int, required=True),
+        "vars": dict(type=int, required=True, max=MAX_IRR_VARS),
+        "degree": dict(type=int, required=True, max=MAX_IRR_DEGREE),
         "target": dict(choices=("class", "euler", "hodge_deligne"))}),
     "config": _Command(_cmd_config, "equivariant configuration-space series (1 + p1 t)^X", True, {
         "x_class": dict(required=True, help="class polynomial, e.g. '1+q'"),
@@ -325,16 +351,16 @@ _COMMANDS = {
             "action": dict(required=True, help="group-action JSON (inline or a file path)"),
             "egf": dict(action="store_true", default=None, help="exponential generating function instead")}),
     "hyperelliptic": _Command(_cmd_hyperelliptic, "class of the genus-g hyperelliptic moduli space", False, {
-        "genus": dict(type=int, required=True),
+        "genus": dict(type=int, required=True, max=MAX_GENUS),
         "target": dict(choices=("class", "hodge_deligne"))}),
     "moduli-g2": _Command(_cmd_moduli_g2, "equivariant Euler series of genus-2 moduli with marked points", False, {}),
     "harer-zagier": _Command(_cmd_harer_zagier, "orbifold Euler characteristic of moduli of curves", False, {
-        "genus": dict(type=int, required=True),
-        "points": dict(type=int, required=True)}),
+        "genus": dict(type=int, required=True, max=MAX_GENUS),
+        "points": dict(type=int, required=True, max=MAX_POINTS)}),
     "verify": _Command(_cmd_verify, "check a named series identity exactly", False, {
         "identity": dict(required=True, choices=IDENTITY_NAMES)}),
     "reproduce": _Command(_cmd_reproduce, "run the full reproduction suite", False, {
-        "axiom_cases": dict(type=int),
+        "axiom_cases": dict(type=int, max=MAX_AXIOM_CASES),
         "seed": dict(type=int)}),
 }
 

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the field check of every
+value read from JSON."""
 
 
 class PowerStructError(Exception):
@@ -48,3 +49,27 @@ class LimitError(PowerStructError):
     """A value exceeded a documented size limit, such as the integer
     exponent of ``^`` in the value grammar; raised before the work it
     would have started."""
+
+
+_JSON_KINDS = {int: "integer", dict: "object", list: "array", bool: "boolean", str: "string"}
+
+
+def _is_kind(value, kind: type) -> bool:
+    """Whether value has JSON type kind; a boolean is no integer."""
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
+
+def json_field(obj, key: str, where: str, kind: type, of: type | None = None):
+    """obj[key] from the JSON object obj, of JSON type kind, or an array of
+    JSON type ``of`` when that is given; a ValueError names the missing or
+    ill-typed field and where it sits."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object, got {obj!r}")
+    if key not in obj:
+        raise ValueError(f"{where} has no {key!r} field")
+    value = obj[key]
+    if not _is_kind(value, kind) or (of and not all(_is_kind(v, of) for v in value)):
+        name = _JSON_KINDS[kind] + (f" of {_JSON_KINDS[of]}s" if of else "")
+        article = "an" if name[0] in "aeiou" else "a"
+        raise ValueError(f"{where} field {key!r} must be {article} {name}, got {value!r}")
+    return value

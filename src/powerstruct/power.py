@@ -59,11 +59,9 @@ _ONE = Rational(1)
 
 
 def lambda_t(x, order: int) -> TruncSeries:
-    """The series (1 - t)^{-x} truncated at the given order."""
-    log_coeffs = [_ZERO]
-    for n in range(1, order + 1):
-        log_coeffs.append(Rational(1, n) * adams(x, n))
-    return TruncSeries(log_coeffs, order).exp()
+    """The series (1 - t)^{-x} truncated at the given order, over x's ring:
+    the one-factor Euler product :func:`recompose` of [x]."""
+    return recompose([x], order)
 
 
 def moebius_exponent(x, n: int):
@@ -161,17 +159,18 @@ def factorize(series: TruncSeries, algorithm: str = "moebius") -> tuple:
     raise ValueError(f"unknown factorize algorithm {algorithm!r}")
 
 
-def recompose(exponents: Sequence, order: int) -> TruncSeries:
+def recompose(exponents: Sequence, order: int, zero=_ZERO) -> TruncSeries:
     """Multiply out prod_k (1 - t^k)^{-b_k} to the given order through one
     exponential: log of the product is
     sum_n t^n (1/n) sum_{k | n} k adams(b_k, n/k),
-    over the ring of the nonzero b_k (Q when there are none).
+    over the join of zero's ring and the rings of all the b_k, those that
+    are zero or lie past the order included.
     """
+    zero = _ring_zero(exponents, zero)
     exponents = exponents[:order]
-    if _dense_ring(*exponents):
-        zero = _ring_zero([b for b in exponents if b], _ZERO)
+    if _dense_ring(zero):
         return _dense_recompose([_dense(b) if b else None for b in exponents], order, zero)
-    return TruncSeries([_ZERO] + _adams_sums(exponents, order, _divisor_weight, _ZERO), order).exp()
+    return TruncSeries([zero] + _adams_sums(exponents, order, _divisor_weight, zero), order, zero).exp()
 
 
 def power(base: TruncSeries, exponent, algorithm: str = "factorize") -> TruncSeries:
@@ -180,21 +179,23 @@ def power(base: TruncSeries, exponent, algorithm: str = "factorize") -> TruncSer
     ``factorize`` (default) scales the Euler-product exponents of the base
     by the exponent and multiplies them out with :func:`recompose`;
     ``product`` evaluates the termwise Moebius-exponent product with plain
-    exp/log powers.  Both give identical results on every input.  Over Q
-    and one-variable Q[L] the ``factorize`` route keeps every exponent in
-    dense integer form from the division kernel to the exponential.
+    exp/log powers.  Both give identical results, ring included, on every
+    input: a series over the join of the base's and the exponent's rings.
+    Over Q and one-variable Q[L] the ``factorize`` route keeps every
+    exponent in dense integer form from the division kernel to the
+    exponential.
     """
     base._require_constant(1, "power")
     order = base.order
+    zero = _ring_zero((exponent,), base._zero)
     if algorithm == "factorize":
-        if _dense_ring(base._zero, exponent):
+        if _dense_ring(zero):
             x = _dense(exponent) if exponent else None
             products = [_dense_product(b, x) if b and x else None for b in _dense_exponents(base)]
-            zero = _ring_zero((exponent,), base._zero) if any(products) else _ZERO
             return _dense_recompose(products, order, zero)
-        return recompose([b_k * exponent for b_k in factorize(base, "moebius")], order)
+        return recompose([b_k * exponent for b_k in factorize(base, "moebius")], order, zero)
     if algorithm == "product":
-        result = TruncSeries.one(order)
+        result = TruncSeries([_ONE], order, zero)
         for n in range(1, order + 1):
             exp_n = moebius_exponent(exponent, n)
             if exp_n == 0:

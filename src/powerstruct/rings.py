@@ -41,6 +41,7 @@ from .errors import (
     AlphabetMismatchError,
     InexactDivisionError,
     SubstitutionError,
+    json_field,
 )
 
 # gmpy2's exact rational is arithmetic-compatible with fractions.Fraction
@@ -431,10 +432,11 @@ class LaurentPoly(_Value):
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "LaurentPoly":
-        vars = tuple(data["vars"])
-        terms = {
-            tuple(entry["e"]): parse_rational(entry["c"]) for entry in data["terms"]
-        }
+        vars = json_field(data, "vars", "polynomial", list, str)
+        terms = {}
+        for entry in json_field(data, "terms", "polynomial", list):
+            exps = tuple(json_field(entry, "e", "polynomial term", list, int))
+            terms[exps] = parse_rational(json_field(entry, "c", "polynomial term", str))
         return cls(vars, terms)
 
 
@@ -581,16 +583,10 @@ def _from_dense(form, zero):
     return Rational(form[2][0], form[1])
 
 
-def _dense_ring(*values) -> bool:
-    """Whether values all lie in Q or in one common one-variable Q[L], the
-    rings whose elements take the dense form of :func:`_dense`."""
-    alphabets = set()
-    for value in values:
-        if type(value) is LaurentPoly and len(value.vars) == 1:
-            alphabets.add(value.vars)
-        elif not isinstance(value, SCALAR_TYPES):
-            return False
-    return len(alphabets) <= 1
+def _dense_ring(zero) -> bool:
+    """Whether zero's ring is Q or a one-variable Q[L], the rings whose
+    elements take the dense form of :func:`_dense`."""
+    return isinstance(zero, SCALAR_TYPES) or (type(zero) is LaurentPoly and len(zero.vars) == 1)
 
 
 def _dense_adams_sum(terms, n: int):

@@ -25,12 +25,11 @@ from math import factorial
 from typing import Iterable, Mapping, Union
 
 from .arith import binary_power
-from .errors import GeneratorBoundError, HomogeneityError, InexactDivisionError
+from .errors import GeneratorBoundError, HomogeneityError, InexactDivisionError, json_field
 from .rings import (
     SCALAR_TYPES,
     LaurentPoly,
     Rational,
-    Scalar,
     _Value,
     format_sum,
     format_term,
@@ -327,12 +326,13 @@ class SymFunc(_Value):
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "SymFunc":
-        vars = tuple(data["vars"])
-        terms = {
-            tuple(entry["p"]): LaurentPoly.from_json_dict(entry["c"])
-            for entry in data["terms"]
-        }
-        return cls(terms, int(data["bound"]), vars)
+        where = "symmetric function"
+        vars = json_field(data, "vars", where, list, str)
+        terms = {}
+        for entry in json_field(data, "terms", where, list):
+            partition = tuple(json_field(entry, "p", f"{where} term", list, int))
+            terms[partition] = LaurentPoly.from_json_dict(json_field(entry, "c", f"{where} term", dict))
+        return cls(terms, json_field(data, "bound", where, int), vars)
 
 
 # -- basis conversions -------------------------------------------------------

@@ -328,6 +328,9 @@ class TestCaps:
 
         for name in ("power_op", "lambda_t", "adams", "factorize_op"):
             monkeypatch.setattr(cli, name, refuse)
+        for name in ("irreducible_class", "irreducible_specialize", "hyperelliptic_class", "harer_zagier"):
+            monkeypatch.setattr(cli.applications, name, refuse)
+        monkeypatch.setattr(cli.reproduce, "run_all", refuse)
 
     @pytest.mark.parametrize(
         "argv, err",
@@ -343,6 +346,13 @@ class TestCaps:
              "exponent 100000 at position 4 exceeds the limit 1000"),
             (["pow", "--base", "(1 + t)^99999999", "--exponent", "2", "--order", "3"],
              "exponent 99999999 at position 8 exceeds the limit 1000"),
+            (["irr", "--vars", "7", "--degree", "1"], "argument --vars: must be <= 6, got 7"),
+            (["irr", "--vars", "2", "--degree", "100000", "--target", "euler"],
+             "argument --degree: must be <= 16, got 100000"),
+            (["hyperelliptic", "--genus", "128"], "argument --genus: must be <= 127, got 128"),
+            (["harer-zagier", "--genus", "10000", "--points", "0"], "argument --genus: must be <= 127, got 10000"),
+            (["harer-zagier", "--genus", "2", "--points", "1001"], "argument --points: must be <= 1000, got 1001"),
+            (["reproduce", "--axiom-cases", "1001"], "argument --axiom-cases: must be <= 1000, got 1001"),
         ],
     )
     def test_over_cap_is_two_and_one_line(self, argv, err):
@@ -351,6 +361,10 @@ class TestCaps:
     def test_over_cap_by_request_and_input(self, tmp_path, monkeypatch):
         assert run("adams", {"element": "L", "k": 1001}) == (2, "argument --k: must be <= 1000, got 1001")
         assert run("lambda", {"element": "L"}, order=257) == (2, "order must be <= 256, got 257")
+        assert run("irr", {"vars": 2, "degree": 17}) == (2, "argument --degree: must be <= 16, got 17")
+        assert run("harer-zagier", {"genus": 128, "points": 0}) == (2, "argument --genus: must be <= 127, got 128")
+        assert run("reproduce", {"axiom_cases": 10**20}) == (
+            2, "argument --axiom-cases: must be <= 1000, got 100000000000000000000")
         monkeypatch.chdir(tmp_path)
         (tmp_path / "params.json").write_text(json.dumps({"element": "(1+L)^1001"}))
         assert main_streams(["lambda", "--input", "params.json"]) == (
@@ -435,7 +449,12 @@ class TestJsonOutput:
                 2,
                 [symfunc_json(2, ONE_TERM), symfunc_json(2), symfunc_json(2)],
             ),
-            ("pow", {"base": "1+t", "exponent": "0*L"}, 2, ["1", "0", "0"]),
+            (
+                "pow",
+                {"base": "1+t", "exponent": "0*L"},
+                2,
+                [{"vars": ["L"], "terms": [{"e": [0], "c": "1"}]}] + [{"vars": ["L"], "terms": []}] * 2,
+            ),
             (
                 "lambda",
                 {"element": "L"},
@@ -457,6 +476,105 @@ class TestJsonOutput:
     def test_factorize_json(self):
         code, text = run("factorize", {"series": "1+t"}, order=3, fmt="json")
         assert json.loads(text) == {"order": 3, "exponents": ["1", "-1", "0"]}
+
+
+POLY_FORM = {"vars": ["L"], "terms": [{"e": [1], "c": "1/2"}, {"e": [0], "c": "1"}]}
+# A well-formed JSON value of each kind, and a request that reads it from
+# the @file given last.
+JSON_FORMS = {
+    "series": ({"order": 2, "coeffs": ["1", POLY_FORM, "0"]}, ["pow", "--exponent", "1", "--order", "2", "--base"]),
+    "polynomial": (POLY_FORM, ["adams", "--k", "2", "--element"]),
+    "symfunc": (
+        {"bound": 2, "vars": ["L"], "terms": [{"p": [1], "c": POLY_FORM}, {"p": [], "c": POLY_FORM}]},
+        ["adams", "--k", "2", "--order", "2", "--element"],
+    ),
+}
+WRONG_JSON = [None, True, 2.5, 7, "x", [], {}]
+DELETE = object()
+
+
+def json_positions(value, path=()):
+    """The path to every entry of every object and array inside value."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, inner in items:
+        yield path + (key,)
+        yield from json_positions(inner, path + (key,))
+
+
+@st.composite
+def malformed_json_values(draw):
+    """(argv, JSON data): a well-formed value with one entry deleted or
+    given another JSON type, or a series whose order does not match its
+    coefficients."""
+    kind = draw(st.sampled_from(sorted(JSON_FORMS)))
+    form, argv = JSON_FORMS[kind]
+    data = json.loads(json.dumps(form))
+    *parents, key = draw(st.sampled_from(list(json_positions(data))))
+    owner = data
+    for step in parents:
+        owner = owner[step]
+    choices = [w for w in WRONG_JSON if type(w) is not type(owner[key])]
+    if isinstance(owner, dict):
+        choices.append(DELETE)
+    if kind == "series" and key == "order" and not parents:
+        choices += [-1, 1, 3]
+    mutation = draw(st.sampled_from(choices))
+    if mutation is DELETE:
+        del owner[key]
+    else:
+        owner[key] = mutation
+    return argv, data
+
+
+class TestJsonValues:
+    """A JSON value read through @file has the shape value_to_json writes,
+    or the request exits 1 with one line naming the field."""
+
+    def at_file(self, tmp_path, argv, data):
+        path = tmp_path / "value.json"
+        path.write_text(json.dumps(data))
+        return main_streams([*argv, f"@{path}"])
+
+    @pytest.mark.parametrize("kind", sorted(JSON_FORMS))
+    def test_well_formed(self, tmp_path, kind):
+        form, argv = JSON_FORMS[kind]
+        assert self.at_file(tmp_path, argv, form)[0] == 0
+
+    @pytest.mark.parametrize(
+        "data, err",
+        [
+            ({"order": 4, "coeffs": ["1", "1"]}, "series field 'coeffs' must have order + 1 = 5 entries, got 2"),
+            ({"order": 2, "coeffs": ["1", "1", "0", "0", "1"]},
+             "series field 'coeffs' must have order + 1 = 3 entries, got 5"),
+            ({"order": 2.9, "coeffs": ["1", "1", "0"]}, "series field 'order' must be an integer, got 2.9"),
+            ({"order": True, "coeffs": ["1", "1"]}, "series field 'order' must be an integer, got True"),
+            ({"order": -1, "coeffs": []}, "series field 'order' must be >= 0, got -1"),
+            ({"order": 2, "coeffs": 5}, "series field 'coeffs' must be an array, got 5"),
+            ({"order": None, "coeffs": ["1"]}, "series field 'order' must be an integer, got None"),
+            ({"order": 0, "coeffs": [{"order": 0, "coeffs": ["1"]}]},
+             "series field 'coeffs' must hold ring elements, not series"),
+            ({"vars": ["L"], "terms": 5}, "polynomial field 'terms' must be an array, got 5"),
+            ({"vars": "L", "terms": []}, "polynomial field 'vars' must be an array of strings, got 'L'"),
+            ({"vars": ["L"], "terms": [{"e": [True], "c": "1"}]},
+             "polynomial term field 'e' must be an array of integers, got [True]"),
+            ({"vars": ["L"], "terms": [{"e": [1], "c": 1}]}, "polynomial term field 'c' must be a string, got 1"),
+            ({"bound": "2", "vars": [], "terms": []}, "symmetric function field 'bound' must be an integer, got '2'"),
+            ({"bound": 2, "vars": [], "terms": [{"p": [1.5], "c": POLY_FORM}]},
+             "symmetric function term field 'p' must be an array of integers, got [1.5]"),
+        ],
+        ids=["padded", "truncated", "float-order", "bool-order", "negative-order", "int-coeffs", "null-order",
+             "series-coeff", "int-terms", "str-vars", "bool-exponent", "int-coeff", "str-bound", "float-part"],
+    )
+    def test_malformed_names_the_field(self, tmp_path, data, err):
+        argv = ["pow", "--exponent", "1", "--order", "2", "--base"]
+        assert self.at_file(tmp_path, argv, data) == (1, "", f"error: {err}\n")
+
+    @given(malformed_json_values())
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_malformed_fuzz(self, tmp_path, drawn):
+        code, out, err = self.at_file(tmp_path, *drawn)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestDeterminism:
@@ -727,20 +845,33 @@ VALUES = EXPRESSIONS | SOUP
 UNIT_SERIES = VALUES | EXPRESSIONS.map(lambda e: f"1 + ({e})*t")
 
 
+def int_values(command, spec):
+    """Small integers, and for a capped option values over its cap;
+    reproduce takes a second even at one case, so only its refusals run."""
+    if "max" not in spec:
+        return st.integers(-1, 6)
+    over = st.integers(spec["max"] + 1, 10**30)
+    return over if command == "reproduce" else st.integers(-1, 6) | over
+
+
 @st.composite
 def flag_requests(draw):
-    command = draw(st.sampled_from(["pow", "factorize", "adams", "lambda", "plethysm", "schur"]))
+    command = draw(st.sampled_from(
+        ["pow", "factorize", "adams", "lambda", "plethysm", "schur",
+         "irr", "hyperelliptic", "harer-zagier", "reproduce"]))
     argv = [command, f"--order={draw(st.integers(0, 4))}"]
     argv.append(f"--output-format={draw(st.sampled_from(['text', 'json']))}")
     for name, spec in _COMMANDS[command].options.items():
+        flag = "--" + name.replace("_", "-")
         if "choices" in spec:
             if draw(st.booleans()):
-                argv.append(f"--{name}={draw(st.sampled_from(spec['choices']))}")
+                argv.append(f"{flag}={draw(st.sampled_from(spec['choices']))}")
         elif spec.get("type") is int:
-            argv.append(f"--{name}={draw(st.integers(-1, 6))}")
+            if spec.get("required") or draw(st.booleans()) or name == "axiom_cases":
+                argv.append(f"{flag}={draw(int_values(command, spec))}")
         else:
             values = UNIT_SERIES if name in ("base", "series") else VALUES
-            argv.append(f"--{name}={draw(values)}")
+            argv.append(f"{flag}={draw(values)}")
     return argv
 
 

@@ -318,9 +318,17 @@ def generic_factorize(series):
     return tuple(_adams_sums(series.log_derivative(), series.order, _moebius_weight, series._zero))
 
 
-def generic_recompose(exponents, order):
-    logs = _adams_sums(exponents[:order], order, _divisor_weight, Fraction(0))
-    return TruncSeries([Fraction(0)] + logs, order).exp()
+def join_zero(*values):
+    """Zero of the join of the values' rings, by adding their zeros."""
+    return sum((0 * v for v in values), Fraction(0))
+
+
+def generic_recompose(exponents, order, zero=None):
+    """The generic Euler-product loop over the join of the exponents' rings,
+    or over zero's ring when it is given."""
+    zero = join_zero(*exponents) if zero is None else zero
+    logs = _adams_sums(exponents[:order], order, _divisor_weight, zero)
+    return TruncSeries([zero] + logs, order, zero).exp()
 
 
 class TestDenseEulerProduct:
@@ -356,7 +364,7 @@ class TestDenseEulerProduct:
     @settings(max_examples=200, deadline=None)
     def test_recompose(self, exponents, order):
         """Q and Q[L] exponents mixed, zeros among them, more or fewer than
-        the order; the result is over Q when every exponent is zero."""
+        the order; the result is over the join of all the exponents' rings."""
         same_series(recompose(exponents, order), generic_recompose(exponents, order))
 
     @given(
@@ -366,8 +374,10 @@ class TestDenseEulerProduct:
     @settings(max_examples=200, deadline=None)
     def test_power(self, base, exponent):
         """Q and Q[L] bases with Q, Q[L] and integer exponents, zero
-        exponents included."""
-        expected = generic_recompose([b * exponent for b in generic_factorize(base)], base.order)
+        exponents included; the result is over the join of the base's and
+        the exponent's rings."""
+        products = [b * exponent for b in generic_factorize(base)]
+        expected = generic_recompose(products, base.order, join_zero(base._zero, exponent))
         same_series(power(base, exponent), expected)
 
     @given(
@@ -376,13 +386,35 @@ class TestDenseEulerProduct:
     )
     @settings(max_examples=60, deadline=None)
     def test_power_routes_agree(self, base, exponent):
-        assert power(base, exponent, "factorize") == power(base, exponent, "product")
+        same_series(power(base, exponent, "factorize"), power(base, exponent, "product"))
 
-    def test_zero_exponent_is_one_over_q(self):
-        base = TruncSeries([1, L, L**-2 / 3], 5)
-        for zero in (0, Fraction(0), QL_ZERO):
-            same_series(power(base, zero), TruncSeries.one(5))
-        same_series(recompose([QL_ZERO, 0], 3), TruncSeries.one(3))
+    def test_degenerate_inputs_lie_in_the_join(self):
+        """Zero exponents, bases whose Euler exponents all vanish and order
+        0 give a series over the join of the input rings."""
+        u, v = LaurentPoly.var("u", ("u", "v")), LaurentPoly.var("v", ("u", "v"))
+        p1 = SymFunc.p(1, 4, ("L",))
+        zeros = {"Q": Fraction(0), "Q[L]": QL_ZERO, "Q[u,v]": 0 * u, "SymFunc": 0 * p1}
+        powers = [
+            ([1, L, L**-2 / 3], QL_ZERO, 0, "Q[L]"),
+            ([1, L, L**-2 / 3], QL_ZERO, QL_ZERO, "Q[L]"),
+            ([1, 1], 0, QL_ZERO, "Q[L]"),
+            ([1, 0 * L], QL_ZERO, 1, "Q[L]"),
+            ([1, Fraction(1, 2)], 0, 0 * u, "Q[u,v]"),
+            ([1, u, v], 0 * u, 0, "Q[u,v]"),
+            ([1, 1], 0, 0 * p1, "SymFunc"),
+            ([1, L], QL_ZERO, 0 * p1, "SymFunc"),
+            ([1, 0 * p1], 0 * p1, 1, "SymFunc"),
+        ]
+        recomposes = [([QL_ZERO, 0], "Q[L]"), ([0, 0, 0, 0, 0, L], "Q[L]"), ([0 * u], "Q[u,v]"), ([0, 0 * p1], "SymFunc")]
+        for order in (0, 1, 4):
+            for coeffs, zero, exponent, ring in powers:
+                base = TruncSeries(coeffs, order, zero)
+                for algorithm in ("factorize", "product"):
+                    same_series(power(base, exponent, algorithm), TruncSeries([1], order, zeros[ring]))
+            for exponents, ring in recomposes:
+                same_series(recompose(exponents, order), TruncSeries([1], order, zeros[ring]))
+            for zero in zeros.values():
+                same_series(lambda_t(zero, order), TruncSeries([1], order, zero))
 
     def test_other_rings_take_the_generic_loop(self, monkeypatch):
         calls = []
@@ -401,6 +433,48 @@ class TestDenseEulerProduct:
         recompose([p1, L], 4)
         recompose([u, 2], 4)
         assert calls == []
+
+
+def generic_lambda_t(x, order):
+    """(1 - t)^{-x} by its own exp of sum_n adams(x, n) t^n / n, over x's
+    ring: the reference for lambda_t."""
+    zero = join_zero(x)
+    logs = [Fraction(1, n) * adams(x, n) for n in range(1, order + 1)]
+    return TruncSeries([zero] + logs, order, zero).exp()
+
+
+def uv_values():
+    terms = st.dictionaries(st.tuples(st.integers(-1, 2), st.integers(-1, 2)), dense_q(True), max_size=3)
+    return terms.map(lambda t: LaurentPoly(("u", "v"), t))
+
+
+@st.composite
+def lambda_inputs(draw):
+    """An order 0-12 and an element of Q, Q[L] (zeros, denominators),
+    Q[u,v], symmetric functions of degree <= 1 over Q[L], or graded
+    elements."""
+    order = draw(st.integers(0, 12))
+    ring = draw(st.sampled_from(["Q", "Q[L]", "Q[u,v]", "SymFunc", "graded"]))
+    if ring in ("Q", "Q[L]"):
+        return draw(dense_values(ring)), order
+    if ring == "Q[u,v]":
+        return draw(uv_values()), order
+    if ring == "SymFunc":
+        # Few examples reach order 12 here: the exp over symmetric
+        # functions costs far more than over polynomials.
+        order = min(order, draw(st.integers(0, 12)))
+        p1 = SymFunc.p(1, max(order, 1), ("L",))
+        return draw(dense_values("Q[L]")) * p1 + draw(dense_values("Q[L]")), order
+    components = st.dictionaries(st.integers(0, 3), dense_q(True), max_size=3)
+    return GradedAdamsElement(draw(components)), order
+
+
+class TestLambdaRoute:
+    @given(lambda_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_lambda_t_matches_the_generic_loop(self, drawn):
+        x, order = drawn
+        same_series(lambda_t(x, order), generic_lambda_t(x, order))
 
 
 class TestVerifyIdentity:
