@@ -8,8 +8,9 @@ values over Q, Q[L], Q[u,v] and symmetric functions, zero exponents, both
 algorithms of ``pow`` and ``factorize``, the edges of the dense Euler-product
 route (one Q[L] ``pow`` and one ``factorize`` at order 24, a Q base with a
 Q[L] exponent, ``L^-2``, ``1/3`` and zero exponents, a Q[u,v] exponent),
-values given as separate words that start with ``-``, ``--input`` and
-``@file`` values, malformed JSON values, size caps and error paths.  Two
+``schur`` at weights up to 11 and on tall partitions, values given as
+separate words that start with ``-``, ``--input`` and ``@file`` values,
+malformed JSON values, size caps and error paths.  Two
 captures of the same seed, taken from two source trees, show whether a
 change kept the CLI's output byte-identical.
 
@@ -73,6 +74,13 @@ AT_ORDER = [
     (["pow", "--base", "1 + L*t + 1/2*t^2", "--exponent", "1/3"], 10),
     (["pow", "--base", "1 + t - 1/2*t^2", "--exponent", "u*v - 1"], 6),
     (["pow", "--base", "1 + u*t", "--exponent", "1/3"], 6),
+    # Schur expansions through both Jacobi-Trudi determinants; tall
+    # partitions take the det(e) form.
+    (["schur", "--f", "p[1]^8"], 8),
+    (["schur", "--f", "p[1]^11"], 11),
+    (["schur", "--f", "s[1,1,1,1,1]"], 5),
+    (["schur", "--f", "s[2,1,1,1,1,1]"], 7),
+    (["schur", "--f", "e[6]"], 6),
 ]
 # Values given as a separate word that starts with "-".
 DASH_VALUES = [
@@ -166,6 +174,11 @@ ERRORS = [
     ["hyperelliptic", "--genus", "128"],
     ["harer-zagier", "--genus", "128", "--points", "0"],
     ["harer-zagier", "--genus", "2", "--points", "1001"],
+    ["specialize", "--f", "h[41]", "--mode", "invariants", "--order", "41"],
+    ["specialize", "--f", "2*s[40,1]", "--mode", "sign", "--order", "41"],
+    ["reproduce", "--axiom-cases", "-1", "--order", "0"],
+    ["reproduce", "--axiom-cases=0", "--order", "0"],
+    ["pow", "--base", "@big_exponent.json", "--exponent", "1", "--order", "2"],
     # JSON values whose shape is not the one the JSON output has.
     ["pow", "--base", "@padded.json", "--exponent", "1", "--order", "2"],
     ["pow", "--base", "@truncated.json", "--exponent", "1", "--order", "2"],
@@ -174,6 +187,8 @@ ERRORS = [
     ["pow", "--base", "@null_order.json", "--exponent", "1", "--order", "2"],
     ["adams", "--element", "@int_terms.json", "--k", "2"],
     ["adams", "--element", "@str_bound.json", "--k", "2"],
+    ["adams", "--element", "@decimal_coeff.json", "--k", "2"],
+    ["pow", "--base", "1+t", "--exponent", "@decimal.json", "--order", "2"],
 ]
 # Files the requests name, written to the working directory of the run.
 FILES = {
@@ -189,6 +204,9 @@ FILES = {
     "null_order.json": {"order": None, "coeffs": ["1"]},
     "int_terms.json": {"vars": ["L"], "terms": 5},
     "str_bound.json": {"bound": "2", "vars": [], "terms": []},
+    "big_exponent.json": {"order": 2, "coeffs": ["1", {"vars": ["L"], "terms": [{"e": [1001], "c": "1"}]}, "0"]},
+    "decimal_coeff.json": {"vars": ["L"], "terms": [{"e": [1], "c": " 1.5e1 "}]},
+    "decimal.json": "2.5",
 }
 
 

@@ -7,9 +7,11 @@ bytes.  Sizes are capped before the work they bound starts: ``--order``
 at :data:`MAX_ORDER`, ``adams --k`` at :data:`MAX_ADAMS_K`, ``irr --vars``
 and ``--degree`` at :data:`MAX_IRR_VARS` and :data:`MAX_IRR_DEGREE`, a genus
 at :data:`MAX_GENUS`, ``harer-zagier --points`` at :data:`MAX_POINTS`,
-``reproduce --axiom-cases`` at :data:`MAX_AXIOM_CASES` and an integer
-exponent of ``^`` at :data:`parsing.MAX_EXPONENT`; a larger value exits 2
-with one line.
+``reproduce --axiom-cases`` at :data:`MAX_AXIOM_CASES` (and at least 1),
+an integer exponent of ``^`` or of a polynomial term read from JSON at
+:data:`rings.MAX_EXPONENT` and the weight of an ``h``, ``e`` or ``s`` atom
+at :data:`parsing.MAX_ATOM_WEIGHT`; a value out of range exits 2 with one
+line.
 
 Values are written in the grammar of :mod:`powerstruct.parsing`, and a
 series value may keep the ``+ O(t^M)`` tail of printed output.  Any
@@ -68,7 +70,8 @@ MAX_IRR_DEGREE = 16
 # harer-zagier needs the Bernoulli number B_2g, ~0.2 s at g = 127.
 MAX_GENUS = 127
 MAX_POINTS = 1000
-# The default of 100 cases takes ~15 s; the cost grows linearly.
+# The default of 100 cases takes ~15 s; the cost grows linearly.  Fewer
+# than one case would check nothing.
 MAX_AXIOM_CASES = 1000
 
 
@@ -93,11 +96,11 @@ def value_to_json(value):
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def value_from_json(data):
+def value_from_json(data, where: str = "JSON value"):
     """The value of a JSON form of :func:`value_to_json`; a malformed form
     raises ValueError naming the field."""
     if isinstance(data, str):
-        return parse_rational(data)
+        return parse_rational(data, where)
     if isinstance(data, dict) and "coeffs" in data:
         order = json_field(data, "order", "series", int)
         coeffs = json_field(data, "coeffs", "series", list)
@@ -107,7 +110,7 @@ def value_from_json(data):
             raise ValueError(
                 f"series field 'coeffs' must have order + 1 = {order + 1} entries, got {len(coeffs)}"
             )
-        values = [value_from_json(c) for c in coeffs]
+        values = [value_from_json(c, "series field 'coeffs' entry") for c in coeffs]
         if any(isinstance(c, TruncSeries) for c in values):
             raise ValueError("series field 'coeffs' must hold ring elements, not series")
         return TruncSeries(values, order)
@@ -360,7 +363,7 @@ _COMMANDS = {
     "verify": _Command(_cmd_verify, "check a named series identity exactly", False, {
         "identity": dict(required=True, choices=IDENTITY_NAMES)}),
     "reproduce": _Command(_cmd_reproduce, "run the full reproduction suite", False, {
-        "axiom_cases": dict(type=int, max=MAX_AXIOM_CASES),
+        "axiom_cases": dict(type=int, min=1, max=MAX_AXIOM_CASES),
         "seed": dict(type=int)}),
 }
 
@@ -383,6 +386,8 @@ def _checked_value(name: str, spec: dict, value):
         raise _UsageError(f"argument {_flag(name)}: expected {expected.__name__}, got {value!r}")
     if "choices" in spec and value not in spec["choices"]:
         raise _UsageError(f"argument {_flag(name)}: invalid choice {value!r}, not in {list(spec['choices'])}")
+    if "min" in spec and value < spec["min"]:
+        raise _UsageError(f"argument {_flag(name)}: must be >= {spec['min']}, got {value}")
     if "max" in spec and value > spec["max"]:
         raise _UsageError(f"argument {_flag(name)}: must be <= {spec['max']}, got {value}")
     return value
@@ -435,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--input", help="JSON file with parameters keyed by option name")
         for option, spec in command.options.items():
             required = spec.get("required", False) and not command.takes_input
-            keywords = {k: v for k, v in spec.items() if k != "max"}
+            keywords = {k: v for k, v in spec.items() if k not in ("min", "max")}
             p.add_argument(_flag(option), dest=option, **{**keywords, "required": required})
     return parser
 

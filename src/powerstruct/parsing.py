@@ -5,7 +5,8 @@ One grammar covers every value the command line accepts:
 * rationals: ``3``, ``1/2``, ``-7/3``
 * polynomial variables: any identifier (``L``, ``u``, ``v``, ``q``, ...);
   all variables appearing in one expression share one alphabet
-* power sums and friends: ``p[2]``, ``p[1,1]``, ``h[3]``, ``e[2]``, ``s[3,1]``
+* power sums and friends: ``p[2]``, ``p[1,1]``, ``h[3]``, ``e[2]``, ``s[3,1]``;
+  an ``h``, ``e`` or ``s`` atom has weight at most :data:`MAX_ATOM_WEIGHT`
 * the series variable ``t`` (meaningful only when an order is supplied)
 * operators ``+ - * / ^`` and parentheses; ``^`` takes an integer exponent
   of magnitude at most :data:`MAX_EXPONENT`
@@ -21,7 +22,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import LimitError, ParseError
-from .rings import SCALAR_TYPES, LaurentPoly, Rational
+from .rings import MAX_EXPONENT, SCALAR_TYPES, LaurentPoly, Rational
 from .series import TruncSeries
 from .symfunc import SymFunc, basis_in_p
 
@@ -31,10 +32,11 @@ _TOKEN_RE = re.compile(
 
 _BASIS_NAMES = ("p", "h", "e", "s")
 
-# Largest magnitude of an integer exponent of ``^``: (1 + L)^1000 has 1001
-# terms of ~1000 bits, a bounded cost; a larger exponent is refused before
-# the power is taken.
-MAX_EXPONENT = 1000
+# Largest weight of an h[k], e[k] or s[...] atom.  At 40, h[40] has 37338
+# terms (0.24 s, 58 MB) and the slowest s[...] atoms, s[7,7,7,7,6,6] and
+# s[7,7,7,7,7,5], take ~12 s and 74 MB, both on a 2-core machine; h[45]
+# already takes 147 MB.  A heavier atom is refused before it is expanded.
+MAX_ATOM_WEIGHT = 40
 
 
 @dataclass(frozen=True)
@@ -197,13 +199,15 @@ class _Parser:
                 f"symmetric-function atom {name}[...] needs a generator bound"
             )
         parts = self.parse_int_list()
-        if name in ("h", "e"):
-            if len(parts) != 1:
-                raise ParseError(
-                    f"{name}[...] takes exactly one index (position {position})"
-                )
-            return basis_in_p(name, parts[0], self.bound)
-        return basis_in_p(name, tuple(parts), self.bound)
+        if name in ("h", "e") and len(parts) != 1:
+            raise ParseError(
+                f"{name}[...] takes exactly one index (position {position})"
+            )
+        if name != "p" and sum(parts) > MAX_ATOM_WEIGHT:
+            raise LimitError(
+                f"weight {sum(parts)} of {name}[...] at position {position} exceeds the limit {MAX_ATOM_WEIGHT}"
+            )
+        return basis_in_p(name, parts[0] if name in ("h", "e") else tuple(parts), self.bound)
 
 
 def scan_variables(text: str) -> tuple[str, ...]:

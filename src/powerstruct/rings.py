@@ -32,6 +32,7 @@ with coefficients rendered as ``num/den`` strings (``den`` omitted when 1).
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Union
@@ -40,6 +41,7 @@ from .arith import binary_power
 from .errors import (
     AlphabetMismatchError,
     InexactDivisionError,
+    LimitError,
     SubstitutionError,
     json_field,
 )
@@ -60,6 +62,13 @@ Scalar = Union[int, Fraction]
 _ZERO = Rational(0)
 _ONE = Rational(1)
 
+# Largest magnitude of an exponent written in a value: of ``^`` in the
+# grammar and of a polynomial term read from JSON.  (1 + L)^1000 has 1001
+# terms of ~1000 bits, a bounded cost, and the dense kernels allocate one
+# slot per exponent in a polynomial's span; a larger exponent is refused
+# before any work.
+MAX_EXPONENT = 1000
+
 
 def _as_rational(value):
     if type(value) is type(_ZERO):
@@ -74,8 +83,15 @@ def format_rational(value) -> str:
     return str(value)
 
 
-def parse_rational(text: str):
-    """Parse the ``num`` / ``num/den`` form produced by :func:`format_rational`."""
+_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/(?P<den>[0-9]+))?")
+
+
+def parse_rational(text: str, where: str):
+    """Parse the ``num`` / ``num/den`` form produced by :func:`format_rational`;
+    any other text, or a zero ``den``, raises ValueError naming ``where``."""
+    match = _RATIONAL_RE.fullmatch(text)
+    if match is None or match["den"] is not None and not int(match["den"]):
+        raise ValueError(f"{where} must be a rational num or num/den, got {text!r}")
     return Rational(text)
 
 
@@ -436,7 +452,11 @@ class LaurentPoly(_Value):
         terms = {}
         for entry in json_field(data, "terms", "polynomial", list):
             exps = tuple(json_field(entry, "e", "polynomial term", list, int))
-            terms[exps] = parse_rational(json_field(entry, "c", "polynomial term", str))
+            for e in exps:
+                if abs(e) > MAX_EXPONENT:
+                    raise LimitError(f"exponent {e} of a polynomial term exceeds the limit {MAX_EXPONENT}")
+            c = json_field(entry, "c", "polynomial term", str)
+            terms[exps] = parse_rational(c, "polynomial term field 'c'")
         return cls(vars, terms)
 
 

@@ -137,6 +137,16 @@ class SymFunc(_Value):
     # -- constructors --------------------------------------------------------
 
     @classmethod
+    def _raw(cls, terms: dict[Partition, LaurentPoly], bound: int, vars: tuple[str, ...]) -> "SymFunc":
+        """Internal: build from an already-canonical term map (sorted
+        partitions within the bound, nonzero coefficients over ``vars``)."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "vars", vars)
+        object.__setattr__(self, "terms", terms)
+        return self
+
+    @classmethod
     def p(cls, index: int, bound: int, vars: Iterable[str] = ()) -> "SymFunc":
         """The power sum p_index."""
         if index < 1:
@@ -197,12 +207,12 @@ class SymFunc(_Value):
                 terms[partition] = total
             else:
                 terms.pop(partition, None)
-        return SymFunc(terms, a.bound, a.vars)
+        return SymFunc._raw(terms, a.bound, a.vars)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SymFunc({p: -c for p, c in self.terms.items()}, self.bound, self.vars)
+        return SymFunc._raw({p: -c for p, c in self.terms.items()}, self.bound, self.vars)
 
     def __mul__(self, other):
         pair = self._align(other)
@@ -224,7 +234,7 @@ class SymFunc(_Value):
                     product[key] = total
                 else:
                     del product[key]
-        return SymFunc(product, a.bound, a.vars)
+        return SymFunc._raw(product, a.bound, a.vars)
 
     __rmul__ = __mul__
 
@@ -350,23 +360,42 @@ def _p_expansion(k: int, bound: int, signed: bool = False) -> SymFunc:
     )
 
 
-def _jacobi_trudi(partition: Partition, bound: int) -> SymFunc:
-    """s_lambda = det(h_{lambda_i - i + j}) expanded in the p-basis."""
-    size = len(partition)
+def _conjugate(partition: Partition) -> Partition:
+    """The conjugate partition: its i-th part counts the parts >= i."""
+    top = partition[0] if partition else 0
+    return tuple(sum(1 for part in partition if part >= i) for i in range(1, top + 1))
+
+
+def _jacobi_trudi(
+    partition: Partition, bound: int, expansions: dict[tuple[int, bool], SymFunc] | None = None
+) -> SymFunc:
+    """s_lambda = det(h_{lambda_i - i + j}) = det(e_{lambda'_i - i + j})
+    (Macdonald I.(3.4)-(3.5)) expanded in the p-basis, from the shorter of
+    lambda and its conjugate lambda': the Laplace expansion visits up to
+    2^size minors.  ``expansions`` holds the h_k / e_k built so far, keyed by
+    (k, signed); a caller expanding several determinants passes one dict so
+    that each is built once."""
+    conjugate = _conjugate(partition)
+    signed = len(conjugate) < len(partition)
+    rows = conjugate if signed else partition
+    size = len(rows)
     if size == 0:
         return SymFunc.constant(1, bound)
+    if expansions is None:
+        expansions = {}
+    zero = SymFunc.zero(bound)
 
-    def h(k: int) -> SymFunc:
+    def expand(k: int) -> SymFunc:
         if k < 0:
-            return SymFunc.zero(bound)
-        return _p_expansion(k, bound)
+            return zero
+        if (k, signed) not in expansions:
+            expansions[k, signed] = _p_expansion(k, bound, signed)
+        return expansions[k, signed]
 
-    matrix = [
-        [h(partition[i] - (i + 1) + (j + 1)) for j in range(size)] for i in range(size)
-    ]
+    matrix = [[expand(rows[i] - i + j) for j in range(size)] for i in range(size)]
 
     # Laplace expansion along the first remaining row, memoized on the
-    # surviving column set (partitions here are short, so 2^size is tiny).
+    # surviving column set.
     memo: dict[tuple[int, ...], SymFunc] = {}
 
     def minor(columns: tuple[int, ...]) -> SymFunc:
@@ -375,7 +404,7 @@ def _jacobi_trudi(partition: Partition, bound: int) -> SymFunc:
         if columns in memo:
             return memo[columns]
         row = size - len(columns)
-        total = SymFunc.zero(bound)
+        total = zero
         for position, column in enumerate(columns):
             entry = matrix[row][column]
             if not entry:
@@ -438,8 +467,9 @@ def p_to_schur(f: SymFunc, weight: int | None = None) -> dict[Partition, Laurent
     if weight is not None and weight != n:
         raise HomogeneityError(f"input has weight {n}, expected {weight}")
     expansion: dict[Partition, LaurentPoly] = {}
+    expansions: dict[tuple[int, bool], SymFunc] = {}
     for lam in partitions_of(n):
-        s_lam = _jacobi_trudi(lam, n).terms
+        s_lam = _jacobi_trudi(lam, n, expansions).terms
         c = LaurentPoly.zero(f.vars)
         for mu, f_mu in f.terms.items():
             if mu in s_lam:

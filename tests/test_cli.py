@@ -331,6 +331,7 @@ class TestCaps:
         for name in ("irreducible_class", "irreducible_specialize", "hyperelliptic_class", "harer_zagier"):
             monkeypatch.setattr(cli.applications, name, refuse)
         monkeypatch.setattr(cli.reproduce, "run_all", refuse)
+        monkeypatch.setattr(cli.parsing, "basis_in_p", refuse)
 
     @pytest.mark.parametrize(
         "argv, err",
@@ -353,6 +354,14 @@ class TestCaps:
             (["harer-zagier", "--genus", "10000", "--points", "0"], "argument --genus: must be <= 127, got 10000"),
             (["harer-zagier", "--genus", "2", "--points", "1001"], "argument --points: must be <= 1000, got 1001"),
             (["reproduce", "--axiom-cases", "1001"], "argument --axiom-cases: must be <= 1000, got 1001"),
+            (["reproduce", "--axiom-cases", "-1"], "argument --axiom-cases: must be >= 1, got -1"),
+            (["reproduce", "--axiom-cases=0"], "argument --axiom-cases: must be >= 1, got 0"),
+            (["schur", "--f", "h[41]", "--order", "41"], "weight 41 of h[...] at position 0 exceeds the limit 40"),
+            (["lambda", "--element", "L + e[99999999999999999999]"],
+             "weight 99999999999999999999 of e[...] at position 4 exceeds the limit 40"),
+            (["schur", "--f", "2*s[11,10,10,10]", "--order", "64"], "weight 41 of s[...] at position 2 exceeds the limit 40"),
+            (["plethysm", "--f", "s[1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1]",
+              "--x", "L", "--order", "50"], "weight 41 of s[...] at position 0 exceeds the limit 40"),
         ],
     )
     def test_over_cap_is_two_and_one_line(self, argv, err):
@@ -365,10 +374,24 @@ class TestCaps:
         assert run("harer-zagier", {"genus": 128, "points": 0}) == (2, "argument --genus: must be <= 127, got 128")
         assert run("reproduce", {"axiom_cases": 10**20}) == (
             2, "argument --axiom-cases: must be <= 1000, got 100000000000000000000")
+        assert run("reproduce", {"axiom_cases": -1}) == (2, "argument --axiom-cases: must be >= 1, got -1")
         monkeypatch.chdir(tmp_path)
         (tmp_path / "params.json").write_text(json.dumps({"element": "(1+L)^1001"}))
         assert main_streams(["lambda", "--input", "params.json"]) == (
             2, "", "exponent 1001 at position 6 exceeds the limit 1000\n")
+
+    @pytest.mark.parametrize(
+        "argv, exponent",
+        [(["pow", "--exponent", "1", "--order", "2", "--base"], 200000), (["adams", "--k", "2", "--element"], -1001)],
+    )
+    def test_json_exponent_over_cap(self, tmp_path, argv, exponent):
+        """A polynomial read from JSON has the exponent cap of ``^``."""
+        poly = {"vars": ["L"], "terms": [{"e": [exponent], "c": "1"}, {"e": [0], "c": "1"}]}
+        data = {"order": 2, "coeffs": ["1", poly, "0"]} if argv[0] == "pow" else poly
+        path = tmp_path / "value.json"
+        path.write_text(json.dumps(data))
+        assert main_streams([*argv, f"@{path}"]) == (
+            2, "", f"exponent {exponent} of a polynomial term exceeds the limit 1000\n")
 
 
 TRIVIAL_ACTION = {
@@ -561,13 +584,31 @@ class TestJsonValues:
             ({"bound": "2", "vars": [], "terms": []}, "symmetric function field 'bound' must be an integer, got '2'"),
             ({"bound": 2, "vars": [], "terms": [{"p": [1.5], "c": POLY_FORM}]},
              "symmetric function term field 'p' must be an array of integers, got [1.5]"),
+            ({"vars": ["L"], "terms": [{"e": [1], "c": " 1.5e1 "}]},
+             "polynomial term field 'c' must be a rational num or num/den, got ' 1.5e1 '"),
+            ({"order": 2, "coeffs": ["1", "2.5", "0"]},
+             "series field 'coeffs' entry must be a rational num or num/den, got '2.5'"),
         ],
         ids=["padded", "truncated", "float-order", "bool-order", "negative-order", "int-coeffs", "null-order",
-             "series-coeff", "int-terms", "str-vars", "bool-exponent", "int-coeff", "str-bound", "float-part"],
+             "series-coeff", "int-terms", "str-vars", "bool-exponent", "int-coeff", "str-bound", "float-part",
+             "decimal-coeff", "decimal-entry"],
     )
     def test_malformed_names_the_field(self, tmp_path, data, err):
         argv = ["pow", "--exponent", "1", "--order", "2", "--base"]
         assert self.at_file(tmp_path, argv, data) == (1, "", f"error: {err}\n")
+
+    @pytest.mark.parametrize(
+        "text", [" 1.5e1 ", "2.5", "1e3", "+1", "1 / 2", "1/0", "-1/00", "0x10", "1_000", "inf", "nan", "\u0663", "", "/2"]
+    )
+    def test_rational_outside_num_den_is_refused(self, tmp_path, text):
+        argv = ["pow", "--base", "1+t", "--order", "2", "--exponent"]
+        assert self.at_file(tmp_path, argv, text) == (
+            1, "", f"error: JSON value must be a rational num or num/den, got {text!r}\n")
+
+    @pytest.mark.parametrize("text, value", [("-3/4", "-3/4"), ("7", "7"), ("-0", "0"), ("2/4", "1/2")])
+    def test_num_den_rationals_read(self, tmp_path, text, value):
+        argv = ["adams", "--k", "1", "--element"]
+        assert self.at_file(tmp_path, argv, text) == (0, f"{value}\n", "")
 
     @given(malformed_json_values())
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -846,12 +887,14 @@ UNIT_SERIES = VALUES | EXPRESSIONS.map(lambda e: f"1 + ({e})*t")
 
 
 def int_values(command, spec):
-    """Small integers, and for a capped option values over its cap;
+    """Small integers, and for a capped option values past its bounds;
     reproduce takes a second even at one case, so only its refusals run."""
     if "max" not in spec:
         return st.integers(-1, 6)
-    over = st.integers(spec["max"] + 1, 10**30)
-    return over if command == "reproduce" else st.integers(-1, 6) | over
+    past = st.integers(spec["max"] + 1, 10**30)
+    if "min" in spec:
+        past = past | st.integers(-(10**30), spec["min"] - 1)
+    return past if command == "reproduce" else st.integers(-1, 6) | past
 
 
 @st.composite

@@ -22,6 +22,8 @@ from powerstruct import (
     specialize,
     z_value,
 )
+from powerstruct.reproduce import character_table
+from powerstruct.symfunc import _conjugate
 
 L = LaurentPoly.var("L")
 U = LaurentPoly.var("u", ("u", "v"))
@@ -100,6 +102,69 @@ class TestArithmetic:
     def test_polynomial_coefficients(self):
         f = U * SymFunc.p(1, 3, ("u", "v"))
         assert f.coefficient((1,)) == U
+
+
+@st.composite
+def bounded_sym_funcs(draw, bound, vars):
+    """A SymFunc at generator bound ``bound`` over ``vars`` (Q or Q[L]
+    coefficients), its terms of weight <= 6 with parts <= 6 (some past
+    ``bound``, which the constructor refuses)."""
+    rational = st.fractions(-3, 3, max_denominator=4)
+    coeff = rational if not vars else st.lists(rational, min_size=1, max_size=3).map(
+        lambda cs: sum((c * L**e for e, c in enumerate(cs)), LaurentPoly.zero(vars))
+    )
+    partitions = [p for n in range(7) for p in partitions_of(n) if not p or p[0] <= bound]
+    terms = draw(st.dictionaries(st.sampled_from(partitions), coeff, max_size=5))
+    return SymFunc(terms, bound, vars)
+
+
+def assert_canonical(f: SymFunc):
+    """f's term map is the one the public constructor makes of it: sorted
+    positive partitions within the bound, nonzero coefficients that are
+    polynomials over f's own alphabet."""
+    assert f.terms == SymFunc(f.terms, f.bound, f.vars).terms
+    for partition, coeff in f.terms.items():
+        assert partition == tuple(sorted(partition, reverse=True))
+        assert not partition or 1 <= partition[-1] and partition[0] <= f.bound
+        assert type(coeff) is LaurentPoly and coeff.vars == f.vars and coeff
+
+
+class TestCanonicalArithmetic:
+    """Sums, negations and products build their results without the
+    constructor's checks; these hold what those checks would."""
+
+    @given(st.data(), st.integers(3, 6), st.integers(3, 6), st.sampled_from([(), ("L",)]))
+    @settings(max_examples=150, deadline=None)
+    def test_results_are_canonical(self, data, bound_a, bound_b, vars):
+        a = data.draw(bounded_sym_funcs(bound_a, vars))
+        b = data.draw(bounded_sym_funcs(bound_b, vars))
+        bound = min(bound_a, bound_b)
+        if max(a.max_index(), b.max_index()) > bound:
+            for op in (lambda: a + b, lambda: a * b, lambda: b * a):
+                with pytest.raises(GeneratorBoundError):
+                    op()
+            return
+        for f in (a + b, a - b, -a, a * b, b * a, a * a, a + 2, 3 * a):
+            assert_canonical(f)
+        for f in (a + b, a * b):
+            assert f.bound == bound and f.vars == vars
+        assert (a + b) - b == a
+        assert -(-a) == a
+        assert a * (b + 1) == a * b + a
+        zero = a + (-a)
+        assert zero.terms == {} and zero.bound == a.bound and zero.vars == vars
+        assert (a * SymFunc.zero(bound, vars)).terms == {}
+
+    @given(st.data(), st.integers(3, 6))
+    @settings(max_examples=50, deadline=None)
+    def test_scalar_and_alphabet_promotion(self, data, bound):
+        """A Q[L] operand lifts a Q one (and a polynomial scalar) to its
+        alphabet before the result is built."""
+        a = data.draw(bounded_sym_funcs(bound, ()))
+        b = data.draw(bounded_sym_funcs(bound, ("L",)))
+        for f in (a + b, b + a, a * b, b * a, a + L, L * a, a * L):
+            assert_canonical(f)
+            assert f.vars == ("L",)
 
 
 class TestAdams:
@@ -213,6 +278,24 @@ class TestSchur:
         for lam, coeff in expansion.items():
             back = back + coeff * basis_in_p("s", lam, weight)
         assert back == f
+
+    def test_characters_match_the_alternant_table(self):
+        """p_to_schur(p_mu) = sum_lambda chi^lambda(mu) s_lambda for every
+        lambda, mu of weight <= 7, against the alternant oracle; the weights
+        include partitions expanded by det(h) and by det(e)."""
+        forms = set()
+        for n in range(1, 8):
+            table = character_table(n)
+            for lam in partitions_of(n):
+                forms.add(len(_conjugate(lam)) < len(lam))
+            for mu in partitions_of(n):
+                expected = {
+                    lam: LaurentPoly.constant(table[lam, mu])
+                    for lam in partitions_of(n)
+                    if (lam, mu) in table
+                }
+                assert p_to_schur(SymFunc.p_monomial(mu, n)) == expected, (n, mu)
+        assert forms == {False, True}
 
     @given(homogeneous_sym_funcs())
     @settings(max_examples=40, deadline=None)
