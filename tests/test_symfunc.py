@@ -107,8 +107,7 @@ class TestArithmetic:
 @st.composite
 def bounded_sym_funcs(draw, bound, vars):
     """A SymFunc at generator bound ``bound`` over ``vars`` (Q or Q[L]
-    coefficients), its terms of weight <= 6 with parts <= 6 (some past
-    ``bound``, which the constructor refuses)."""
+    coefficients), its terms of weight <= 6 with parts <= ``bound``."""
     rational = st.fractions(-3, 3, max_denominator=4)
     coeff = rational if not vars else st.lists(rational, min_size=1, max_size=3).map(
         lambda cs: sum((c * L**e for e, c in enumerate(cs)), LaurentPoly.zero(vars))
