@@ -8,7 +8,8 @@ values over Q, Q[L], Q[u,v] and symmetric functions, zero exponents, both
 algorithms of ``pow`` and ``factorize``, the edges of the dense Euler-product
 route (one Q[L] ``pow`` and one ``factorize`` at order 24, a Q base with a
 Q[L] exponent, ``L^-2``, ``1/3`` and zero exponents, a Q[u,v] exponent),
-``schur`` at weights up to 11 and on tall partitions, values given as
+``schur`` at weights up to 11 and on tall partitions, ``config``,
+``quotient`` and ``moduli-g2`` at orders 12 and 24, values given as
 separate words that start with ``-``, ``--input`` and ``@file`` values,
 malformed JSON values, size caps and error paths.  Two
 captures of the same seed, taken from two source trees, show whether a
@@ -62,6 +63,23 @@ SERIES = [
     "(L + L*t)/(L + t)",
     "1/(1 - 1/2*L*t + L^-2*t^2)",
 ]
+ACTIONS = [
+    {"group_order": 1, "classes": [{"size": 1, "identity": True, "orbit_euler": {"1": 2}}]},
+    {
+        "group_order": 2,
+        "classes": [
+            {"size": 1, "identity": True, "orbit_euler": {"1": 2}},
+            {"size": 1, "orbit_euler": {"1": 0, "2": 1}},
+        ],
+    },
+    {
+        "group_order": 3,
+        "classes": [
+            {"size": 1, "identity": True, "orbit_euler": {"1": 3}},
+            {"size": 2, "orbit_euler": {"3": 1}},
+        ],
+    },
+]
 # Requests run at their own order rather than a seeded one.
 AT_ORDER = [
     (["pow", "--base", "1 + (L + 2)*t - (2*L^2 - 1)*t^2 + L*t^3", "--exponent", "L^2 - 3*L + 1/2"], 24),
@@ -81,6 +99,12 @@ AT_ORDER = [
     (["schur", "--f", "s[1,1,1,1,1]"], 5),
     (["schur", "--f", "s[2,1,1,1,1,1]"], 7),
     (["schur", "--f", "e[6]"], 6),
+    # The cycle-index closed form of config, quotient and moduli-g2 past
+    # the seeded orders.
+    (["config", "--x-class", "L^2 - 3*L + 1/2"], 12),
+    (["config", "--x-class", "L^2 - 3*L + 1/2", "--specialize", "sign"], 12),
+    (["quotient", "--action", json.dumps(ACTIONS[1])], 12),
+    (["moduli-g2"], 24),
 ]
 # Values given as a separate word that starts with "-".
 DASH_VALUES = [
@@ -89,23 +113,6 @@ DASH_VALUES = [
     ["pow", "--base", "1+t", "--exponent", "-h"],
 ]
 SYMFUNCS = ["p[1]", "p[1]^2", "h[3]", "e[3]", "s[2,1]", "p[2] + p[1]^2", "L*p[1]^2 - p[2]", "s[3,1] - s[2,2]", "0*p[1]", "1"]
-ACTIONS = [
-    {"group_order": 1, "classes": [{"size": 1, "identity": True, "orbit_euler": {"1": 2}}]},
-    {
-        "group_order": 2,
-        "classes": [
-            {"size": 1, "identity": True, "orbit_euler": {"1": 2}},
-            {"size": 1, "orbit_euler": {"1": 0, "2": 1}},
-        ],
-    },
-    {
-        "group_order": 3,
-        "classes": [
-            {"size": 1, "identity": True, "orbit_euler": {"1": 3}},
-            {"size": 2, "orbit_euler": {"3": 1}},
-        ],
-    },
-]
 # Requests whose values are wrong in some way: each must exit 1 or 2 with one line.
 ERRORS = [
     [],
@@ -169,6 +176,7 @@ ERRORS = [
     ["lambda", "--element", "0", "--order", "257"],
     ["adams", "--element", "L", "--k", "99999999999999999999"],
     ["lambda", "--element", "(1+L)^1001", "--order", "0"],
+    ["adams", "--element", "(L^1000)^1000", "--k", "1"],
     ["irr", "--vars", "7", "--degree", "1"],
     ["irr", "--vars", "2", "--degree", "17", "--target", "euler"],
     ["hyperelliptic", "--genus", "128"],

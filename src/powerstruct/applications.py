@@ -6,8 +6,8 @@ affine-line class L (or in the Hodge variables u, v), never as geometry.
 
 * irreducible polynomials: the projectivized space of degree-N polynomials in
   a fixed number of variables factors as an Euler product over the
-  irreducible classes, so Moebius inversion of its logarithmic derivative
-  recovers [Irr_n] exactly;
+  irreducible classes, so the exponents of :func:`power.factorize` recover
+  [Irr_n] exactly;
 * configuration spaces: the equivariant character series of ordered
   point-tuples on X is (1 + p_1 t)^{e_X}, and its three character
   specializations give unordered, sign-twisted and ordered counts;
@@ -17,6 +17,14 @@ affine-line class L (or in the Hodge variables u, v), never as geometry.
   computation as the flagship instance;
 * the orbifold Euler characteristic of the moduli of genus-g curves with n
   marked points, from Bernoulli numbers.
+
+The configuration, quotient and genus-2 series are cycle-index products
+sum_i c_i prod_k (1 + p_k t^k)^{e_ik}, with (1 + p_1 t)^X =
+prod_k (1 + p_k t^k)^{M_k(X)} (M_k from :func:`power.moebius_exponent`).  The
+p_k are independent, so [p_lambda t^n] = sum_i c_i prod_k C(e_ik, m_k(lambda))
+in closed form, m_k(lambda) counting the parts equal to k (Getzler, Duke Math.
+J. 96 (1999); Gusein-Zade, Luengo and Melle-Hernandez, Math. Res. Lett. 11
+(2004)): no series product or exponential over symmetric functions.
 """
 
 from __future__ import annotations
@@ -27,9 +35,9 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Mapping, Sequence
 
-from .arith import bernoulli, divisors, moebius
+from .arith import bernoulli
 from .errors import IntegralityError, PowerStructError, json_field
-from .power import power
+from .power import factorize, moebius_exponent, power
 from .rings import LaurentPoly
 from .series import TruncSeries, binomial_series
 from .symfunc import SymFunc
@@ -63,28 +71,20 @@ def poly_space_series(n_vars: int, order: int) -> TruncSeries:
 
 def irreducible_class(n_vars: int, degree: int) -> LaurentPoly:
     """Class of the projectivized variety of irreducible degree-``degree``
-    polynomials in ``n_vars`` variables.
-
-    The full polynomial-space series is an Euler product over the
-    irreducible classes, so n [Irr_n] = sum_{d | n} mu(d) c_{n/d}(L^d) with
-    c_j the logarithmic-derivative coefficients.  The Moebius sum must be
-    exactly divisible by n; anything else raises IntegralityError.
-    """
+    polynomials in ``n_vars`` variables: the full polynomial-space series is
+    an Euler product over the irreducible classes, so [Irr_n] is its exponent
+    b_n under :func:`factorize`.  The Moebius sum n b_n must be exactly
+    divisible by n; anything else raises IntegralityError."""
     if n_vars < 1 or degree < 1:
         raise ValueError("irreducible_class needs n_vars >= 1 and degree >= 1")
-    log_deriv = poly_space_series(n_vars, degree).log_derivative()
-    acc = LaurentPoly.zero(("L",))
-    for d in divisors(degree):
-        mu = moebius(d)
-        if mu:
-            acc = acc + mu * log_deriv[degree // d - 1].adams(d)
-    for exps, coeff in acc.terms.items():
-        if (coeff / degree).denominator != 1:
+    cls = factorize(poly_space_series(n_vars, degree))[degree - 1]
+    for exps, coeff in cls.terms.items():
+        if coeff.denominator != 1:
             raise IntegralityError(
                 f"Moebius sum for degree {degree} is not divisible by {degree} "
-                f"at L^{exps[0]} (coefficient {coeff})"
+                f"at L^{exps[0]} (coefficient {coeff * degree})"
             )
-    return acc * Fraction(1, degree)
+    return cls
 
 
 def irreducible_specialize(n_vars: int, degree: int, target: str) -> LaurentPoly:
@@ -101,17 +101,16 @@ def irreducible_specialize(n_vars: int, degree: int, target: str) -> LaurentPoly
 def config_space_series(
     x_class: LaurentPoly, order: int, bound: int | None = None
 ) -> TruncSeries:
-    """(1 + p_1 t)^{x_class}: the equivariant character series of ordered
-    point configurations on a space with the given class.
-
-    The t^n coefficient is a symmetric function of weight n whose character
-    specializations count unordered (invariants), sign-twisted (sign) and
-    ordered (ordered) configurations.
-    """
+    """(1 + p_1 t)^{x_class}, the equivariant character series of ordered
+    point configurations on a space with the given class, as the cycle index
+    prod_k (1 + p_k t^k)^{moebius_exponent(x_class, k)}.  The t^n coefficient
+    is a symmetric function of weight n whose character specializations
+    count unordered (invariants), sign-twisted (sign) and ordered (ordered)
+    configurations."""
     if bound is None:
         bound = max(order, 1)
-    base = TruncSeries([1, SymFunc.p(1, bound, x_class.vars)], order)
-    return power(base, SymFunc.constant(x_class, bound))
+    factors = [(k, moebius_exponent(x_class, k)) for k in range(1, order + 1)]
+    return _cycle_index_series([(1, factors)], order, bound, x_class.vars)
 
 
 def unordered_config_product(
@@ -269,17 +268,34 @@ def _orbit_length(key: str, where: str) -> int:
     return int(key)
 
 
-def _twisted_product_sum(terms, order: int, bound: int) -> TruncSeries:
+def _accumulate(terms: dict, key, value) -> None:
+    prev = terms.get(key)
+    terms[key] = value if prev is None else prev + value
+
+
+def _cycle_index_series(terms, order: int, bound: int, vars=()) -> TruncSeries:
     """sum of prefactor * prod_k (1 + p_k t^k)^exponent over (prefactor,
-    [(k, exponent), ...]) pairs, over symmetric functions of bound ``bound``."""
-    total = TruncSeries([], order, SymFunc.zero(bound))
+    [(k, exponent), ...]) pairs in closed form: the p_k are independent, so
+    [p_lambda t^n] is sum prefactor * prod_k C(exponent_k, m_k(lambda))."""
+    # m_k(lambda) counts the parts of lambda equal to k.  Each term grows its
+    # partitions factor by factor in descending k, so a partition stays
+    # sorted and repeated k accumulate; C(exponent, m) for m <= order // k
+    # is one column per factor.  The result has coefficients over ``vars``.
+    weights = [{} for _ in range(order + 1)]
     for prefactor, factors in terms:
-        prod = TruncSeries.one(order)
-        for k, exponent in factors:
+        grown = {(): prefactor}
+        for k, exponent in sorted(factors, key=lambda factor: -factor[0]):
             if exponent and k <= order:
-                prod = prod * binomial_series(SymFunc.p(k, bound), k, exponent, order)
-        total = total + prod.scale(prefactor)
-    return total
+                column = binomial_series(1, 1, exponent, order // k).coeffs
+                step = dict(grown)  # m = 0: C(exponent, 0) = 1
+                for partition, coeff in grown.items():
+                    for m in range(1, (order - sum(partition)) // k + 1):
+                        if column[m]:
+                            _accumulate(step, partition + (k,) * m, coeff * column[m])
+                grown = step
+        for partition, coeff in grown.items():
+            _accumulate(weights[sum(partition)], partition, coeff)
+    return TruncSeries([SymFunc(w, bound, vars) for w in weights], order, SymFunc.zero(bound, vars))
 
 
 def quotient_euler_series(action: GroupActionData, order: int) -> TruncSeries:
@@ -299,7 +315,7 @@ def quotient_euler_series(action: GroupActionData, order: int) -> TruncSeries:
         )
         for cls in action.classes
     ]
-    return _twisted_product_sum(terms, order, max(order, 1))
+    return _cycle_index_series(terms, order, max(order, 1))
 
 
 def quotient_euler_egf(action: GroupActionData, order: int) -> TruncSeries:
@@ -380,7 +396,7 @@ def moduli_g2_series(order: int, bound: int | None = None) -> TruncSeries:
     if bound is None:
         bound = max(order, 1)
     terms = [(stratum.prefactor, stratum.factors) for stratum in GENUS2_STRATA]
-    return _twisted_product_sum(terms, order, bound)
+    return _cycle_index_series(terms, order, bound)
 
 
 def harer_zagier(genus: int, marked: int) -> Fraction:

@@ -9,9 +9,10 @@ and ``--degree`` at :data:`MAX_IRR_VARS` and :data:`MAX_IRR_DEGREE`, a genus
 at :data:`MAX_GENUS`, ``harer-zagier --points`` at :data:`MAX_POINTS`,
 ``reproduce --axiom-cases`` at :data:`MAX_AXIOM_CASES` (and at least 1),
 an integer exponent of ``^`` or of a polynomial term read from JSON at
-:data:`rings.MAX_EXPONENT` and the weight of an ``h``, ``e`` or ``s`` atom
-at :data:`parsing.MAX_ATOM_WEIGHT`; a value out of range exits 2 with one
-line.
+:data:`rings.MAX_EXPONENT` (also the degree a nested ``^`` would build),
+the weight of an ``h``, ``e`` or ``s`` atom at
+:data:`parsing.MAX_ATOM_WEIGHT` and the weight of the ``schur`` input at
+:data:`MAX_SCHUR_WEIGHT`; a value out of range exits 2 with one line.
 
 Values are written in the grammar of :mod:`powerstruct.parsing`, and a
 series value may keep the ``+ O(t^M)`` tail of printed output.  Any
@@ -73,6 +74,11 @@ MAX_POINTS = 1000
 # The default of 100 cases takes ~15 s; the cost grows linearly.  Fewer
 # than one case would check nothing.
 MAX_AXIOM_CASES = 1000
+# schur expands all p(n) Schur functions of its input's weight n, whatever
+# the input's support.  On a 2-core machine p[1]^16 takes ~4 s, p[1]^17
+# ~7 s, p[18], p[9]^2 and p[1]^18 14-16 s and p[1]^19 ~33 s; 18 stays near
+# the ~12 s of the slowest atom under parsing.MAX_ATOM_WEIGHT.
+MAX_SCHUR_WEIGHT = 18
 
 
 @dataclass
@@ -224,6 +230,9 @@ def _cmd_plethysm(params, order, fmt):
 
 def _cmd_schur(params, order, fmt):
     f = parsing.as_symfunc(_load_or_parse(params["f"], order), order)
+    weight = max(map(sum, f.terms), default=0)
+    if weight > MAX_SCHUR_WEIGHT:
+        raise LimitError(f"weight {weight} of the schur input exceeds the limit {MAX_SCHUR_WEIGHT}")
     expansion = p_to_schur(f)
     if fmt == "json":
         payload = [

@@ -9,7 +9,9 @@ One grammar covers every value the command line accepts:
   an ``h``, ``e`` or ``s`` atom has weight at most :data:`MAX_ATOM_WEIGHT`
 * the series variable ``t`` (meaningful only when an order is supplied)
 * operators ``+ - * / ^`` and parentheses; ``^`` takes an integer exponent
-  of magnitude at most :data:`MAX_EXPONENT`
+  of magnitude at most :data:`MAX_EXPONENT`, and no power may build a
+  polynomial exponent beyond it: ``(L^1000)^1000`` and ``(1 + L^2)^501``
+  are refused before they are computed
 
 so ``1/2*p[1,1] + 1/2*p[2]``, ``L^5 - L^2``, ``1/(1 - L*t)`` and
 ``(1 + t)^3`` all parse.  The name ``t`` is reserved, and ``p``/``h``/``e``/
@@ -60,6 +62,18 @@ def _tokenize(text: str) -> list[_Token]:
         tokens.append(_Token(kind, match.group(), pos))
         pos = match.end()
     return tokens
+
+
+def _degree(value) -> int:
+    """Largest exponent magnitude of a polynomial variable in value, through
+    symmetric-function and series coefficients."""
+    if isinstance(value, LaurentPoly):
+        return max((abs(e) for exps in value.terms for e in exps), default=0)
+    if isinstance(value, SymFunc):
+        return max(map(_degree, value.terms.values()), default=0)
+    if isinstance(value, TruncSeries):
+        return max(map(_degree, value.coeffs), default=0)
+    return 0
 
 
 class _Parser:
@@ -134,6 +148,11 @@ class _Parser:
             exponent = self.parse_int_exponent()
             if exponent < 0 and isinstance(base, SCALAR_TYPES) and not base:
                 raise ParseError(f"division by zero at position {op.position}")
+            degree = _degree(base) * abs(exponent)
+            if degree > MAX_EXPONENT:
+                raise LimitError(
+                    f"power of degree {degree} at position {op.position} exceeds the limit {MAX_EXPONENT}"
+                )
             return base ** exponent
         return base
 

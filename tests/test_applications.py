@@ -4,6 +4,8 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from powerstruct import (
     ConjugacyClassData,
@@ -13,6 +15,8 @@ from powerstruct import (
     SpecializationMode,
     SymFunc,
     TruncSeries,
+    binomial_power,
+    binomial_series,
     config_space_series,
     harer_zagier,
     hyperelliptic_class,
@@ -30,9 +34,12 @@ from powerstruct import (
     specialize,
     unordered_config_product,
 )
+from powerstruct.applications import _cycle_index_series
 
 L = LaurentPoly.var("L")
 Q = LaurentPoly.var("q")
+U = LaurentPoly.var("u", ("u", "v"))
+V = LaurentPoly.var("v", ("u", "v"))
 
 
 class TestPolySpaceClass:
@@ -82,6 +89,15 @@ class TestIrreducibleClass:
         for degree in range(1, 6):
             cls = irreducible_class(n_vars, degree)
             assert cls.is_integral()
+
+    def test_non_integral_exponent_is_refused(self, monkeypatch):
+        from powerstruct import applications
+
+        half = L**3 * Fraction(1, 2) + L
+        monkeypatch.setattr(applications, "factorize", lambda series: (L, half))
+        with pytest.raises(IntegralityError) as info:
+            irreducible_class(2, 2)
+        assert str(info.value) == "Moebius sum for degree 2 is not divisible by 2 at L^3 (coefficient 1)"
 
 
 class TestIrreducibleSpecialize:
@@ -395,3 +411,85 @@ def test_every_coefficient_shares_one_ring(build):
         for c in series.coeffs
     }
     assert len(rings) == 1, rings
+
+
+# -- the cycle-index closed form -------------------------------------------------
+
+
+def ring_of(value):
+    return (type(value), getattr(value, "vars", None), getattr(value, "bound", None))
+
+
+def same_series(got, expected):
+    """Equal coefficients, and every coefficient and the zero in one ring."""
+    assert got == expected
+    assert ring_of(got._zero) == ring_of(expected._zero)
+    assert {ring_of(c) for c in got.coeffs} == {ring_of(got._zero)}
+
+
+def binomial_product_sum(terms, order, bound, vars=()):
+    """sum of prefactor * prod_k (1 + p_k t^k)^exponent as products of
+    binomial series over symmetric functions: the reference for the closed
+    form of ``_cycle_index_series``."""
+    total = TruncSeries([], order, SymFunc.zero(bound, vars))
+    for prefactor, factors in terms:
+        product = TruncSeries.one(order)
+        for k, exponent in factors:
+            if exponent and k <= order:
+                product = product * binomial_series(SymFunc.p(k, bound, vars), k, exponent, order)
+        total = total + product.scale(prefactor)
+    return total
+
+
+RATIONALS = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+QL_POLYS = st.dictionaries(st.integers(-2, 3).map(lambda e: (e,)), RATIONALS.filter(bool), max_size=3).map(
+    lambda terms: LaurentPoly(("L",), terms)
+)
+
+
+@st.composite
+def cycle_index_terms(draw):
+    """(terms, order, vars): up to three prefactors, each with up to four
+    factors; rational, integer (negative or not) and, over Q[L], polynomial
+    exponents, zeros included; indices k up to 12, repeated or past the
+    order."""
+    vars = draw(st.sampled_from([(), ("L",)]))
+    exponents = st.one_of(st.just(0), RATIONALS, st.integers(-4, 4), *([QL_POLYS] if vars else []))
+    factors = st.lists(st.tuples(st.one_of(st.integers(1, 3), st.integers(1, 12)), exponents), max_size=4)
+    terms = draw(st.lists(st.tuples(RATIONALS, factors), min_size=1, max_size=3))
+    return terms, draw(st.integers(0, 10)), vars
+
+
+@st.composite
+def group_actions(draw):
+    identity = ConjugacyClassData(size=1, orbit_euler={1: draw(st.integers(-3, 4))}, identity=True)
+    orbits = st.dictionaries(st.integers(1, 6), st.integers(-3, 3), max_size=3)
+    others = draw(st.lists(st.builds(ConjugacyClassData, st.integers(1, 3), orbits), max_size=3))
+    return GroupActionData(1 + sum(c.size for c in others), (identity, *others))
+
+
+class TestCycleIndexClosedForm:
+    @given(cycle_index_terms())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_binomial_products(self, case):
+        terms, order, vars = case
+        bound = max(order, 1)
+        same_series(
+            _cycle_index_series(terms, order, bound, vars), binomial_product_sum(terms, order, bound, vars)
+        )
+
+    @given(st.integers(0, 8), st.one_of(QL_POLYS, st.sampled_from([U * V - 1, U**2 * V - 3 * U + Fraction(1, 3)])))
+    @settings(max_examples=40, deadline=None)
+    def test_config_matches_power_and_binomial_power(self, order, x_class):
+        p1 = SymFunc.p(1, max(order, 1), x_class.vars)
+        series = config_space_series(x_class, order)
+        same_series(series, power(TruncSeries([1, p1], order, 0 * p1), x_class))
+        assert series == binomial_power(p1, x_class, order)
+
+    @given(group_actions(), st.integers(0, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_quotient_ordered_part_is_the_egf(self, action, order):
+        series = quotient_euler_series(action, order)
+        egf = quotient_euler_egf(action, order)
+        for n in range(order + 1):
+            assert series.coeffs[n].coefficient((1,) * n) == egf.coeffs[n]

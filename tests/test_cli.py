@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 import hypothesis.strategies as st
 
+from powerstruct import LimitError
 from powerstruct.cli import _COMMANDS, CommandRequest, main, run_command
 from powerstruct.parsing import parse_symfunc
 
@@ -332,6 +333,7 @@ class TestCaps:
             monkeypatch.setattr(cli.applications, name, refuse)
         monkeypatch.setattr(cli.reproduce, "run_all", refuse)
         monkeypatch.setattr(cli.parsing, "basis_in_p", refuse)
+        monkeypatch.setattr(cli, "p_to_schur", refuse)
 
     @pytest.mark.parametrize(
         "argv, err",
@@ -365,6 +367,64 @@ class TestCaps:
         ],
     )
     def test_over_cap_is_two_and_one_line(self, argv, err):
+        assert main_streams(argv) == (2, "", err + "\n")
+
+    @pytest.fixture
+    def p_atoms(self, monkeypatch):
+        """Power-sum atoms parse; the Schur expansion stays refused."""
+        from powerstruct import cli, symfunc
+
+        monkeypatch.setattr(cli.parsing, "basis_in_p", symfunc.basis_in_p)
+
+    @pytest.mark.parametrize(
+        "f, order, weight",
+        [("p[19]", 19, 19), ("p[41]", 41, 41), ("p[1]^20 - 3*p[2]^10", 20, 20), ("p[1] + p[19]", 19, 19)],
+    )
+    def test_schur_weight_over_cap(self, p_atoms, f, order, weight):
+        assert main_streams(["schur", "--f", f, "--order", str(order)]) == (
+            2, "", f"weight {weight} of the schur input exceeds the limit 18\n")
+
+    def test_schur_weight_over_cap_by_request_and_file(self, p_atoms, tmp_path):
+        with pytest.raises(LimitError, match="^weight 19 of the schur input exceeds the limit 18$"):
+            run("schur", {"f": "p[1]*p[18]"}, order=19)
+        one = {"vars": [], "terms": [{"e": [], "c": "1"}]}
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"bound": 19, "vars": [], "terms": [{"p": [10, 9], "c": one}]}))
+        assert main_streams(["schur", "--f", f"@{path}", "--order", "19"]) == (
+            2, "", "weight 19 of the schur input exceeds the limit 18\n")
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["adams", "--element", "(L^1000)^1000", "--k", "1"], "power of degree 1000000 at position 8 exceeds the limit 1000"),
+            (["lambda", "--element", "(1 + L^2)^501"], "power of degree 1002 at position 9 exceeds the limit 1000"),
+            (["pow", "--base", "1 + ((L^1000)^1000 + 1)*t", "--exponent", "L", "--order", "3"],
+             "power of degree 1000000 at position 13 exceeds the limit 1000"),
+            (["pow", "--base", "(1 + L^-2*t)^501", "--exponent", "1", "--order", "3"],
+             "power of degree 1002 at position 12 exceeds the limit 1000"),
+            (["plethysm", "--f", "(L^3*p[1])^334", "--x", "L", "--order", "3"],
+             "power of degree 1002 at position 10 exceeds the limit 1000"),
+        ],
+    )
+    def test_nested_power_over_degree_cap(self, p_atoms, monkeypatch, argv, err):
+        """A ``^`` whose result would hold an exponent past the cap is
+        refused before the power is computed; only the powers of one
+        variable inside the operand run."""
+        from powerstruct import LaurentPoly, SymFunc, TruncSeries
+
+        plain = LaurentPoly.__pow__
+
+        def of_a_variable_only(self, n):
+            if len(self.terms) != 1 or any(abs(e) > 1 for exps in self.terms for e in exps):
+                raise AssertionError("work started past a cap")
+            return plain(self, n)
+
+        def refuse(self, n):
+            raise AssertionError("work started past a cap")
+
+        monkeypatch.setattr(LaurentPoly, "__pow__", of_a_variable_only)
+        monkeypatch.setattr(SymFunc, "__pow__", refuse)
+        monkeypatch.setattr(TruncSeries, "__pow__", refuse)
         assert main_streams(argv) == (2, "", err + "\n")
 
     def test_over_cap_by_request_and_input(self, tmp_path, monkeypatch):

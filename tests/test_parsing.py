@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from powerstruct import LaurentPoly, ParseError, SymFunc, TruncSeries, basis_in_p
+from powerstruct import LaurentPoly, LimitError, ParseError, SymFunc, TruncSeries, basis_in_p
 from powerstruct.parsing import (
     parse_expression,
     parse_poly,
@@ -123,6 +123,17 @@ class TestErrors:
     def test_rational_division_by_zero(self, text, position):
         with pytest.raises(ParseError, match=f"^division by zero at position {position}$"):
             parse_expression(text, order=3)
+
+    @pytest.mark.parametrize(
+        "text, degree, position",
+        [("(L^1000)^1000", 1000000, 8), ("(1 + L^2)^501", 1002, 9), ("(L^-3 + 1)^-334", 1002, 10)],
+    )
+    def test_power_past_the_exponent_cap(self, text, degree, position):
+        with pytest.raises(LimitError, match=f"^power of degree {degree} at position {position} exceeds the limit 1000$"):
+            parse_expression(text)
+
+    def test_power_at_the_exponent_cap(self):
+        assert parse_poly("(L^2)^500") == L**1000
 
     def test_zero_polynomial_divisor_keeps_its_message(self):
         with pytest.raises(ZeroDivisionError, match="^division by the zero polynomial$"):
