@@ -9,9 +9,11 @@ algorithms of ``pow`` and ``factorize``, the edges of the dense Euler-product
 route (one Q[L] ``pow`` and one ``factorize`` at order 24, a Q base with a
 Q[L] exponent, ``L^-2``, ``1/3`` and zero exponents, a Q[u,v] exponent),
 ``schur`` at weights up to 11 and on tall partitions, ``config``,
-``quotient`` and ``moduli-g2`` at orders 12 and 24, values given as
+``quotient`` and ``moduli-g2`` at orders 12 and 24, the three ``config
+--specialize`` modes at order 16 over Q[L] and Q[u,v], values given as
 separate words that start with ``-``, ``--input`` and ``@file`` values,
-malformed JSON values, size caps and error paths.  Two
+malformed JSON values, size caps (the symmetric-function weight of ``*``
+and ``^`` among them) and error paths.  Two
 captures of the same seed, taken from two source trees, show whether a
 change kept the CLI's output byte-identical.
 
@@ -105,6 +107,12 @@ AT_ORDER = [
     (["config", "--x-class", "L^2 - 3*L + 1/2", "--specialize", "sign"], 12),
     (["quotient", "--action", json.dumps(ACTIONS[1])], 12),
     (["moduli-g2"], 24),
+    # The specialised config series, taken through the power structure.
+    *(
+        (["config", "--x-class", x_class, "--specialize", mode], 16)
+        for x_class in ("L^2 - 3*L + 1/2", "u*v - 1")
+        for mode in ("invariants", "sign", "ordered")
+    ),
 ]
 # Values given as a separate word that starts with "-".
 DASH_VALUES = [
@@ -177,6 +185,9 @@ ERRORS = [
     ["adams", "--element", "L", "--k", "99999999999999999999"],
     ["lambda", "--element", "(1+L)^1001", "--order", "0"],
     ["adams", "--element", "(L^1000)^1000", "--k", "1"],
+    ["adams", "--element", "(p[1]+p[2]+p[3])^11", "--k", "1", "--order", "3"],
+    ["adams", "--element", "(p[1]+p[2]+p[3])^10*(p[1]+p[2]+p[3])^2", "--k", "1", "--order", "3"],
+    ["pow", "--base", "(1+(p[1]+p[2]+p[3])*t)^11", "--exponent", "1", "--order", "3"],
     ["irr", "--vars", "7", "--degree", "1"],
     ["irr", "--vars", "2", "--degree", "17", "--target", "euler"],
     ["hyperelliptic", "--genus", "128"],

@@ -35,6 +35,7 @@ from .applications import (
     ModuliStratum,
     GENUS2_STRATA,
     config_space_series,
+    config_specialization,
     harer_zagier,
     hyperelliptic_class,
     irreducible_class,
@@ -87,6 +88,7 @@ __all__ = [
     "ModuliStratum",
     "GENUS2_STRATA",
     "config_space_series",
+    "config_specialization",
     "harer_zagier",
     "hyperelliptic_class",
     "irreducible_class",

@@ -10,7 +10,10 @@ affine-line class L (or in the Hodge variables u, v), never as geometry.
   [Irr_n] exactly;
 * configuration spaces: the equivariant character series of ordered
   point-tuples on X is (1 + p_1 t)^{e_X}, and its three character
-  specializations give unordered, sign-twisted and ordered counts;
+  specializations give unordered, sign-twisted and ordered counts.  The
+  power structure commutes with them, so they come straight from
+  :func:`power.power` and :func:`series.binomial_series` over the ring of
+  e_X, with no symmetric function built;
 * finite quotients: averaging twisted products over conjugacy classes gives
   the equivariant Euler characteristics of configuration spaces modulo a
   finite group action, with the ten built-in strata of the genus-2 moduli
@@ -40,7 +43,7 @@ from .errors import IntegralityError, PowerStructError, json_field
 from .power import factorize, moebius_exponent, power
 from .rings import LaurentPoly
 from .series import TruncSeries, binomial_series
-from .symfunc import SymFunc
+from .symfunc import SpecializationMode, SymFunc
 
 _L = LaurentPoly.var("L")
 _UV = LaurentPoly.var("u", ("u", "v")) * LaurentPoly.var("v", ("u", "v"))
@@ -98,19 +101,30 @@ def irreducible_specialize(n_vars: int, degree: int, target: str) -> LaurentPoly
     raise ValueError(f"unknown target {target!r}; use 'hodge_deligne' or 'euler'")
 
 
-def config_space_series(
-    x_class: LaurentPoly, order: int, bound: int | None = None
-) -> TruncSeries:
+def config_space_series(x_class: LaurentPoly, order: int) -> TruncSeries:
     """(1 + p_1 t)^{x_class}, the equivariant character series of ordered
     point configurations on a space with the given class, as the cycle index
     prod_k (1 + p_k t^k)^{moebius_exponent(x_class, k)}.  The t^n coefficient
     is a symmetric function of weight n whose character specializations
     count unordered (invariants), sign-twisted (sign) and ordered (ordered)
-    configurations."""
-    if bound is None:
-        bound = max(order, 1)
+    configurations; :func:`config_specialization` computes them directly."""
     factors = [(k, moebius_exponent(x_class, k)) for k in range(1, order + 1)]
-    return _cycle_index_series([(1, factors)], order, bound, x_class.vars)
+    return _cycle_index_series([(1, factors)], order, max(order, 1), x_class.vars)
+
+
+def config_specialization(x_class: LaurentPoly, order: int, mode: SpecializationMode | str) -> TruncSeries:
+    """One character specialization of :func:`config_space_series`, taken
+    through the power structure without building a symmetric function:
+    invariants is (1 + t)^X, sign is (1 - t)^X with t -> -t, and ordered is
+    n! C(X, n) at t^n; every series is over the ring of X."""
+    mode = SpecializationMode(mode)
+    if mode is SpecializationMode.ORDERED:
+        series = binomial_series(1, 1, x_class, order)
+        return TruncSeries([factorial(n) * c for n, c in enumerate(series.coeffs)], order, series._zero)
+    series = power(TruncSeries([1, 1 if mode is SpecializationMode.INVARIANTS else -1], order), x_class)
+    if mode is SpecializationMode.SIGN:
+        series = TruncSeries([-c if n % 2 else c for n, c in enumerate(series.coeffs)], order, series._zero)
+    return series
 
 
 def unordered_config_product(
@@ -122,8 +136,9 @@ def unordered_config_product(
     The class is P = sum_k (-1)^k b_k q^k.  Unsigned: (1 + t)^P under the
     power structure, equal to the explicit product
     prod_k ((1 - t^2 q^k)/(1 - t q^k))^{(-1)^k b_k}.  Signed: (1 - u)^P with
-    u -> -t, equal to prod_k (1 + t q^k)^{(-1)^k b_k}.  A mismatch between
-    the two routes raises (it would mean an internal inconsistency).
+    u -> -t, equal to prod_k (1 + t q^k)^{(-1)^k b_k}.  The power-structure
+    route is :func:`config_specialization` (invariants or sign); a mismatch
+    between the two routes raises (it would mean an internal inconsistency).
     """
     q = LaurentPoly.var("q")
     one = LaurentPoly.constant(1, ("q",))
@@ -132,27 +147,18 @@ def unordered_config_product(
     for k, b in enumerate(betti):
         p_class = p_class + ((-1) ** k * b) * q**k
 
-    if not signed:
-        route_power = power(TruncSeries([one, one], order), p_class)
-        route_product = TruncSeries.constant(one, order)
-        for k, b in enumerate(betti):
-            s = (-1) ** k * b
-            if s == 0:
-                continue
+    route_power = config_specialization(p_class, order, "sign" if signed else "invariants")
+    route_product = TruncSeries.constant(one, order)
+    for k, b in enumerate(betti):
+        s = (-1) ** k * b
+        if s == 0:
+            continue
+        if signed:
+            route_product = route_product * TruncSeries([one, q**k], order) ** s
+        else:
             two_t = TruncSeries([one, zero, -(q**k)], order)
             one_t = TruncSeries([one, -(q**k)], order)
             route_product = route_product * two_t**s * one_t ** (-s)
-    else:
-        flipped = power(TruncSeries([one, -one], order), p_class)
-        route_power = TruncSeries(
-            [c if n % 2 == 0 else -c for n, c in enumerate(flipped.coeffs)], order
-        )
-        route_product = TruncSeries.constant(one, order)
-        for k, b in enumerate(betti):
-            s = (-1) ** k * b
-            if s == 0:
-                continue
-            route_product = route_product * TruncSeries([one, q**k], order) ** s
     if route_power != route_product:
         raise PowerStructError(
             "power-structure and explicit-product routes disagree (internal bug)"
@@ -389,14 +395,12 @@ GENUS2_STRATA: tuple[ModuliStratum, ...] = (
 )
 
 
-def moduli_g2_series(order: int, bound: int | None = None) -> TruncSeries:
+def moduli_g2_series(order: int) -> TruncSeries:
     """Equivariant Euler-characteristic series of the moduli of genus-2
     curves with marked points: sum over the built-in symmetry strata of
     prefactor * prod (1 + p_k t^k)^exponent."""
-    if bound is None:
-        bound = max(order, 1)
     terms = [(stratum.prefactor, stratum.factors) for stratum in GENUS2_STRATA]
-    return _cycle_index_series(terms, order, bound)
+    return _cycle_index_series(terms, order, max(order, 1))
 
 
 def harer_zagier(genus: int, marked: int) -> Fraction:

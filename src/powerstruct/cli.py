@@ -11,8 +11,10 @@ at :data:`MAX_GENUS`, ``harer-zagier --points`` at :data:`MAX_POINTS`,
 an integer exponent of ``^`` or of a polynomial term read from JSON at
 :data:`rings.MAX_EXPONENT` (also the degree a nested ``^`` would build),
 the weight of an ``h``, ``e`` or ``s`` atom at
-:data:`parsing.MAX_ATOM_WEIGHT` and the weight of the ``schur`` input at
-:data:`MAX_SCHUR_WEIGHT`; a value out of range exits 2 with one line.
+:data:`parsing.MAX_ATOM_WEIGHT`, the weight a ``*`` of two symmetric
+functions or a ``^`` would build at :data:`parsing.MAX_WEIGHT` and the
+weight of the ``schur`` input at :data:`MAX_SCHUR_WEIGHT`; a value out of
+range exits 2 with one line.  Series division is not capped.
 
 Values are written in the grammar of :mod:`powerstruct.parsing`, and a
 series value may keep the ``+ O(t^M)`` tail of printed output.  Any
@@ -260,13 +262,10 @@ def _cmd_irr(params, order, fmt):
 
 def _cmd_config(params, order, fmt):
     x_class = parsing.as_poly(_load_or_parse(params["x_class"]))
-    series = applications.config_space_series(x_class, order)
     mode = params.get("specialize")
     if mode:
-        series = series.map_coeffs(
-            lambda c: specialize(c, SpecializationMode(mode))
-        )
-    return 0, _emit(series, fmt)
+        return 0, _emit(applications.config_specialization(x_class, order, mode), fmt)
+    return 0, _emit(applications.config_space_series(x_class, order), fmt)
 
 
 def _cmd_quotient(params, order, fmt):

@@ -12,6 +12,10 @@ One grammar covers every value the command line accepts:
   of magnitude at most :data:`MAX_EXPONENT`, and no power may build a
   polynomial exponent beyond it: ``(L^1000)^1000`` and ``(1 + L^2)^501``
   are refused before they are computed
+* no ``*`` of two symmetric functions and no ``^`` may build a term of
+  weight beyond :data:`MAX_WEIGHT`, through series coefficients too:
+  ``(p[1]+p[2]+p[3])^11`` and ``h[20]*h[11]`` are refused before they are
+  computed, while ``2*h[40]`` parses.  Series division is not capped
 
 so ``1/2*p[1,1] + 1/2*p[2]``, ``L^5 - L^2``, ``1/(1 - L*t)`` and
 ``(1 + t)^3`` all parse.  The name ``t`` is reserved, and ``p``/``h``/``e``/
@@ -39,6 +43,13 @@ _BASIS_NAMES = ("p", "h", "e", "s")
 # s[7,7,7,7,7,5], take ~12 s and 74 MB, both on a 2-core machine; h[45]
 # already takes 147 MB.  A heavier atom is refused before it is expanded.
 MAX_ATOM_WEIGHT = 40
+# Largest weight a ``*`` of two symmetric functions or a ``^`` may build.
+# The slowest accepted product squares a dense sum of all partitions up to
+# half the cap: on a 2-core machine (h[0]+...+h[m])^2 takes 1.9 s at m = 13,
+# 6.8 s (43 MB) at m = 15 and 13.3 s (57 MB) at m = 16, and
+# (h[0]+...+h[10])^3 6.7 s.  At 30 the slowest takes about half the ~12 s
+# of the slowest atom, which leaves room for the machine's speed drift.
+MAX_WEIGHT = 30
 
 
 @dataclass(frozen=True)
@@ -74,6 +85,21 @@ def _degree(value) -> int:
     if isinstance(value, TruncSeries):
         return max(map(_degree, value.coeffs), default=0)
     return 0
+
+
+def _weight(value) -> int:
+    """Largest weight of a symmetric-function term in value, through series
+    coefficients; a series over Q or Q[L] answers from its zero."""
+    if isinstance(value, TruncSeries):
+        return max(map(_weight, value.coeffs)) if isinstance(value._zero, SymFunc) else 0
+    if isinstance(value, SymFunc):
+        return max(map(sum, value.terms), default=0)
+    return 0
+
+
+def _check_weight(weight: int, what: str, position: int) -> None:
+    if weight > MAX_WEIGHT:
+        raise LimitError(f"{what} of weight {weight} at position {position} exceeds the limit {MAX_WEIGHT}")
 
 
 class _Parser:
@@ -125,6 +151,9 @@ class _Parser:
             op = self.next()
             rhs = self.parse_unary()
             if op.text == "*":
+                weights = _weight(value), _weight(rhs)
+                if min(weights) > 0:
+                    _check_weight(sum(weights), "product", op.position)
                 value = value * rhs
             elif isinstance(rhs, SCALAR_TYPES) and not rhs:
                 raise ParseError(f"division by zero at position {op.position}")
@@ -153,6 +182,7 @@ class _Parser:
                 raise LimitError(
                     f"power of degree {degree} at position {op.position} exceeds the limit {MAX_EXPONENT}"
                 )
+            _check_weight(_weight(base) * abs(exponent), "power", op.position)
             return base ** exponent
         return base
 

@@ -418,9 +418,7 @@ def _jacobi_trudi(
     return minor(tuple(range(size)))
 
 
-def basis_in_p(
-    basis: str, index: int | Iterable[int], bound: int, vars: Iterable[str] = ()
-) -> SymFunc:
+def basis_in_p(basis: str, index: int | Iterable[int], bound: int) -> SymFunc:
     """Expand a named basis element exactly in the p-basis.
 
     basis 'h' and 'e' take an integer index; 's' takes a partition; 'p' is
@@ -433,8 +431,8 @@ def basis_in_p(
             raise ValueError("index must be >= 0")
         if index > bound:
             raise GeneratorBoundError(f"weight {index} exceeds the bound {bound}")
-        f = _p_expansion(index, bound, signed=basis == "e")
-    elif basis == "s":
+        return _p_expansion(index, bound, signed=basis == "e")
+    if basis == "s":
         partition = normalize_partition(
             (index,) if isinstance(index, int) else tuple(index)
         )
@@ -442,20 +440,16 @@ def basis_in_p(
             raise GeneratorBoundError(
                 f"weight {sum(partition)} exceeds the bound {bound}"
             )
-        f = _jacobi_trudi(partition, bound)
-    elif basis == "p":
+        return _jacobi_trudi(partition, bound)
+    if basis == "p":
         partition = normalize_partition(
             (index,) if isinstance(index, int) else tuple(index)
         )
-        f = SymFunc.p_monomial(partition, bound)
-    else:
-        raise ValueError(f"unknown basis {basis!r}")
-    if tuple(vars):
-        f = SymFunc(f.terms, bound, tuple(vars))
-    return f
+        return SymFunc.p_monomial(partition, bound)
+    raise ValueError(f"unknown basis {basis!r}")
 
 
-def p_to_schur(f: SymFunc, weight: int | None = None) -> dict[Partition, LaurentPoly]:
+def p_to_schur(f: SymFunc) -> dict[Partition, LaurentPoly]:
     """Expansion of a homogeneous f over Schur functions of its weight n.
 
     By character orthogonality p_mu = sum_lambda chi^lambda(mu) s_lambda, and
@@ -464,8 +458,6 @@ def p_to_schur(f: SymFunc, weight: int | None = None) -> dict[Partition, Laurent
     support of f.  Zero coefficients are omitted from the result.
     """
     n = f.weight()
-    if weight is not None and weight != n:
-        raise HomogeneityError(f"input has weight {n}, expected {weight}")
     expansion: dict[Partition, LaurentPoly] = {}
     expansions: dict[tuple[int, bool], SymFunc] = {}
     for lam in partitions_of(n):

@@ -18,6 +18,7 @@ from powerstruct import (
     binomial_power,
     binomial_series,
     config_space_series,
+    config_specialization,
     harer_zagier,
     hyperelliptic_class,
     irreducible_class,
@@ -460,6 +461,15 @@ def cycle_index_terms(draw):
     return terms, draw(st.integers(0, 10)), vars
 
 
+UV_POLYS = st.dictionaries(
+    st.tuples(st.integers(-1, 2), st.integers(-1, 2)), RATIONALS.filter(bool), max_size=3
+).map(lambda terms: LaurentPoly(("u", "v"), terms))
+# Classes over Q, Q[L] (negative exponents and denominators) and Q[u,v];
+# the empty dictionaries give the zero class of each alphabet.
+X_CLASSES = st.one_of(RATIONALS.map(LaurentPoly.constant), QL_POLYS, UV_POLYS)
+MODES = st.sampled_from(list(SpecializationMode))
+
+
 @st.composite
 def group_actions(draw):
     identity = ConjugacyClassData(size=1, orbit_euler={1: draw(st.integers(-3, 4))}, identity=True)
@@ -485,6 +495,31 @@ class TestCycleIndexClosedForm:
         series = config_space_series(x_class, order)
         same_series(series, power(TruncSeries([1, p1], order, 0 * p1), x_class))
         assert series == binomial_power(p1, x_class, order)
+
+    @given(X_CLASSES, st.integers(0, 10), MODES)
+    @settings(max_examples=120, deadline=None)
+    def test_config_specialization_matches_the_specialized_series(self, x_class, order, mode):
+        """The power-structure route against the specialized symmetric-function
+        series, kept here as the reference."""
+        reference = config_space_series(x_class, order).map_coeffs(lambda c: specialize(c, mode))
+        same_series(config_specialization(x_class, order, mode), reference)
+        same_series(config_specialization(x_class, order, mode.value), reference)
+
+    @pytest.mark.parametrize("mode", [m.value for m in SpecializationMode])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_config_specialize_builds_no_symmetric_function(self, monkeypatch, mode, fmt):
+        from powerstruct import applications, cli
+
+        request = cli.CommandRequest("config", {"x_class": "L^2 - 3*L + 1/2", "specialize": mode}, 12, fmt)
+        expected = cli.run_command(request)
+        assert expected[0] == 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("config --specialize built a symmetric function")
+
+        monkeypatch.setattr(SymFunc, "__init__", refuse)
+        monkeypatch.setattr(applications, "config_space_series", refuse)
+        assert cli.run_command(request) == expected
 
     @given(group_actions(), st.integers(0, 8))
     @settings(max_examples=60, deadline=None)

@@ -427,6 +427,44 @@ class TestCaps:
         monkeypatch.setattr(TruncSeries, "__pow__", refuse)
         assert main_streams(argv) == (2, "", err + "\n")
 
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["adams", "--element", "(p[1]+p[2]+p[3])^160", "--k", "1", "--order", "3"],
+             "power of weight 480 at position 16 exceeds the limit 30"),
+            (["adams", "--element", "(p[1]+p[2]+p[3])^11", "--k", "1", "--order", "3"],
+             "power of weight 33 at position 16 exceeds the limit 30"),
+            (["lambda", "--element", "h[16]*(h[0]+h[1]+h[2]+h[3]+h[4]+h[5]+h[6]+h[7]+h[8]+h[9]+h[10]+h[11]+h[12]+h[13]+h[14]+h[15])",
+              "--order", "16"], "product of weight 31 at position 5 exceeds the limit 30"),
+            (["schur", "--f", "h[20]*e[11]", "--order", "31"], "product of weight 31 at position 5 exceeds the limit 30"),
+            (["pow", "--base", "(1+(p[1]+p[2]+p[3])*t)^11", "--exponent", "1", "--order", "3"],
+             "power of weight 33 at position 22 exceeds the limit 30"),
+            (["pow", "--base", "(1 + h[20]*t)*(1 + h[11]*t)", "--exponent", "1", "--order", "20"],
+             "product of weight 31 at position 13 exceeds the limit 30"),
+        ],
+    )
+    def test_product_and_power_over_weight_cap(self, p_atoms, monkeypatch, argv, err):
+        """A ``*`` of two symmetric functions or a ``^`` that would build a
+        term past the weight cap is refused before any symmetric-function
+        product or power is computed."""
+        from powerstruct import SymFunc, TruncSeries
+
+        plain = SymFunc.__mul__
+
+        def by_a_scalar_only(self, other):
+            if isinstance(other, SymFunc):
+                raise AssertionError("work started past a cap")
+            return plain(self, other)
+
+        def refuse(self, n):
+            raise AssertionError("work started past a cap")
+
+        monkeypatch.setattr(SymFunc, "__mul__", by_a_scalar_only)
+        monkeypatch.setattr(SymFunc, "__rmul__", by_a_scalar_only)
+        monkeypatch.setattr(SymFunc, "__pow__", refuse)
+        monkeypatch.setattr(TruncSeries, "__pow__", refuse)
+        assert main_streams(argv) == (2, "", err + "\n")
+
     def test_over_cap_by_request_and_input(self, tmp_path, monkeypatch):
         assert run("adams", {"element": "L", "k": 1001}) == (2, "argument --k: must be <= 1000, got 1001")
         assert run("lambda", {"element": "L"}, order=257) == (2, "order must be <= 256, got 257")

@@ -135,6 +135,30 @@ class TestErrors:
     def test_power_at_the_exponent_cap(self):
         assert parse_poly("(L^2)^500") == L**1000
 
+    @pytest.mark.parametrize(
+        "text, what, weight, position",
+        [
+            ("(p[1]+p[2]+p[3])^-11", "power", 33, 16),
+            ("h[20]*h[11]", "product", 31, 5),
+            ("(p[1]+p[2]+p[3])^10*(p[1]+p[2]+p[3])^2", "product", 36, 19),
+            ("(1 + p[20]*t)^-2", "power", 40, 13),
+        ],
+    )
+    def test_past_the_weight_cap(self, text, what, weight, position):
+        with pytest.raises(LimitError, match=f"^{what} of weight {weight} at position {position} exceeds the limit 30$"):
+            parse_expression(text, order=3, bound=40)
+
+    def test_degree_cap_is_checked_before_the_weight_cap(self):
+        with pytest.raises(LimitError, match="^power of degree 1100 at position 12 exceeds the limit 1000$"):
+            parse_expression("(L^100*p[3])^11", bound=3)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["(p[1]+p[2]+p[3])^10", "p[15]*p[15]", "2*h[40]", "h[31]*2", "h[31]*L", "h[31]*(1 + t)", "h[31]/3 + p[31]"],
+    )
+    def test_at_the_weight_cap(self, text):
+        parse_expression(text, order=3, bound=40)
+
     def test_zero_polynomial_divisor_keeps_its_message(self):
         with pytest.raises(ZeroDivisionError, match="^division by the zero polynomial$"):
             parse_expression("L/(L-L)")

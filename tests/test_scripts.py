@@ -67,3 +67,13 @@ def test_cli_capture_of_one_tree_diffs_to_zero(tmp_path):
         lines = run_script("cli_capture.py", "--src", str(ROOT / "src"), "--out", str(out), "--limit", "30")
         assert lines == [f"30 requests written to {out}"]
     assert run_script("cli_capture.py", "--diff", *map(str, captures)) == ["0 of 30 requests differ"]
+
+
+def test_src_lines_counts_code_and_docstrings(tmp_path):
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "a.py").write_text(
+        '"""Module docstring,\n\non two lines."""\n\n# a comment\n    # an indented comment\nx = 1  # trailing\n\n\n'
+    )
+    (tmp_path / "b.py").write_text("def f():\n    \t\n    return 2\n")
+    (tmp_path / "notes.txt").write_text("not python\n")
+    assert run_script("src_lines.py", str(tmp_path)) == ["     2 b.py", "     3 pkg/a.py", "     5 total"]
