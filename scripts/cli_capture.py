@@ -10,8 +10,12 @@ route (one Q[L] ``pow`` and one ``factorize`` at order 24, a Q base with a
 Q[L] exponent, ``L^-2``, ``1/3`` and zero exponents, a Q[u,v] exponent),
 ``schur`` at weights up to 11 and on tall partitions, ``config``,
 ``quotient`` and ``moduli-g2`` at orders 12 and 24, the three ``config
---specialize`` modes at order 16 over Q[L] and Q[u,v], values given as
-separate words that start with ``-``, ``--input`` and ``@file`` values,
+--specialize`` modes at order 16 over Q[L] and Q[u,v], the small-operand
+paths of the rings (a scalar that cancels or zeroes a polynomial, a
+one-term factor with negative or two-variable exponents, and ``pow``,
+``factorize`` and ``lambda`` on Q[L] series whose coefficients are
+rationals or single terms, at orders 0-8), values given as separate words
+that start with ``-``, ``--input`` and ``@file`` values,
 malformed JSON values, size caps (the symmetric-function weight of ``*``
 and ``^`` among them) and error paths.  Two
 captures of the same seed, taken from two source trees, show whether a
@@ -107,6 +111,10 @@ AT_ORDER = [
     (["config", "--x-class", "L^2 - 3*L + 1/2", "--specialize", "sign"], 12),
     (["quotient", "--action", json.dumps(ACTIONS[1])], 12),
     (["moduli-g2"], 24),
+    # A series power keeps coefficients of weight min(n, order) times the
+    # base's: 11 at order 1, past the weight cap at order 3.
+    (["pow", "--base", "(1 + p[1]^11*t)^3", "--exponent", "1"], 1),
+    (["pow", "--base", "(1 + p[1]^11*t)^3", "--exponent", "1"], 3),
     # The specialised config series, taken through the power structure.
     *(
         (["config", "--x-class", x_class, "--specialize", mode], 16)
@@ -114,6 +122,13 @@ AT_ORDER = [
         for mode in ("invariants", "sign", "ordered")
     ),
 ]
+# Operands that take the scalar and one-term paths of the rings: a scalar
+# that zeroes a polynomial or cancels its constant term, a one-term factor
+# with a negative exponent or over two variables.  The series have only
+# rational or one-term coefficients but live over Q[L].
+SMALL_ELEMENTS = ["0*(L + 1)", "(L + 1/2) - 1/2", "L^-2*(1 + L)", "u^2*v*(u - v)", "-1/2*L^3", "2 + 0*L"]
+SMALL_SERIES = ["1 + L*t - 1/2*L^2*t^2 + 3*L^-1*t^3", "1 + 2*t - 1/3*t^3 + 0*L*t", "1 - L^2*t^2"]
+SMALL_EXPONENTS = ["L", "-1/2", "2*L^3", "0*L"]
 # Values given as a separate word that starts with "-".
 DASH_VALUES = [
     ["pow", "--base", "1+t", "--exponent", "-3/4"],
@@ -188,6 +203,7 @@ ERRORS = [
     ["adams", "--element", "(p[1]+p[2]+p[3])^11", "--k", "1", "--order", "3"],
     ["adams", "--element", "(p[1]+p[2]+p[3])^10*(p[1]+p[2]+p[3])^2", "--k", "1", "--order", "3"],
     ["pow", "--base", "(1+(p[1]+p[2]+p[3])*t)^11", "--exponent", "1", "--order", "3"],
+    ["pow", "--base", "(1+(p[1]+p[2]+p[3])*t)^11", "--exponent", "1", "--order", "11"],
     ["irr", "--vars", "7", "--degree", "1"],
     ["irr", "--vars", "2", "--degree", "17", "--target", "euler"],
     ["hyperelliptic", "--genus", "128"],
@@ -286,6 +302,18 @@ def requests(seed: int) -> list[list[str]]:
         out.extend([*argv, "--order", order, "--output-format", fmt] for fmt in FORMATS)
     for argv, order in AT_ORDER:
         out.extend([*argv, "--order", str(order), "--output-format", fmt] for fmt in FORMATS)
+    small: list[list[str]] = []
+    for element in SMALL_ELEMENTS:
+        small.append(["adams", "--element", element, "--k", "2"])
+        small.extend(["lambda", "--element", element, "--order", str(order)] for order in ORDERS)
+    for base in SMALL_SERIES:
+        for order in ORDERS:
+            small.extend(["pow", "--base", base, "--exponent", e, "--order", str(order)] for e in SMALL_EXPONENTS)
+            small.extend(
+                ["factorize", "--series", base, "--algorithm", algorithm, "--order", str(order)]
+                for algorithm in ("moebius", "iterative")
+            )
+    out.extend([*argv, "--output-format", fmt] for argv in small for fmt in FORMATS)
     out.append(["reproduce", "--order", "3", "--axiom-cases", "1", "--seed", str(seed)])
     out.append(["reproduce", "--order", "2", "--axiom-cases", "2", "--seed", str(seed), "--output-format", "json"])
     return out + DASH_VALUES + ERRORS

@@ -286,7 +286,8 @@ def _cycle_index_series(terms, order: int, bound: int, vars=()) -> TruncSeries:
     # m_k(lambda) counts the parts of lambda equal to k.  Each term grows its
     # partitions factor by factor in descending k, so a partition stays
     # sorted and repeated k accumulate; C(exponent, m) for m <= order // k
-    # is one column per factor.  The result has coefficients over ``vars``.
+    # is one column per factor.  The result has coefficients over ``vars``,
+    # each promoted once as it goes into its SymFunc.
     weights = [{} for _ in range(order + 1)]
     for prefactor, factors in terms:
         grown = {(): prefactor}
@@ -301,7 +302,14 @@ def _cycle_index_series(terms, order: int, bound: int, vars=()) -> TruncSeries:
                 grown = step
         for partition, coeff in grown.items():
             _accumulate(weights[sum(partition)], partition, coeff)
-    return TruncSeries([SymFunc(w, bound, vars) for w in weights], order, SymFunc.zero(bound, vars))
+
+    def promote(coeff):
+        if isinstance(coeff, LaurentPoly):
+            return coeff._promote(vars)
+        return LaurentPoly.constant(coeff, vars)
+
+    coeffs = [SymFunc._raw({p: promote(c) for p, c in w.items() if c}, bound, vars) for w in weights]
+    return TruncSeries(coeffs, order, SymFunc.zero(bound, vars))
 
 
 def quotient_euler_series(action: GroupActionData, order: int) -> TruncSeries:

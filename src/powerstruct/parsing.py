@@ -15,7 +15,9 @@ One grammar covers every value the command line accepts:
 * no ``*`` of two symmetric functions and no ``^`` may build a term of
   weight beyond :data:`MAX_WEIGHT`, through series coefficients too:
   ``(p[1]+p[2]+p[3])^11`` and ``h[20]*h[11]`` are refused before they are
-  computed, while ``2*h[40]`` parses.  Series division is not capped
+  computed, while ``2*h[40]`` parses; a series power counts only the
+  coefficients it keeps, so ``(1 + p[1]^11*t)^3`` parses at order 1.
+  Series division is not capped
 
 so ``1/2*p[1,1] + 1/2*p[2]``, ``L^5 - L^2``, ``1/(1 - L*t)`` and
 ``(1 + t)^3`` all parse.  The name ``t`` is reserved, and ``p``/``h``/``e``/
@@ -182,7 +184,13 @@ class _Parser:
                 raise LimitError(
                     f"power of degree {degree} at position {op.position} exceeds the limit {MAX_EXPONENT}"
                 )
-            _check_weight(_weight(base) * abs(exponent), "power", op.position)
+            # A kept coefficient of a series power with a weight-0 constant
+            # term multiplies at most min(n, order) coefficients of positive
+            # weight; a negative power divides and keeps the plain bound.
+            times = abs(exponent)
+            if isinstance(base, TruncSeries) and exponent >= 0 and not _weight(base.coeffs[0]):
+                times = min(exponent, base.order)
+            _check_weight(_weight(base) * times, "power", op.position)
             return base ** exponent
         return base
 

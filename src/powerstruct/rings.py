@@ -236,6 +236,18 @@ class LaurentPoly(_Value):
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
+        if isinstance(other, SCALAR_TYPES):
+            # A scalar lands on the constant term, which drops if it cancels.
+            if not other:
+                return self
+            terms = dict(self.terms)
+            key = (0,) * len(self.vars)
+            total = terms.get(key, _ZERO) + other
+            if total:
+                terms[key] = total
+            else:
+                del terms[key]
+            return LaurentPoly._raw(self.vars, terms)
         pair = self._align(other)
         if pair is None:
             return NotImplemented
@@ -255,6 +267,10 @@ class LaurentPoly(_Value):
         return LaurentPoly._raw(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
+        if isinstance(other, SCALAR_TYPES):
+            if not other:
+                return LaurentPoly._raw(self.vars, {})
+            return LaurentPoly._raw(self.vars, {e: c * other for e, c in self.terms.items()})
         pair = self._align(other)
         if pair is None:
             return NotImplemented
@@ -486,6 +502,11 @@ def _mul_dict(a_terms: Mapping, b_terms: Mapping) -> dict[Exponents, Fraction]:
     """Product of two term maps of one alphabet, term by term."""
     if len(a_terms) > len(b_terms):
         a_terms, b_terms = b_terms, a_terms
+    if len(a_terms) == 1:
+        # One term shifts the exponents and scales the coefficients: no two
+        # products collide and none cancels.
+        ((ea, ca),) = a_terms.items()
+        return {tuple(x + y for x, y in zip(ea, eb)): ca * cb for eb, cb in b_terms.items()}
     product: dict[Exponents, Fraction] = {}
     for ea, ca in a_terms.items():
         for eb, cb in b_terms.items():

@@ -43,9 +43,12 @@ _ONE = Rational(1)
 def _in_ring(value, zero) -> bool:
     """True when value needs no promotion into zero's ring: same class,
     alphabet and generator bound."""
+    if type(value) is not type(zero):
+        return False
+    if isinstance(zero, SCALAR_TYPES):
+        return True
     return (
-        type(value) is type(zero)
-        and getattr(value, "vars", None) == getattr(zero, "vars", None)
+        getattr(value, "vars", None) == getattr(zero, "vars", None)
         and getattr(value, "bound", None) == getattr(zero, "bound", None)
     )
 
@@ -101,6 +104,16 @@ class TruncSeries(_Value):
     # -- constructors --------------------------------------------------------
 
     @classmethod
+    def _raw(cls, coeffs, order: int, zero) -> "TruncSeries":
+        """Internal: build from exactly order + 1 coefficients that are
+        already in zero's ring (no join, padding or promotion)."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "coeffs", tuple(coeffs))
+        object.__setattr__(self, "_zero", zero)
+        return self
+
+    @classmethod
     def constant(cls, value, order: int) -> "TruncSeries":
         return cls([value], order)
 
@@ -121,16 +134,15 @@ class TruncSeries(_Value):
     def __add__(self, other):
         if isinstance(other, TruncSeries):
             n = self._common_order(other)
-            # A zero term keeps the other one; the constructor promotes it
-            # into the joined ring.
-            return TruncSeries(
-                [
-                    a + b if a and b else b if b else a
-                    for a, b in zip(self.coeffs[: n + 1], other.coeffs[: n + 1])
-                ],
-                n,
-                _ring_zero((other._zero,), self._zero),
-            )
+            # A zero term keeps the other one; over two rings the
+            # constructor promotes it into the joined ring.
+            coeffs = [
+                a + b if a and b else b if b else a
+                for a, b in zip(self.coeffs[: n + 1], other.coeffs[: n + 1])
+            ]
+            if _in_ring(other._zero, self._zero):
+                return TruncSeries._raw(coeffs, n, self._zero)
+            return TruncSeries(coeffs, n, _ring_zero((other._zero,), self._zero))
         coeffs = list(self.coeffs)
         coeffs[0] = coeffs[0] + other
         return TruncSeries(coeffs, self.order, self._zero)
@@ -138,13 +150,14 @@ class TruncSeries(_Value):
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncSeries([-c for c in self.coeffs], self.order, self._zero)
+        return TruncSeries._raw([-c for c in self.coeffs], self.order, self._zero)
 
     def __mul__(self, other):
         if not isinstance(other, TruncSeries):
             return self.scale(other)
         n = self._common_order(other)
-        zero = _ring_zero((other._zero,), self._zero)
+        shared = _in_ring(other._zero, self._zero)
+        zero = self._zero if shared else _ring_zero((other._zero,), self._zero)
         out = [None] * (n + 1)
         b = _support(other.coeffs, n)
         for i, x in _support(self.coeffs, n):
@@ -154,13 +167,17 @@ class TruncSeries(_Value):
                 term = x * y
                 acc = out[i + j]
                 out[i + j] = term if acc is None else acc + term
-        return TruncSeries([zero if c is None else c for c in out], n, zero)
+        out = [zero if c is None else c for c in out]
+        return TruncSeries._raw(out, n, zero) if shared else TruncSeries(out, n, zero)
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def scale(self, factor) -> "TruncSeries":
         """Multiply every coefficient by a ring element."""
+        if isinstance(factor, SCALAR_TYPES):
+            zero = self._zero
+            return TruncSeries._raw([factor * c if c else zero for c in self.coeffs], self.order, zero)
         zero = _ring_zero((factor,), self._zero)
         return TruncSeries(
             [factor * c if c else zero for c in self.coeffs], self.order, zero
@@ -226,28 +243,28 @@ class TruncSeries(_Value):
             raise ValueError(
                 f"cannot extend a series of order {self.order} to order {order}"
             )
-        return TruncSeries(self.coeffs[: order + 1], order, self._zero)
+        return TruncSeries._raw(self.coeffs[: order + 1], order, self._zero)
 
     def derivative(self) -> "TruncSeries":
         """d/dt, one order shorter (indices shift down)."""
         if self.order == 0:
-            return TruncSeries([], 0, self._zero)
-        return TruncSeries(
+            return TruncSeries._raw([self._zero], 0, self._zero)
+        return TruncSeries._raw(
             [k * self.coeffs[k] for k in range(1, self.order + 1)], self.order - 1, self._zero
         )
 
     def log(self) -> "TruncSeries":
         """Truncated logarithm; requires constant term 1."""
         self._require_constant(1, "log")
-        out = [_ZERO]
+        out = [self._zero]
         for n, c in enumerate(self.log_derivative(), start=1):
             out.append(Rational(1, n) * c if c else c)
-        return TruncSeries(out, self.order, self._zero)
+        return TruncSeries._raw(out, self.order, self._zero)
 
     def exp(self) -> "TruncSeries":
         """Truncated exponential; requires constant term 0."""
         self._require_constant(0, "exp")
-        out = [_ONE]
+        out = [_ONE + self._zero]
         # k * b_k once per nonzero b_k (b_1 as it is)
         b = [(k, c if k == 1 else k * c) for k, c in _support(self.coeffs, self.order)]
         for n in range(1, self.order + 1):
@@ -259,7 +276,7 @@ class TruncSeries(_Value):
                     term = c * out[n - k]
                     acc = term if acc is None else acc + term
             out.append(Rational(1, n) * acc if acc else self._zero)
-        return TruncSeries(out, self.order, self._zero)
+        return TruncSeries._raw(out, self.order, self._zero)
 
     def log_derivative(self) -> list:
         """Coefficients C_1..C_N with A'/A = sum C_n t^(n-1); requires a_0 = 1."""
@@ -295,7 +312,7 @@ class TruncSeries(_Value):
             if j * k > order:
                 break
             out[j * k] = c
-        return TruncSeries(out, order, self._zero)
+        return TruncSeries._raw(out, order, self._zero)
 
     # -- serialization ---------------------------------------------------------
 

@@ -484,9 +484,13 @@ class TestCycleIndexClosedForm:
     def test_matches_binomial_products(self, case):
         terms, order, vars = case
         bound = max(order, 1)
-        same_series(
-            _cycle_index_series(terms, order, bound, vars), binomial_product_sum(terms, order, bound, vars)
-        )
+        series = _cycle_index_series(terms, order, bound, vars)
+        same_series(series, binomial_product_sum(terms, order, bound, vars))
+        # Built without the normalising constructor: already canonical, with
+        # every coefficient a nonzero polynomial over vars.
+        for c in series.coeffs:
+            assert c.terms == SymFunc(c.terms, bound, vars).terms
+            assert all(coeff.vars == tuple(vars) for coeff in c.terms.values())
 
     @given(st.integers(0, 8), st.one_of(QL_POLYS, st.sampled_from([U * V - 1, U**2 * V - 3 * U + Fraction(1, 3)])))
     @settings(max_examples=40, deadline=None)

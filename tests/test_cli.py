@@ -437,7 +437,7 @@ class TestCaps:
             (["lambda", "--element", "h[16]*(h[0]+h[1]+h[2]+h[3]+h[4]+h[5]+h[6]+h[7]+h[8]+h[9]+h[10]+h[11]+h[12]+h[13]+h[14]+h[15])",
               "--order", "16"], "product of weight 31 at position 5 exceeds the limit 30"),
             (["schur", "--f", "h[20]*e[11]", "--order", "31"], "product of weight 31 at position 5 exceeds the limit 30"),
-            (["pow", "--base", "(1+(p[1]+p[2]+p[3])*t)^11", "--exponent", "1", "--order", "3"],
+            (["pow", "--base", "(1+(p[1]+p[2]+p[3])*t)^11", "--exponent", "1", "--order", "11"],
              "power of weight 33 at position 22 exceeds the limit 30"),
             (["pow", "--base", "(1 + h[20]*t)*(1 + h[11]*t)", "--exponent", "1", "--order", "20"],
              "product of weight 31 at position 13 exceeds the limit 30"),
@@ -1029,3 +1029,10 @@ class TestGrammarFuzz:
         assert code in (0, 1, 2, 3)
         if code:
             assert err.getvalue().count("\n") == 1
+
+
+def test_series_power_under_the_weight_cap_at_its_order():
+    """A series power counts the weight of the coefficients it keeps."""
+    argv = ["pow", "--base", "(1 + p[1]^11*t)^3", "--exponent", "1"]
+    assert main_streams([*argv, "--order", "1"]) == (0, "1 + 3*p[1,1,1,1,1,1,1,1,1,1,1]*t + O(t^2)\n", "")
+    assert main_streams([*argv, "--order", "3"]) == (2, "", "power of weight 33 at position 15 exceeds the limit 30\n")

@@ -148,6 +148,27 @@ class TestErrors:
         with pytest.raises(LimitError, match=f"^{what} of weight {weight} at position {position} exceeds the limit 30$"):
             parse_expression(text, order=3, bound=40)
 
+    def test_series_power_counts_the_kept_coefficients(self):
+        """A series power with a weight-0 constant term builds coefficients
+        of weight at most min(n, order) times the base's."""
+        p1 = SymFunc.p(1, 11)
+        assert parse_expression("(1 + p[1]^11*t)^3", order=1) == TruncSeries([1, 3 * p1**11], 1)
+        assert parse_expression("(1 + p[1]^10*t)^3", order=3, bound=30) == TruncSeries(
+            [1, 3 * p1**10, 3 * p1**20, p1**30], 3
+        )
+
+    @pytest.mark.parametrize(
+        "text, order, position",
+        [
+            ("(1 + p[1]^11*t)^3", 3, 15),  # min(3, 3) * 11
+            ("(1 + p[1]^11*t)^-3", 1, 15),  # a negative power keeps the plain bound
+            ("(p[1]^11 + t)^3", 1, 13),  # so does a constant term of positive weight
+        ],
+    )
+    def test_series_power_past_the_weight_cap(self, text, order, position):
+        with pytest.raises(LimitError, match=f"^power of weight 33 at position {position} exceeds the limit 30$"):
+            parse_expression(text, order=order, bound=33)
+
     def test_degree_cap_is_checked_before_the_weight_cap(self):
         with pytest.raises(LimitError, match="^power of degree 1100 at position 12 exceeds the limit 1000$"):
             parse_expression("(L^100*p[3])^11", bound=3)

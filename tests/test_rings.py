@@ -243,3 +243,90 @@ class TestMulKernels:
         assert (dense * sparse).terms == _mul_dict(dense.terms, sparse.terms)
         # a monomial takes the term-by-term loop
         assert not _kronecker_applies((L**2).terms, dense.terms)
+
+
+# -- scalar and one-term operands against the schoolbook term loop -------------
+
+ALPHABETS = [(), ("L",), ("u", "v")]
+SCALARS = st.one_of(
+    st.integers(-3, 3), st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4)), st.just(Fraction(0))
+)
+
+
+def schoolbook(a_terms, b_terms):
+    """The product (or, with one operand constant, the sum) of two term maps
+    by the plain loop: every pair, then the zero terms dropped."""
+    out = {}
+    for ea, ca in a_terms.items():
+        for eb, cb in b_terms.items():
+            exps = tuple(x + y for x, y in zip(ea, eb))
+            out[exps] = out.get(exps, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def schoolbook_sum(a_terms, b_terms):
+    out = dict(a_terms)
+    for e, c in b_terms.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+@st.composite
+def poly_and_scalar(draw):
+    """A polynomial over one of ALPHABETS and a scalar, which is sometimes
+    minus its constant term so that a sum cancels it."""
+    vars = draw(st.sampled_from(ALPHABETS))
+    p = draw(laurent_polys(vars, max_terms=5))
+    scalar = draw(st.one_of(SCALARS, st.just(-p.constant_term())))
+    return p, scalar
+
+
+def same_poly(got, vars, terms):
+    assert got.vars == vars
+    assert got.terms == terms
+    assert all(type(c) is type(Rational(1)) for c in got.terms.values())
+
+
+class TestSmallOperands:
+    """Scalar sums and products and one-term products give the schoolbook
+    loop's terms: no zero coefficient kept, rationals throughout."""
+
+    @given(poly_and_scalar())
+    @settings(max_examples=300)
+    @example((L + Fraction(1, 2), Fraction(-1, 2)))
+    @example((L**-2 - 3, 3))
+    @example((U * V - 1, 1))
+    @example((LaurentPoly.constant(2), -2))
+    def test_scalar_sum(self, drawn):
+        p, s = drawn
+        constant = {(0,) * len(p.vars): Fraction(s)}
+        for got in (p + s, s + p):
+            same_poly(got, p.vars, schoolbook_sum(p.terms, constant))
+        same_poly(p - s, p.vars, schoolbook_sum(p.terms, {e: -c for e, c in constant.items()}))
+        same_poly(s - p, p.vars, schoolbook_sum({e: -c for e, c in p.terms.items()}, constant))
+
+    @given(poly_and_scalar())
+    @settings(max_examples=300)
+    @example((L + 1, 0))
+    @example((U**2 * V - U, Fraction(-2, 3)))
+    def test_scalar_product(self, drawn):
+        p, s = drawn
+        expected = schoolbook(p.terms, {(0,) * len(p.vars): Fraction(s)})
+        for got in (p * s, s * p):
+            same_poly(got, p.vars, expected)
+
+    @given(
+        st.sampled_from(ALPHABETS).flatmap(
+            lambda vars: st.tuples(laurent_polys(vars, max_terms=1).filter(bool), laurent_polys(vars, max_terms=6))
+        )
+    )
+    @settings(max_examples=300)
+    @example((L**-2, 1 + L))
+    @example((U**2 * V, U - V))
+    @example((LaurentPoly.constant(Fraction(-1, 2)), LaurentPoly.constant(4)))
+    def test_one_term_product(self, pair):
+        m, q = pair
+        expected = schoolbook(m.terms, q.terms)
+        for got in (m * q, q * m):
+            same_poly(got, m.vars, expected)
+        assert _mul_dict(m.terms, q.terms) == _mul_dict(q.terms, m.terms) == expected

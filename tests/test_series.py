@@ -356,11 +356,11 @@ RINGS = {
 
 
 @st.composite
-def ring_series(draw, head=None):
-    """A series of order 0-12 over one of RINGS with a random zero pattern:
-    dense, sparse, all zero or a single term.  head fixes the constant term
-    ("zero", "one" or "unit")."""
-    zero, value, unit = RINGS[draw(st.sampled_from(sorted(RINGS)))]
+def ring_series(draw, head=None, rings=RINGS, ring=None):
+    """A series of order 0-12 over one of rings (the named ring if given)
+    with a random zero pattern: dense, sparse, all zero or a single term.
+    head fixes the constant term ("zero", "one" or "unit")."""
+    zero, value, unit = rings[ring or draw(st.sampled_from(sorted(rings)))]
     order = draw(st.integers(0, 12))
     pattern = draw(st.sampled_from(["dense", "sparse", "zero", "single"]))
     if pattern == "dense":
@@ -675,3 +675,103 @@ class TestValueRules:
     def test_immutable(self, value, name):
         with pytest.raises(AttributeError, match=f"^{type(value).__name__} is immutable$"):
             setattr(value, name, None)
+
+
+# -- derived series built without the promoting constructor -----------------------
+#
+# Negation, truncation, derivative, t -> t^k, exp, log, scaling by a scalar,
+# and sums and products of two series over one ring build their result with
+# TruncSeries._raw.  Each is checked against the same coefficients passed
+# through the promoting constructor: equal values, and the zero and every
+# coefficient in the constructor's ring.
+
+
+def quv_value(nonzero=False):
+    terms = st.dictionaries(
+        st.tuples(st.integers(-1, 2), st.integers(0, 2)), q_value(True), min_size=int(nonzero), max_size=3
+    )
+    return terms.map(lambda t: LaurentPoly(("u", "v"), t))
+
+
+RAW_RINGS = {
+    **RINGS,
+    "Q[u,v]": (
+        LaurentPoly.zero(("u", "v")),
+        quv_value,
+        q_value(True).map(lambda q: LaurentPoly.constant(q, ("u", "v"))),
+    ),
+}
+# Pairs of rings with a join: Q[u,v] does not join Q[L] or SymFunc over L.
+RING_PAIRS = [
+    (x, y) for x in sorted(RAW_RINGS) for y in sorted(RAW_RINGS)
+    if "Q[u,v]" not in (x, y) or {x, y} <= {"Q", "Q[u,v]"}
+]
+
+
+def raw_series(ring=None, head=None):
+    return ring_series(head=head, rings=RAW_RINGS, ring=ring)
+
+
+class TestTrustedConstructor:
+    """Every TruncSeries._raw site against the promoting constructor, over
+    Q, Q[L], Q[u,v] and SymFunc coefficients at orders 0-12."""
+
+    @given(raw_series())
+    @settings(max_examples=150, deadline=None)
+    def test_neg(self, a):
+        same_series(-a, TruncSeries([-c for c in a.coeffs], a.order, a._zero))
+
+    @given(raw_series(), st.integers(0, 12))
+    @settings(max_examples=150, deadline=None)
+    def test_truncate(self, a, order):
+        order = min(order, a.order)
+        same_series(a.truncate(order), TruncSeries(a.coeffs[: order + 1], order, a._zero))
+
+    @given(raw_series())
+    @settings(max_examples=150, deadline=None)
+    def test_derivative(self, a):
+        coeffs = [k * a.coeffs[k] for k in range(1, a.order + 1)]
+        same_series(a.derivative(), TruncSeries(coeffs, max(a.order - 1, 0), a._zero))
+
+    @given(raw_series(), st.integers(1, 3), st.integers(0, 12))
+    @settings(max_examples=150, deadline=None)
+    def test_substitute_tk(self, a, k, order):
+        order = min(order, (a.order + 1) * k - 1)
+        coeffs = [a.coeffs[j // k] if j % k == 0 else a._zero for j in range(order + 1)]
+        same_series(a.substitute_tk(k, order), TruncSeries(coeffs, order, a._zero))
+
+    @given(raw_series(head="zero"))
+    @settings(max_examples=100, deadline=None)
+    def test_exp(self, b):
+        same_series(b.exp(), dense_exp(b))
+
+    @given(raw_series(head="one"))
+    @settings(max_examples=100, deadline=None)
+    def test_log(self, a):
+        same_series(a.log(), dense_log(a))
+
+    @given(raw_series(), st.one_of(q_value(), st.integers(-3, 3), st.just(Fraction(0)), st.just(0)))
+    @settings(max_examples=150, deadline=None)
+    def test_scale_by_a_scalar(self, a, factor):
+        expected = TruncSeries([factor * c for c in a.coeffs], a.order, a._zero)
+        same_series(a.scale(factor), expected)
+        same_series(factor * a, expected)
+        same_series(a * factor, expected)
+
+    @given(st.sampled_from(RING_PAIRS).flatmap(lambda p: st.tuples(raw_series(p[0]), raw_series(p[1]))))
+    @settings(max_examples=300, deadline=None)
+    def test_mul_and_add(self, pair):
+        """One ring takes _raw, two rings the constructor; both give the
+        constructor's coefficients in the joined ring."""
+        a, b = pair
+        n, zero = min(a.order, b.order), a._zero + b._zero
+        x, y = a.coeffs, b.coeffs
+        products = [sum((x[k] * y[m - k] for k in range(m + 1)), zero) for m in range(n + 1)]
+        same_series(a * b, TruncSeries(products, n, zero))
+        same_series(a + b, TruncSeries([p + q for p, q in zip(x[: n + 1], y[: n + 1])], n, zero))
+
+    def test_mixed_rings_keep_the_promoting_constructor(self):
+        q = TruncSeries([1, 2, 0], 2)
+        ql = TruncSeries([1, L], 2)
+        for got in (q * ql, ql * q, q + ql, ql + q):
+            same_series(got, TruncSeries(got.coeffs, 2, L * 0))
