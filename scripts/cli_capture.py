@@ -14,10 +14,13 @@ Q[L] exponent, ``L^-2``, ``1/3`` and zero exponents, a Q[u,v] exponent),
 paths of the rings (a scalar that cancels or zeroes a polynomial, a
 one-term factor with negative or two-variable exponents, and ``pow``,
 ``factorize`` and ``lambda`` on Q[L] series whose coefficients are
-rationals or single terms, at orders 0-8), values given as separate words
+rationals or single terms, at orders 0-8), the grammar's literal monomials
+(``t^0``, ``t^k`` past the order, ``x^k`` with k <= 0, spaces inside a power
+or an atom, ``p``, ``e`` and ``s`` as plain variables), a Q base with a
+Q[L] exponent at orders 0 and 1, values given as separate words
 that start with ``-``, ``--input`` and ``@file`` values,
 malformed JSON values, size caps (the symmetric-function weight of ``*``
-and ``^`` among them) and error paths.  Two
+and ``^`` and the work of a series ``^`` among them) and error paths.  Two
 captures of the same seed, taken from two source trees, show whether a
 change kept the CLI's output byte-identical.
 
@@ -121,6 +124,21 @@ AT_ORDER = [
         for x_class in ("L^2 - 3*L + 1/2", "u*v - 1")
         for mode in ("invariants", "sign", "ordered")
     ),
+    # Literal monomials: t^k at and past the order, spaces inside a power
+    # or an atom, x^k with k <= 0, and p, e, s and pq as plain variables.
+    (["pow", "--base", "t^0 + 2*t", "--exponent", "L"], 8),
+    (["pow", "--base", "1 + t^9", "--exponent", "L"], 8),
+    (["pow", "--base", "1 + L*t^8 - t^9", "--exponent", "-1/2"], 8),
+    (["pow", "--base", "1 + t ^ 2 - p [2]*t", "--exponent", "1"], 2),
+    (["pow", "--base", "1 + L^-3*t^2", "--exponent", "L"], 4),
+    (["adams", "--element", "(L)^2 + L^0", "--k", "3"], 0),
+    (["pow", "--base", "1 + L^0*t", "--exponent", "1/2"], 3),
+    (["pow", "--base", "1 + p*t + e*s*t^2", "--exponent", "p - 1"], 4),
+    (["lambda", "--element", "p*e - s^2"], 3),
+    (["factorize", "--series", "1 + t^0*t - pq*t^2"], 4),
+    # A Q base with a Q[L] exponent at the smallest orders.
+    *((["pow", "--base", "1 + 2*t - 1/3*t^3", "--exponent", "L^2 - 1"], order) for order in (0, 1)),
+    *((["pow", "--base", "(1 + t)^3", "--exponent", "L"], order) for order in (0, 1)),
 ]
 # Operands that take the scalar and one-term paths of the rings: a scalar
 # that zeroes a polynomial or cancels its constant term, a one-term factor
@@ -204,6 +222,10 @@ ERRORS = [
     ["adams", "--element", "(p[1]+p[2]+p[3])^10*(p[1]+p[2]+p[3])^2", "--k", "1", "--order", "3"],
     ["pow", "--base", "(1+(p[1]+p[2]+p[3])*t)^11", "--exponent", "1", "--order", "3"],
     ["pow", "--base", "(1+(p[1]+p[2]+p[3])*t)^11", "--exponent", "1", "--order", "11"],
+    ["pow", "--base", "1 + t^-1", "--exponent", "1", "--order", "3"],
+    # Series powers past the work cap: 5 s and 14 s of work where they run.
+    ["pow", "--base", "(1 + (L + 1)*t)^1000", "--exponent", "1", "--order", "66"],
+    ["pow", "--base", "(1+(h[0]+h[1]+h[2]+h[3]+h[4]+h[5])*t)^100", "--exponent", "1", "--order", "5"],
     ["irr", "--vars", "7", "--degree", "1"],
     ["irr", "--vars", "2", "--degree", "17", "--target", "euler"],
     ["hyperelliptic", "--genus", "128"],

@@ -12,9 +12,10 @@ an integer exponent of ``^`` or of a polynomial term read from JSON at
 :data:`rings.MAX_EXPONENT` (also the degree a nested ``^`` would build),
 the weight of an ``h``, ``e`` or ``s`` atom at
 :data:`parsing.MAX_ATOM_WEIGHT`, the weight a ``*`` of two symmetric
-functions or a ``^`` would build at :data:`parsing.MAX_WEIGHT` and the
-weight of the ``schur`` input at :data:`MAX_SCHUR_WEIGHT`; a value out of
-range exits 2 with one line.  Series division is not capped.
+functions or a ``^`` would build at :data:`parsing.MAX_WEIGHT`, the work a
+series ``^`` would do at :data:`parsing.MAX_POWER_WORK` and the weight of
+the ``schur`` input at :data:`MAX_SCHUR_WEIGHT`; a value out of range exits
+2 with one line.  Series division is not capped.
 
 Values are written in the grammar of :mod:`powerstruct.parsing`, and a
 series value may keep the ``+ O(t^M)`` tail of printed output.  Any
@@ -142,18 +143,20 @@ def _emit(value, fmt: str) -> str:
 # -- parameter plumbing ------------------------------------------------------------
 
 
-def _load_at_value(raw: str):
-    """Values starting with @ name a JSON file holding the value."""
-    if raw.startswith("@"):
+def _load_at_value(raw):
+    """Values starting with @ name a JSON file holding the value; any other
+    value stays as it is: text, or the tokens of a text."""
+    if isinstance(raw, str) and raw.startswith("@"):
         data = json.loads(Path(raw[1:]).read_text())
         return value_from_json(data)
     return raw
 
 
 def _load_or_parse(raw, bound: int | None = None, vars: tuple[str, ...] | None = None):
-    """An @file value as loaded, or text parsed without the series variable."""
+    """An @file value as loaded, or text (or its tokens) parsed without the
+    series variable."""
     loaded = _load_at_value(raw)
-    if not isinstance(loaded, str):
+    if not isinstance(loaded, (str, list)):
         return loaded
     return parsing.parse_expression(loaded, order=None, bound=bound, vars=vars)
 
@@ -170,25 +173,33 @@ def _parse_element(raw, order: int, vars: tuple[str, ...] | None = None):
 _ORDER_TAIL = re.compile(r"\+\s*O\(\s*t\s*\^\s*([1-9]\d*)\s*\)\s*$")
 
 
+def _series_text(text: str, order: int) -> tuple[str, int]:
+    """A series text without its ``+ O(t^M)`` tail, and the order through
+    which it is known."""
+    tail = _ORDER_TAIL.search(text)
+    if tail is None:
+        return text, order
+    return text[: tail.start()], min(int(tail.group(1)) - 1, order)
+
+
 def _parse_series_arg(raw, order: int, vars: tuple[str, ...] | None = None) -> TruncSeries:
     loaded = _load_at_value(raw)
+    known = order
     if isinstance(loaded, str):
-        tail = _ORDER_TAIL.search(loaded)
-        known = min(int(tail.group(1)) - 1, order) if tail else order
-        loaded = parsing.parse_series(_ORDER_TAIL.sub("", loaded), known, bound=order, vars=vars)
-    if not isinstance(loaded, TruncSeries):
-        return TruncSeries.constant(loaded, order)
-    if loaded.order < order:
-        raise PowerStructError(f"input series has order {loaded.order}, need {order}")
-    return loaded.truncate(order)
+        loaded, known = _series_text(loaded, order)
+    return _as_series(loaded, known, order, vars)
 
 
-def _shared_vars(*texts: str) -> tuple[str, ...]:
-    names: set[str] = set()
-    for text in texts:
-        if not text.startswith("@"):
-            names.update(parsing.scan_variables(text))
-    return tuple(sorted(names))
+def _as_series(value, known: int, order: int, vars: tuple[str, ...] | None) -> TruncSeries:
+    """A series value, or the text or tokens of one known through ``known``,
+    as a series of order ``order``."""
+    if isinstance(value, (str, list)):
+        value = parsing.parse_series(value, known, bound=order, vars=vars)
+    if not isinstance(value, TruncSeries):
+        return TruncSeries.constant(value, order)
+    if value.order < order:
+        raise PowerStructError(f"input series has order {value.order}, need {order}")
+    return value.truncate(order)
 
 
 # -- command handlers ---------------------------------------------------------------
@@ -200,9 +211,18 @@ def _cmd_lambda(params, order, fmt):
 
 
 def _cmd_pow(params, order, fmt):
-    vars = _shared_vars(_ORDER_TAIL.sub("", params["base"]), params["exponent"])
-    base = _parse_series_arg(params["base"], order, vars)
-    exponent = _parse_element(params["exponent"], order, vars)
+    # Each text is scanned once: the alphabet the two values share comes
+    # from the tokens that are then parsed.
+    base, exponent = params["base"], params["exponent"]
+    known = order
+    if not base.startswith("@"):
+        text, known = _series_text(base, order)
+        base = parsing.tokenize(text)
+    if not exponent.startswith("@"):
+        exponent = parsing.tokenize(exponent)
+    vars = parsing.variables(*(v for v in (base, exponent) if isinstance(v, list)))
+    base = _as_series(_load_at_value(base), known, order, vars)
+    exponent = _parse_element(exponent, order, vars)
     result = power_op(base, exponent, params.get("algorithm", "factorize"))
     return 0, _emit(result, fmt)
 

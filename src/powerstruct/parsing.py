@@ -16,8 +16,12 @@ One grammar covers every value the command line accepts:
   weight beyond :data:`MAX_WEIGHT`, through series coefficients too:
   ``(p[1]+p[2]+p[3])^11`` and ``h[20]*h[11]`` are refused before they are
   computed, while ``2*h[40]`` parses; a series power counts only the
-  coefficients it keeps, so ``(1 + p[1]^11*t)^3`` parses at order 1.
-  Series division is not capped
+  coefficients it keeps, so ``(1 + p[1]^11*t)^3`` parses at order 1
+* no series ``^`` may do more work than :data:`MAX_POWER_WORK` term
+  products, estimated from the terms its coefficients can reach:
+  ``(1 + (h[0]+...+h[5])*t)^1000`` at order 5 is refused before its first
+  product, while ``(1 + t)^1000`` parses at order 256.  Series division is
+  not capped
 
 so ``1/2*p[1,1] + 1/2*p[2]``, ``L^5 - L^2``, ``1/(1 - L*t)`` and
 ``(1 + t)^3`` all parse.  The name ``t`` is reserved, and ``p``/``h``/``e``/
@@ -27,15 +31,17 @@ so ``1/2*p[1,1] + 1/2*p[2]``, ``L^5 - L^2``, ``1/(1 - L*t)`` and
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import LimitError, ParseError
-from .rings import MAX_EXPONENT, SCALAR_TYPES, LaurentPoly, Rational
+from .rings import _ONE, _ZERO, MAX_EXPONENT, SCALAR_TYPES, LaurentPoly, Rational
 from .series import TruncSeries
 from .symfunc import SymFunc, basis_in_p
 
+# One token after any whitespace; a character no token starts with is
+# matched alone as "bad", so the scan never skips one.
 _TOKEN_RE = re.compile(
-    r"(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^()\[\],])"
+    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^()\[\],])|(?P<bad>\S))"
 )
 
 _BASIS_NAMES = ("p", "h", "e", "s")
@@ -52,28 +58,30 @@ MAX_ATOM_WEIGHT = 40
 # (h[0]+...+h[10])^3 6.7 s.  At 30 the slowest takes about half the ~12 s
 # of the slowest atom, which leaves room for the machine's speed drift.
 MAX_WEIGHT = 30
+# Largest estimated work of a series ``^``, in term products (see
+# _power_work).  On a 2-core machine one symmetric-function term product
+# takes 10-17 us and a polynomial one 2-8 us.  Near the cap,
+# (1 + (h[0]+...+h[15])*t)^3 at order 2 (work 966000) takes 15.7 s,
+# (1 + (h[0]+...+h[5])*t)^31 at order 5 (921000) 9.7 s and
+# (1 + (L+1)*t)^1000 at order 64 (935000) 5 s; refused,
+# (1 + (h[0]+...+h[5])*t)^1000 took 32 s at order 5 (2170000) and 124 s
+# at order 6 (12300000).
+MAX_POWER_WORK = 10**6
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    position: int
+Token = tuple[str, str, int]
 
 
-def _tokenize(text: str) -> list[_Token]:
+def tokenize(text: str) -> list[Token]:
+    """The (kind, text, position) of each integer, name and operator of an
+    expression, in one pass; kind is ``int``, ``name`` or ``op``."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        match = _TOKEN_RE.match(text, pos)
-        if not match:
-            raise ParseError(f"unexpected character {text[pos]!r} at position {pos}")
+    for match in _TOKEN_RE.finditer(text):
         kind = match.lastgroup
-        tokens.append(_Token(kind, match.group(), pos))
-        pos = match.end()
+        position = match.start(kind)
+        if kind == "bad":
+            raise ParseError(f"unexpected character {text[position]!r} at position {position}")
+        tokens.append((kind, match[kind], position))
     return tokens
 
 
@@ -104,10 +112,105 @@ def _check_weight(weight: int, what: str, position: int) -> None:
         raise LimitError(f"{what} of weight {weight} at position {position} exceeds the limit {MAX_WEIGHT}")
 
 
+def _terms(value) -> list[tuple[int, tuple[int, ...]]]:
+    """(weight, exponents) of each term of a coefficient."""
+    if isinstance(value, SymFunc):
+        return [(sum(partition), exps) for partition, c in value.terms.items() for exps in c.terms]
+    if isinstance(value, LaurentPoly):
+        return [(0, exps) for exps in value.terms]
+    return [(0, ())] if value else []
+
+
+def _partition_counts(weight: int, bound: int) -> list[int]:
+    """For each w <= weight, the partitions of weight at most w with parts
+    at most bound."""
+    counts = [1] + [0] * weight
+    for part in range(1, min(weight, bound) + 1):
+        for w in range(part, weight + 1):
+            counts[w] += counts[w - part]
+    for w in range(1, weight + 1):
+        counts[w] += counts[w - 1]
+    return counts
+
+
+def _power_work(base: TruncSeries, n: int, weight: int) -> int:
+    """An upper estimate of the term products that ``base ** n`` makes by
+    binary powering: over its series products, the term products of
+    coefficients holding every term they can reach.
+
+    With a constant term c, the t^k coefficient of base ** a (or of a power
+    of the inverse that a negative n raises) sums c-multiples of products
+    of f <= k terms of a_1, ..., a_k whose t-degrees add up to k, f <= a
+    for n >= 0.  So it has no more terms than there are such multisets,
+    nor than fit in the weights (up to ``weight``, the grammar's bound) and
+    exponents that f terms reach; with any other constant term, f = a (a +
+    k for n < 0) and only the second bound holds.  A product of
+    one-variable polynomials is counted as the sum of their terms (it packs
+    them into integers), any other as the product."""
+    order, zero = base.order, base._zero
+    per_index = [_terms(c) for c in base.coeffs]
+    constant = per_index[0] == [(0, (0,) * len(getattr(zero, "vars", ())))]
+    everything = [term for terms in per_index for term in terms]
+    spans = [max(e) - min(e) for e in zip(*(exps for _, exps in everything))]
+    top = max((w for w, _ in everything), default=0)
+    partitions = _partition_counts(weight, zero.bound) if isinstance(zero, SymFunc) else None
+    # multisets[k]: multisets of terms of a_1, a_2, ... whose t-degrees add up to k
+    multisets = [1] + [0] * order
+    for j, terms in enumerate(per_index[1:], start=1):
+        for _ in terms:
+            for k in range(j, order + 1):
+                multisets[k] += multisets[k - j]
+
+    def reach(a: int) -> list[int]:
+        if a == 1 and n > 0:
+            return [len(terms) for terms in per_index]
+        out = []
+        for k in range(order + 1):
+            if constant:
+                f = min(a, k) if n > 0 else k
+            else:
+                f = a if n > 0 else a + k
+            terms = 1
+            for span in spans:
+                terms *= f * span + 1
+            if partitions is not None:
+                terms *= partitions[min(weight, top * f)]
+            out.append(min(terms, multisets[k]) if constant else terms)
+        return out
+
+    packed = isinstance(zero, LaurentPoly) and len(zero.vars) == 1
+
+    def product(x: list[int], y: list[int]) -> int:
+        if packed:
+            x_count = list(accumulate(1 if c else 0 for c in x))
+            y_count = list(accumulate(1 if c else 0 for c in y))
+            return sum(c * y_count[order - i] for i, c in enumerate(x)) + sum(
+                c * x_count[order - j] for j, c in enumerate(y)
+            )
+        y_sum = list(accumulate(y))
+        return sum(c * y_sum[order - i] for i, c in enumerate(x))
+
+    # The steps of arith.binary_power: result = base ** done, power = base ** a.
+    work, m = 0, abs(n)
+    result, done = [1] + [0] * order, 0
+    power, a = reach(1), 1
+    while m:
+        if m & 1:
+            work += product(result, power)
+            done += a
+            result = reach(done)
+        if m > 1:
+            work += product(power, power)
+            a *= 2
+            power = reach(a)
+        m >>= 1
+    return work
+
+
 class _Parser:
     def __init__(
         self,
-        tokens: list[_Token],
+        tokens: list[Token],
         order: int | None,
         bound: int | None,
         vars: tuple[str, ...],
@@ -117,11 +220,18 @@ class _Parser:
         self.order = order
         self.bound = bound
         self.vars = vars
+        # t and its powers are built over the alphabet's ring, so that a
+        # polynomial coefficient scales them without a promotion.
+        if vars:
+            self.zero = LaurentPoly._raw(vars, {})
+            self.one = LaurentPoly._raw(vars, {(0,) * len(vars): _ONE})
+        else:
+            self.zero, self.one = _ZERO, _ONE
 
-    def peek(self) -> _Token | None:
+    def peek(self) -> Token | None:
         return self.tokens[self.index] if self.index < len(self.tokens) else None
 
-    def next(self) -> _Token:
+    def next(self) -> Token:
         token = self.peek()
         if token is None:
             raise ParseError("unexpected end of expression")
@@ -129,20 +239,21 @@ class _Parser:
         return token
 
     def expect_op(self, op: str) -> None:
-        token = self.next()
-        if token.kind != "op" or token.text != op:
-            raise ParseError(f"expected {op!r} at position {token.position}")
+        kind, text, position = self.next()
+        if kind != "op" or text != op:
+            raise ParseError(f"expected {op!r} at position {position}")
 
     def at_op(self, *ops: str) -> bool:
+        # Only an operator token has an operator's text.
         token = self.peek()
-        return token is not None and token.kind == "op" and token.text in ops
+        return token is not None and token[1] in ops
 
     # precedence: sum < product < unary < power < primary
 
     def parse_sum(self):
         value = self.parse_product()
         while self.at_op("+", "-"):
-            op = self.next().text
+            op = self.next()[1]
             rhs = self.parse_product()
             value = value + rhs if op == "+" else value - rhs
         return value
@@ -150,15 +261,15 @@ class _Parser:
     def parse_product(self):
         value = self.parse_unary()
         while self.at_op("*", "/"):
-            op = self.next()
+            _, op, position = self.next()
             rhs = self.parse_unary()
-            if op.text == "*":
+            if op == "*":
                 weights = _weight(value), _weight(rhs)
                 if min(weights) > 0:
-                    _check_weight(sum(weights), "product", op.position)
+                    _check_weight(sum(weights), "product", position)
                 value = value * rhs
             elif isinstance(rhs, SCALAR_TYPES) and not rhs:
-                raise ParseError(f"division by zero at position {op.position}")
+                raise ParseError(f"division by zero at position {position}")
             else:
                 value = value / rhs
         return value
@@ -173,26 +284,42 @@ class _Parser:
         return self.parse_power()
 
     def parse_power(self):
+        start = self.index
         base = self.parse_primary()
-        if self.at_op("^"):
-            op = self.next()
-            exponent = self.parse_int_exponent()
-            if exponent < 0 and isinstance(base, SCALAR_TYPES) and not base:
-                raise ParseError(f"division by zero at position {op.position}")
-            degree = _degree(base) * abs(exponent)
-            if degree > MAX_EXPONENT:
+        if not self.at_op("^"):
+            return base
+        # One name token read: the base is t or a variable.
+        literal = self.index == start + 1 and self.tokens[start][0] == "name"
+        position = self.next()[2]
+        exponent = self.parse_int_exponent()
+        if exponent < 0 and isinstance(base, SCALAR_TYPES) and not base:
+            raise ParseError(f"division by zero at position {position}")
+        degree = _degree(base) * abs(exponent)
+        if degree > MAX_EXPONENT:
+            raise LimitError(
+                f"power of degree {degree} at position {position} exceeds the limit {MAX_EXPONENT}"
+            )
+        # A kept coefficient of a series power with a weight-0 constant
+        # term multiplies at most min(n, order) coefficients of positive
+        # weight; a negative power divides and keeps the plain bound.
+        times = abs(exponent)
+        if isinstance(base, TruncSeries) and exponent >= 0 and not _weight(base.coeffs[0]):
+            times = min(exponent, base.order)
+        weight = _weight(base) * times
+        _check_weight(weight, "power", position)
+        if isinstance(base, TruncSeries) and not literal:
+            work = _power_work(base, exponent, weight)
+            if work > MAX_POWER_WORK:
                 raise LimitError(
-                    f"power of degree {degree} at position {op.position} exceeds the limit {MAX_EXPONENT}"
+                    f"series power of work {work} at position {position} exceeds the limit {MAX_POWER_WORK}"
                 )
-            # A kept coefficient of a series power with a weight-0 constant
-            # term multiplies at most min(n, order) coefficients of positive
-            # weight; a negative power divides and keeps the plain bound.
-            times = abs(exponent)
-            if isinstance(base, TruncSeries) and exponent >= 0 and not _weight(base.coeffs[0]):
-                times = min(exponent, base.order)
-            _check_weight(_weight(base) * times, "power", op.position)
-            return base ** exponent
-        return base
+        if literal:
+            name = self.tokens[start][1]
+            if name != "t":
+                return self._monomial(name, exponent)
+            if exponent >= 0:
+                return self._t_power(exponent)
+        return base ** exponent
 
     def parse_int_exponent(self) -> int:
         if self.at_op("("):
@@ -204,14 +331,14 @@ class _Parser:
         if self.at_op("-"):
             self.next()
             sign = -1
-        token = self.next()
-        if token.kind != "int":
-            raise ParseError(f"expected an integer exponent at position {token.position}")
-        if int(token.text) > MAX_EXPONENT:
+        kind, text, position = self.next()
+        if kind != "int":
+            raise ParseError(f"expected an integer exponent at position {position}")
+        if int(text) > MAX_EXPONENT:
             raise LimitError(
-                f"exponent {token.text} at position {token.position} exceeds the limit {MAX_EXPONENT}"
+                f"exponent {text} at position {position} exceeds the limit {MAX_EXPONENT}"
             )
-        return sign * int(token.text)
+        return sign * int(text)
 
     def parse_int_list(self) -> list[int]:
         parts: list[int] = []
@@ -220,35 +347,47 @@ class _Parser:
             self.next()
             return parts
         while True:
-            token = self.next()
-            if token.kind != "int":
-                raise ParseError(f"expected an integer at position {token.position}")
-            parts.append(int(token.text))
+            kind, text, position = self.next()
+            if kind != "int":
+                raise ParseError(f"expected an integer at position {position}")
+            parts.append(int(text))
             if self.at_op("]"):
                 self.next()
                 return parts
             self.expect_op(",")
 
     def parse_primary(self):
-        token = self.next()
-        if token.kind == "int":
-            return Rational(int(token.text))
-        if token.kind == "op" and token.text == "(":
+        kind, text, position = self.next()
+        if kind == "int":
+            return Rational(int(text))
+        if text == "(":
             value = self.parse_sum()
             self.expect_op(")")
             return value
-        if token.kind == "name":
-            name = token.text
-            if name in _BASIS_NAMES and self.at_op("["):
-                return self._basis_atom(name, token.position)
-            if name == "t":
+        if kind == "name":
+            if text in _BASIS_NAMES and self.at_op("["):
+                return self._basis_atom(text, position)
+            if text == "t":
                 if self.order is None:
                     raise ParseError("the series variable t needs a truncation order")
-                return TruncSeries.t_var(self.order)
-            if name not in self.vars:
-                raise ParseError(f"unknown variable {name!r}")
-            return LaurentPoly.var(name, self.vars)
-        raise ParseError(f"unexpected token {token.text!r} at position {token.position}")
+                return self._t_power(1)
+            if text not in self.vars:
+                raise ParseError(f"unknown variable {text!r}")
+            return self._monomial(text, 1)
+        raise ParseError(f"unexpected token {text!r} at position {position}")
+
+    def _t_power(self, k: int) -> TruncSeries:
+        """t^k for k >= 0: one coefficient 1, none past the order."""
+        coeffs = [self.zero] * (self.order + 1)
+        if k <= self.order:
+            coeffs[k] = self.one
+        return TruncSeries._raw(coeffs, self.order, self.zero)
+
+    def _monomial(self, name: str, k: int) -> LaurentPoly:
+        """name^k as a one-term polynomial over the alphabet."""
+        exps = [0] * len(self.vars)
+        exps[self.vars.index(name)] = k
+        return LaurentPoly._raw(self.vars, {tuple(exps): _ONE})
 
     def _basis_atom(self, name: str, position: int):
         if self.bound is None:
@@ -267,44 +406,41 @@ class _Parser:
         return basis_in_p(name, parts[0] if name in ("h", "e") else tuple(parts), self.bound)
 
 
-def scan_variables(text: str) -> tuple[str, ...]:
-    """Variable names used by an expression (excluding t and basis atoms)."""
-    tokens = _tokenize(text)
+def variables(*token_lists: list[Token]) -> tuple[str, ...]:
+    """The sorted variable names of expressions given by their tokens: every
+    name but t and a p, h, e or s directly followed by ``[``."""
     names = set()
-    for i, token in enumerate(tokens):
-        if token.kind != "name" or token.text == "t":
-            continue
-        follows_bracket = (
-            i + 1 < len(tokens)
-            and tokens[i + 1].kind == "op"
-            and tokens[i + 1].text == "["
-        )
-        if token.text in _BASIS_NAMES and follows_bracket:
-            continue
-        names.add(token.text)
+    for tokens in token_lists:
+        for i, (kind, text, _) in enumerate(tokens):
+            if kind != "name" or text == "t":
+                continue
+            if text in _BASIS_NAMES and i + 1 < len(tokens) and tokens[i + 1][1] == "[":
+                continue
+            names.add(text)
     return tuple(sorted(names))
 
 
 def parse_expression(
-    text: str,
+    text: str | list[Token],
     order: int | None = None,
     bound: int | None = None,
     vars: tuple[str, ...] | None = None,
 ):
-    """Parse and evaluate; the result is a Fraction, LaurentPoly, SymFunc or
-    TruncSeries depending on which atoms appear."""
-    tokens = _tokenize(text)
+    """Parse and evaluate an expression, given as text or as the tokens
+    :func:`tokenize` made of it; the result is a Fraction, LaurentPoly,
+    SymFunc or TruncSeries depending on which atoms appear."""
+    tokens = tokenize(text) if isinstance(text, str) else text
     if not tokens:
         raise ParseError("empty expression")
     if vars is None:
-        vars = scan_variables(text)
+        vars = variables(tokens)
     if bound is None:
         bound = order
     parser = _Parser(tokens, order, bound, tuple(vars))
     value = parser.parse_sum()
     if parser.peek() is not None:
-        token = parser.peek()
-        raise ParseError(f"trailing input {token.text!r} at position {token.position}")
+        _, text, position = parser.peek()
+        raise ParseError(f"trailing input {text!r} at position {position}")
     return value
 
 

@@ -231,31 +231,44 @@ def character_table(n: int) -> dict[tuple[tuple[int, ...], tuple[int, ...]], int
     """Irreducible symmetric-group characters chi^lambda(mu) for weight n.
 
     chi^lambda(mu) is the coefficient of x^(lambda + delta) in
-    prod_{i<j}(x_i - x_j) * p_mu(x) over n variables, delta = (n-1, ..., 0).
-    Plain polynomial arithmetic; independent of any basis-conversion code.
+    a_delta * p_mu(x) over n variables, delta = (n-1, ..., 0), where
+    a_delta = prod_{i<j}(x_i - x_j) = sum_sigma sgn(sigma) x^(sigma delta).
+    Only p_mu is expanded: each of its terms c x^alpha adds c sgn(sigma)
+    where lambda + delta - alpha is a permutation sigma of delta.  Plain
+    polynomial arithmetic; independent of any basis-conversion code.
     """
     names = tuple(f"x{i}" for i in range(n))
     gens = [LaurentPoly.var(name, names) for name in names]
-    vandermonde = LaurentPoly.constant(1, names)
-    for i in range(n):
-        for j in range(i + 1, n):
-            vandermonde = vandermonde * (gens[i] - gens[j])
     delta = tuple(n - 1 - i for i in range(n))
     table: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
     for mu in partitions_of(n):
-        product = vandermonde
+        p_mu = LaurentPoly.constant(1, names)
         for part in mu:
             power_sum = LaurentPoly.zero(names)
             for g in gens:
                 power_sum = power_sum + g**part
-            product = product * power_sum
+            p_mu = p_mu * power_sum
         for lam in partitions_of(n):
             padded = tuple(lam) + (0,) * (n - len(lam))
             target = tuple(p + d for p, d in zip(padded, delta))
-            coeff = product.terms.get(target, Fraction(0))
-            if coeff:
-                table[(lam, mu)] = int(coeff)
+            total = Fraction(0)
+            for alpha, coeff in p_mu.terms.items():
+                sign = _alternant_sign(tuple(x - a for x, a in zip(target, alpha)), delta)
+                if sign:
+                    total += sign * coeff
+            if total:
+                table[(lam, mu)] = int(total)
     return table
+
+
+def _alternant_sign(beta: tuple[int, ...], delta: tuple[int, ...]) -> int:
+    """sgn(sigma) when beta = sigma delta for a permutation sigma, else 0;
+    delta is strictly decreasing, so sigma's inversions are beta's
+    ascents."""
+    if sorted(beta, reverse=True) != list(delta):
+        return 0
+    ascents = sum(beta[i] < beta[j] for i in range(len(beta)) for j in range(i + 1, len(beta)))
+    return -1 if ascents % 2 else 1
 
 
 def _crit_schur_oracle() -> tuple[bool, str]:

@@ -175,10 +175,10 @@ class TruncSeries(_Value):
 
     def scale(self, factor) -> "TruncSeries":
         """Multiply every coefficient by a ring element."""
-        if isinstance(factor, SCALAR_TYPES):
-            zero = self._zero
+        zero = self._zero
+        if isinstance(factor, SCALAR_TYPES) or _in_ring(factor, zero):
             return TruncSeries._raw([factor * c if c else zero for c in self.coeffs], self.order, zero)
-        zero = _ring_zero((factor,), self._zero)
+        zero = _ring_zero((factor,), zero)
         return TruncSeries(
             [factor * c if c else zero for c in self.coeffs], self.order, zero
         )

@@ -1,16 +1,20 @@
 """The expression grammar."""
 
+import re
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
-from powerstruct import LaurentPoly, LimitError, ParseError, SymFunc, TruncSeries, basis_in_p
+from powerstruct import ConstantTermError, LaurentPoly, LimitError, ParseError, SymFunc, TruncSeries, basis_in_p
 from powerstruct.parsing import (
     parse_expression,
     parse_poly,
     parse_series,
     parse_symfunc,
-    scan_variables,
+    tokenize,
+    variables,
 )
 
 L = LaurentPoly.var("L")
@@ -186,5 +190,188 @@ class TestErrors:
 
 
 def test_scan_variables():
-    assert scan_variables("1/2*p[1,1] + u*t + L") == ("L", "u")
-    assert scan_variables("h[2] + e[3] + s[1]") == ()
+    assert variables(tokenize("1/2*p[1,1] + u*t + L")) == ("L", "u")
+    assert variables(tokenize("h[2] + e[3] + s[1]")) == ()
+
+
+# -- differential tests of the one-pass hot path ---------------------------------
+
+_OLD_TOKEN_RE = re.compile(r"(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^()\[\],])")
+
+
+def reference_tokens(text):
+    """The character-by-character tokenizer the one-pattern scan replaced."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        if text[pos].isspace():
+            pos += 1
+            continue
+        match = _OLD_TOKEN_RE.match(text, pos)
+        if not match:
+            raise ParseError(f"unexpected character {text[pos]!r} at position {pos}")
+        tokens.append((match.lastgroup, match.group(), pos))
+        pos = match.end()
+    return tokens
+
+
+def ring_of(value):
+    """What a parse result's ring is made of: class, alphabet and bound."""
+    if isinstance(value, TruncSeries):
+        return ("series", value.order, *ring_of(value._zero))
+    return (type(value).__name__, getattr(value, "vars", None), getattr(value, "bound", None))
+
+
+class Node:
+    """A generated expression: its text, the variables it names, and its
+    value built through the ring API over a given alphabet."""
+
+    def __init__(self, text, names, build):
+        self.text, self.names, self.build = text, frozenset(names), build
+
+    def __repr__(self):
+        return repr(self.text)
+
+
+VARIABLES = ["L", "u", "v", "p", "e", "s", "pq"]
+
+
+@st.composite
+def leaves(draw, order, bound):
+    kind = draw(st.sampled_from(["int", "var", "var_power", "t", "t_power", "atom", "int_power"]))
+    space = draw(st.sampled_from(["", " "]))
+    if kind == "int":
+        n = draw(st.integers(0, 5))
+        return Node(str(n), (), lambda vars: Fraction(n))
+    if kind == "int_power":
+        n, k = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+        return Node(f"({n}){space}^{space}{k}", (), lambda vars: Fraction(n) ** k)
+    if kind in ("var", "var_power"):
+        x = draw(st.sampled_from(VARIABLES))
+        if kind == "var":
+            return Node(x, {x}, lambda vars: LaurentPoly.var(x, vars))
+        k = draw(st.integers(-4, 4))
+        exponent = draw(st.sampled_from([str(k), f"({k})"]))
+        return Node(f"{x}{space}^{space}{exponent}", {x}, lambda vars: LaurentPoly.var(x, vars) ** k)
+    if kind == "t":
+        return Node("t", (), lambda vars: TruncSeries.t_var(order))
+    if kind == "t_power":
+        k = draw(st.integers(0, order + 2))
+        return Node(f"t{space}^{space}{k}", (), lambda vars: TruncSeries.t_var(order) ** k)
+    name = draw(st.sampled_from(["p", "h", "e", "s"]))
+    parts = (draw(st.integers(1, 2)),) if name in "he" else tuple(draw(st.sampled_from([(1,), (2,), (1, 1), (2, 1)])))
+    index = ",".join(map(str, parts))
+    key = parts[0] if name in "he" else parts
+    return Node(f"{name}{space}[{index}]", (), lambda vars: basis_in_p(name, key, bound))
+
+
+def combine(children):
+    def join(pair, op):
+        a, b = pair
+        names = a.names | b.names
+        if op == "+":
+            return Node(f"{a.text} + {b.text}", names, lambda vars: a.build(vars) + b.build(vars))
+        if op == "-":
+            return Node(f"{a.text} - ({b.text})", names, lambda vars: a.build(vars) - b.build(vars))
+        return Node(f"({a.text})*({b.text})", names, lambda vars: a.build(vars) * b.build(vars))
+
+    def divide(node, n):
+        return Node(f"({node.text})/{n}", node.names, lambda vars: node.build(vars) / Fraction(n))
+
+    return st.one_of(
+        st.builds(join, st.tuples(children, children), st.sampled_from(["+", "-", "*"])),
+        st.builds(divide, children, st.integers(1, 4)),
+    )
+
+
+@st.composite
+def expressions(draw, symmetric=True):
+    order = draw(st.integers(0, 6))
+    bound = 3
+    leaf = leaves(order, bound)
+    if not symmetric:
+        leaf = leaf.filter(lambda node: "[" not in node.text)
+    node = draw(st.recursive(leaf, combine, max_leaves=5))
+    return node, order, bound
+
+
+class TestOnePass:
+    """The one-pass hot path against the values the ring API builds and the
+    tokens of the character-by-character scan."""
+
+    @given(expressions())
+    @settings(max_examples=300, deadline=None)
+    def test_value_and_ring(self, case):
+        node, order, bound = case
+        expected = node.build(tuple(sorted(node.names)))
+        value = parse_expression(node.text, order=order, bound=bound)
+        assert value == expected, node.text
+        assert ring_of(value) == ring_of(expected), node.text
+
+    @given(expressions(symmetric=False), st.sampled_from([("L",), ("L", "u"), ("e", "p", "pq", "s", "u", "v")]))
+    @settings(max_examples=150, deadline=None)
+    def test_value_over_a_wider_alphabet(self, case, extra):
+        """Over an alphabet given by the caller (the one pow shares between
+        base and exponent), t is built over the polynomials of that alphabet."""
+        node, order, bound = case
+        vars = tuple(sorted(node.names | set(extra)))
+        value = parse_expression(node.text, order=order, bound=bound, vars=vars)
+        assert value == node.build(vars), node.text
+        if isinstance(value, TruncSeries):
+            assert ring_of(value._zero) == ("LaurentPoly", vars, None), node.text
+
+    @given(st.text(alphabet="tLp0123 \t^*+-/()[],$é _x", max_size=20))
+    @settings(max_examples=500, deadline=None)
+    def test_tokens(self, text):
+        try:
+            expected = reference_tokens(text)
+        except ParseError as exc:
+            with pytest.raises(ParseError, match=f"^{re.escape(str(exc))}$"):
+                tokenize(text)
+        else:
+            assert tokenize(text) == expected
+
+    @pytest.mark.parametrize(
+        "text, order, k",
+        [("t^0", 3, 0), ("t ^ 3", 3, 3), ("t^4", 3, None), ("t^9", 8, None), ("t^0", 0, 0), ("t^1", 0, None)],
+    )
+    def test_t_power(self, text, order, k):
+        value = parse_expression(text, order=order)
+        assert value.coeffs == tuple(Fraction(int(j == k)) for j in range(order + 1))
+
+    @pytest.mark.parametrize("text, exps", [("x^0", (0,)), ("x^-3", (-3,)), ("x ^ (-2)", (-2,)), ("(x)^2", (2,))])
+    def test_variable_power(self, text, exps):
+        assert parse_expression(text).terms == {exps: 1}
+
+    @pytest.mark.parametrize(
+        "text, order, error, message",
+        [
+            ("1 +", 3, ParseError, "unexpected end of expression"),
+            ("t ^ x", 3, ParseError, "expected an integer exponent at position 4"),
+            ("p [2", 3, ParseError, "unexpected end of expression"),
+            ("L^", None, ParseError, "unexpected end of expression"),
+            ("t ^ 1001", 3, LimitError, "exponent 1001 at position 4 exceeds the limit 1000"),
+            ("t^2", None, ParseError, "the series variable t needs a truncation order"),
+            ("1 $ 2", None, ParseError, "unexpected character '$' at position 2"),
+            ("1 2", None, ParseError, "trailing input '2' at position 2"),
+            (")", None, ParseError, "unexpected token ')' at position 0"),
+            ("h [1, 2]", 3, ParseError, "h[...] takes exactly one index (position 0)"),
+            ("t ^ -1", 2, ConstantTermError, "leading coefficient 0 is not invertible"),
+            ("x ^ ( - 3", None, ParseError, "unexpected end of expression"),
+            ("p [2] ^ 1001", 3, LimitError, "exponent 1001 at position 8 exceeds the limit 1000"),
+            ("e[1,]", 3, ParseError, "expected an integer at position 4"),
+            ("2 ^ t", 2, ParseError, "expected an integer exponent at position 4"),
+            ("L ^ 2 ^ 3", None, ParseError, "trailing input '^' at position 6"),
+            ("  ", None, ParseError, "empty expression"),
+            ("é", None, ParseError, "unexpected character 'é' at position 0"),
+        ],
+    )
+    def test_malformed(self, text, order, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            parse_expression(text, order=order)
+
+    def test_variables_come_from_the_tokens(self):
+        tokens = tokenize("p*t + e [2] + s^2 - pq")
+        assert variables(tokens) == ("p", "pq", "s")
+        assert variables(tokens, tokenize("u + h[1]")) == ("p", "pq", "s", "u")
+        assert parse_expression(tokens, order=2, bound=2) == parse_expression("p*t + e [2] + s^2 - pq", order=2, bound=2)

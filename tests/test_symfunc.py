@@ -25,6 +25,29 @@ from powerstruct import (
 from powerstruct.reproduce import character_table
 from powerstruct.symfunc import _conjugate
 
+
+def full_product_character_table(n):
+    """chi^lambda(mu) as the coefficient of x^(lambda + delta) in the full
+    product prod_{i<j}(x_i - x_j) * p_mu(x) over n variables."""
+    names = tuple(f"x{i}" for i in range(n))
+    gens = [LaurentPoly.var(name, names) for name in names]
+    vandermonde = LaurentPoly.constant(1, names)
+    for i in range(n):
+        for j in range(i + 1, n):
+            vandermonde = vandermonde * (gens[i] - gens[j])
+    delta = tuple(n - 1 - i for i in range(n))
+    table = {}
+    for mu in partitions_of(n):
+        product = vandermonde
+        for part in mu:
+            product = product * sum((g**part for g in gens), LaurentPoly.zero(names))
+        for lam in partitions_of(n):
+            target = tuple(p + d for p, d in zip(tuple(lam) + (0,) * (n - len(lam)), delta))
+            coeff = product.terms.get(target, Fraction(0))
+            if coeff:
+                table[(lam, mu)] = int(coeff)
+    return table
+
 L = LaurentPoly.var("L")
 U = LaurentPoly.var("u", ("u", "v"))
 
@@ -277,6 +300,12 @@ class TestSchur:
         for lam, coeff in expansion.items():
             back = back + coeff * basis_in_p("s", lam, weight)
         assert back == f
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_alternant_table_by_coefficient_extraction(self, n):
+        """character_table reads chi^lambda(mu) off p_mu alone; the full
+        product a_delta * p_mu gives the same table."""
+        assert character_table(n) == full_product_character_table(n)
 
     def test_characters_match_the_alternant_table(self):
         """p_to_schur(p_mu) = sum_lambda chi^lambda(mu) s_lambda for every
