@@ -8,7 +8,7 @@ values over Q, Q[L], Q[u,v] and symmetric functions, zero exponents, both
 algorithms of ``pow`` and ``factorize``, the edges of the dense Euler-product
 route (one Q[L] ``pow`` and one ``factorize`` at order 24, a Q base with a
 Q[L] exponent, ``L^-2``, ``1/3`` and zero exponents, a Q[u,v] exponent),
-``schur`` at weights up to 11 and on tall partitions, ``config``,
+``schur`` at weights up to 14 and on tall and wide partitions, ``config``,
 ``quotient`` and ``moduli-g2`` at orders 12 and 24, the three ``config
 --specialize`` modes at order 16 over Q[L] and Q[u,v], the small-operand
 paths of the rings (a scalar that cancels or zeroes a polynomial, a
@@ -20,7 +20,8 @@ or an atom, ``p``, ``e`` and ``s`` as plain variables), a Q base with a
 Q[L] exponent at orders 0 and 1, values given as separate words
 that start with ``-``, ``--input`` and ``@file`` values,
 malformed JSON values, size caps (the symmetric-function weight of ``*``
-and ``^`` and the work of a series ``^`` among them) and error paths.  Two
+and ``^`` and the work of a series ``^`` and ``/`` among them) and error
+paths, digits outside 0-9 among them.  Two
 captures of the same seed, taken from two source trees, show whether a
 change kept the CLI's output byte-identical.
 
@@ -108,6 +109,13 @@ AT_ORDER = [
     (["schur", "--f", "s[1,1,1,1,1]"], 5),
     (["schur", "--f", "s[2,1,1,1,1,1]"], 7),
     (["schur", "--f", "e[6]"], 6),
+    # Schur expansions at weights 12-14: powers of p[1], a rational and a
+    # Q[L] combination, and a tall and a wide s[...].
+    *((["schur", "--f", f"p[1]^{w}"], w) for w in (12, 13, 14)),
+    (["schur", "--f", "1/2*p[1]^13 - 3/7*p[4]*p[3]*p[2]^3 + 2*p[13] - p[5,4,4]"], 13),
+    (["schur", "--f", "L*p[1]^12 - (L^2 - 1/2)*p[3]^4 + p[6,6]"], 12),
+    (["schur", "--f", "s[2,1,1,1,1,1,1,1,1,1,1,1,1]"], 14),
+    (["schur", "--f", "s[11,2,1]"], 14),
     # The cycle-index closed form of config, quotient and moduli-g2 past
     # the seeded orders.
     (["config", "--x-class", "L^2 - 3*L + 1/2"], 12),
@@ -226,6 +234,9 @@ ERRORS = [
     # Series powers past the work cap: 5 s and 14 s of work where they run.
     ["pow", "--base", "(1 + (L + 1)*t)^1000", "--exponent", "1", "--order", "66"],
     ["pow", "--base", "(1+(h[0]+h[1]+h[2]+h[3]+h[4]+h[5])*t)^100", "--exponent", "1", "--order", "5"],
+    # Series division past the work cap; the exponent t then fails, so a
+    # tree without the cap spends 6 s on the division alone.
+    ["pow", "--base", "1/(1-(h[0]+h[1]+h[2]+h[3]+h[4]+h[5])*t)", "--exponent", "t", "--order", "8"],
     ["irr", "--vars", "7", "--degree", "1"],
     ["irr", "--vars", "2", "--degree", "17", "--target", "euler"],
     ["hyperelliptic", "--genus", "128"],
@@ -246,6 +257,9 @@ ERRORS = [
     ["adams", "--element", "@str_bound.json", "--k", "2"],
     ["adams", "--element", "@decimal_coeff.json", "--k", "2"],
     ["pow", "--base", "1+t", "--exponent", "@decimal.json", "--order", "2"],
+    # Digits outside 0-9, in a value and in the O(t^k) tail of a series.
+    ["adams", "--element", "L^\u0663 + \u0662", "--k", "1"],
+    ["pow", "--base", "1+t + O(t^1\u0663)", "--exponent", "1"],
 ]
 # Files the requests name, written to the working directory of the run.
 FILES = {

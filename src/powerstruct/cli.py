@@ -13,9 +13,9 @@ an integer exponent of ``^`` or of a polynomial term read from JSON at
 the weight of an ``h``, ``e`` or ``s`` atom at
 :data:`parsing.MAX_ATOM_WEIGHT`, the weight a ``*`` of two symmetric
 functions or a ``^`` would build at :data:`parsing.MAX_WEIGHT`, the work a
-series ``^`` would do at :data:`parsing.MAX_POWER_WORK` and the weight of
-the ``schur`` input at :data:`MAX_SCHUR_WEIGHT`; a value out of range exits
-2 with one line.  Series division is not capped.
+series ``^`` or ``/`` would do at :data:`parsing.MAX_POWER_WORK` and the
+weight of the ``schur`` input at :data:`MAX_SCHUR_WEIGHT`; a value out of
+range exits 2 with one line.
 
 Values are written in the grammar of :mod:`powerstruct.parsing`, and a
 series value may keep the ``+ O(t^M)`` tail of printed output.  Any
@@ -78,9 +78,9 @@ MAX_POINTS = 1000
 # than one case would check nothing.
 MAX_AXIOM_CASES = 1000
 # schur expands all p(n) Schur functions of its input's weight n, whatever
-# the input's support.  On a 2-core machine p[1]^16 takes ~4 s, p[1]^17
-# ~7 s, p[18], p[9]^2 and p[1]^18 14-16 s and p[1]^19 ~33 s; 18 stays near
-# the ~12 s of the slowest atom under parsing.MAX_ATOM_WEIGHT.
+# the input's support.  On a 2-core machine p[1]^16 takes ~1.5 s and p[18]
+# and p[1]^18 ~6 s; 18 stays below the ~9 s of the slowest atom under
+# parsing.MAX_ATOM_WEIGHT.
 MAX_SCHUR_WEIGHT = 18
 
 
@@ -170,7 +170,7 @@ def _parse_element(raw, order: int, vars: tuple[str, ...] | None = None):
 
 
 # The tail of a printed series, "1 + t + O(t^4)": known through t^(M-1).
-_ORDER_TAIL = re.compile(r"\+\s*O\(\s*t\s*\^\s*([1-9]\d*)\s*\)\s*$")
+_ORDER_TAIL = re.compile(r"\+\s*O\(\s*t\s*\^\s*([1-9][0-9]*)\s*\)\s*$")
 
 
 def _series_text(text: str, order: int) -> tuple[str, int]:

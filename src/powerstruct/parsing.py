@@ -20,8 +20,10 @@ One grammar covers every value the command line accepts:
 * no series ``^`` may do more work than :data:`MAX_POWER_WORK` term
   products, estimated from the terms its coefficients can reach:
   ``(1 + (h[0]+...+h[5])*t)^1000`` at order 5 is refused before its first
-  product, while ``(1 + t)^1000`` parses at order 256.  Series division is
-  not capped
+  product, while ``(1 + t)^1000`` parses at order 256; a ``/`` by a series
+  is held to the same cap, with the estimate of the divisor's ``^(-1)``:
+  ``1/(1 - (p[1]+p[2]+p[3])*t)`` is refused from order 106 on, while
+  ``1/(1 - p[1]*t)`` parses at order 256
 
 so ``1/2*p[1,1] + 1/2*p[2]``, ``L^5 - L^2``, ``1/(1 - L*t)`` and
 ``(1 + t)^3`` all parse.  The name ``t`` is reserved, and ``p``/``h``/``e``/
@@ -35,20 +37,20 @@ from itertools import accumulate
 
 from .errors import LimitError, ParseError
 from .rings import _ONE, _ZERO, MAX_EXPONENT, SCALAR_TYPES, LaurentPoly, Rational
-from .series import TruncSeries
+from .series import TruncSeries, _invert_leading
 from .symfunc import SymFunc, basis_in_p
 
 # One token after any whitespace; a character no token starts with is
 # matched alone as "bad", so the scan never skips one.
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^()\[\],])|(?P<bad>\S))"
+    r"\s*(?:(?P<int>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^()\[\],])|(?P<bad>\S))"
 )
 
 _BASIS_NAMES = ("p", "h", "e", "s")
 
 # Largest weight of an h[k], e[k] or s[...] atom.  At 40, h[40] has 37338
 # terms (0.24 s, 58 MB) and the slowest s[...] atoms, s[7,7,7,7,6,6] and
-# s[7,7,7,7,7,5], take ~12 s and 74 MB, both on a 2-core machine; h[45]
+# s[7,7,7,7,7,5], take ~9 s and 38 MB, both on a 2-core machine; h[45]
 # already takes 147 MB.  A heavier atom is refused before it is expanded.
 MAX_ATOM_WEIGHT = 40
 # Largest weight a ``*`` of two symmetric functions or a ``^`` may build.
@@ -58,12 +60,13 @@ MAX_ATOM_WEIGHT = 40
 # (h[0]+...+h[10])^3 6.7 s.  At 30 the slowest takes about half the ~12 s
 # of the slowest atom, which leaves room for the machine's speed drift.
 MAX_WEIGHT = 30
-# Largest estimated work of a series ``^``, in term products (see
+# Largest estimated work of a series ``^`` or ``/``, in term products (see
 # _power_work).  On a 2-core machine one symmetric-function term product
 # takes 10-17 us and a polynomial one 2-8 us.  Near the cap,
 # (1 + (h[0]+...+h[15])*t)^3 at order 2 (work 966000) takes 15.7 s,
-# (1 + (h[0]+...+h[5])*t)^31 at order 5 (921000) 9.7 s and
-# (1 + (L+1)*t)^1000 at order 64 (935000) 5 s; refused,
+# (1 + (h[0]+...+h[5])*t)^31 at order 5 (921000) 9.7 s,
+# (1 + (L+1)*t)^1000 at order 64 (935000) 5 s and
+# 1/(1 - (p[1]+p[2]+p[3])*t) at order 104 (976000) 16 s and 229 MB; refused,
 # (1 + (h[0]+...+h[5])*t)^1000 took 32 s at order 5 (2170000) and 124 s
 # at order 6 (12300000).
 MAX_POWER_WORK = 10**6
@@ -112,6 +115,11 @@ def _check_weight(weight: int, what: str, position: int) -> None:
         raise LimitError(f"{what} of weight {weight} at position {position} exceeds the limit {MAX_WEIGHT}")
 
 
+def _check_work(work: int, what: str, position: int) -> None:
+    if work > MAX_POWER_WORK:
+        raise LimitError(f"{what} of work {work} at position {position} exceeds the limit {MAX_POWER_WORK}")
+
+
 def _terms(value) -> list[tuple[int, tuple[int, ...]]]:
     """(weight, exponents) of each term of a coefficient."""
     if isinstance(value, SymFunc):
@@ -134,25 +142,31 @@ def _partition_counts(weight: int, bound: int) -> list[int]:
 
 
 def _power_work(base: TruncSeries, n: int, weight: int) -> int:
-    """An upper estimate of the term products that ``base ** n`` makes by
-    binary powering: over its series products, the term products of
-    coefficients holding every term they can reach.
+    """An upper estimate of the term products that ``base ** n`` makes: for
+    a negative n, first the division recurrence of 1 / base, one product of
+    base and its inverse; then, by binary powering, over its series
+    products, the term products of coefficients holding every term they can
+    reach.
 
     With a constant term c, the t^k coefficient of base ** a (or of a power
     of the inverse that a negative n raises) sums c-multiples of products
     of f <= k terms of a_1, ..., a_k whose t-degrees add up to k, f <= a
     for n >= 0.  So it has no more terms than there are such multisets,
-    nor than fit in the weights (up to ``weight``, the grammar's bound) and
-    exponents that f terms reach; with any other constant term, f = a (a +
-    k for n < 0) and only the second bound holds.  A product of
-    one-variable polynomials is counted as the sum of their terms (it packs
-    them into integers), any other as the product."""
+    nor than fit in the weights and exponents that f terms reach: weights
+    up to ``weight``, the grammar's bound, for n >= 0, and up to k times
+    the heaviest term of base for n < 0.  With any other constant term,
+    f = a (a + k for n < 0); an inverse needs a unit, one term, so both
+    bounds still hold for n < 0, but only the second for n >= 0.  A
+    product of one-variable polynomials is counted as the sum of their
+    terms (it packs them into integers), any other as the product."""
     order, zero = base.order, base._zero
     per_index = [_terms(c) for c in base.coeffs]
     constant = per_index[0] == [(0, (0,) * len(getattr(zero, "vars", ())))]
     everything = [term for terms in per_index for term in terms]
     spans = [max(e) - min(e) for e in zip(*(exps for _, exps in everything))]
     top = max((w for w, _ in everything), default=0)
+    if n < 0:
+        weight = top * order
     partitions = _partition_counts(weight, zero.bound) if isinstance(zero, SymFunc) else None
     # multisets[k]: multisets of terms of a_1, a_2, ... whose t-degrees add up to k
     multisets = [1] + [0] * order
@@ -175,7 +189,7 @@ def _power_work(base: TruncSeries, n: int, weight: int) -> int:
                 terms *= f * span + 1
             if partitions is not None:
                 terms *= partitions[min(weight, top * f)]
-            out.append(min(terms, multisets[k]) if constant else terms)
+            out.append(min(terms, multisets[k]) if constant or n < 0 else terms)
         return out
 
     packed = isinstance(zero, LaurentPoly) and len(zero.vars) == 1
@@ -190,8 +204,11 @@ def _power_work(base: TruncSeries, n: int, weight: int) -> int:
         y_sum = list(accumulate(y))
         return sum(c * y_sum[order - i] for i, c in enumerate(x))
 
-    # The steps of arith.binary_power: result = base ** done, power = base ** a.
+    # 1 / base for a negative n, then the steps of arith.binary_power:
+    # result = base ** done, power = base ** a.
     work, m = 0, abs(n)
+    if n < 0:
+        work = product([len(terms) for terms in per_index], reach(1))
     result, done = [1] + [0] * order, 0
     power, a = reach(1), 1
     while m:
@@ -271,6 +288,10 @@ class _Parser:
             elif isinstance(rhs, SCALAR_TYPES) and not rhs:
                 raise ParseError(f"division by zero at position {position}")
             else:
+                if isinstance(rhs, TruncSeries):
+                    # A divisor that is not a unit fails as the division would.
+                    _invert_leading(rhs.coeffs[0])
+                    _check_work(_power_work(rhs, -1, _weight(rhs)), "series division", position)
                 value = value / rhs
         return value
 
@@ -308,11 +329,7 @@ class _Parser:
         weight = _weight(base) * times
         _check_weight(weight, "power", position)
         if isinstance(base, TruncSeries) and not literal:
-            work = _power_work(base, exponent, weight)
-            if work > MAX_POWER_WORK:
-                raise LimitError(
-                    f"series power of work {work} at position {position} exceeds the limit {MAX_POWER_WORK}"
-                )
+            _check_work(_power_work(base, exponent, weight), "series power", position)
         if literal:
             name = self.tokens[start][1]
             if name != "t":

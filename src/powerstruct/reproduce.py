@@ -5,7 +5,8 @@ Each criterion recomputes a pinned result from scratch and compares exactly
 seeded generator so output is byte-identical between runs.
 
 The symmetric-group character oracle here is deliberately independent of the
-Jacobi-Trudi route used by :func:`powerstruct.symfunc.p_to_schur`: characters
+Jacobi-Trudi route used by :func:`powerstruct.symfunc.p_to_schur`, which
+expands det(h) or det(e) on {partition: rational} maps: characters
 come from coefficient extraction in the alternant product
 prod_{i<j}(x_i - x_j) * p_mu(x), which uses nothing but honest polynomial
 arithmetic.

@@ -348,15 +348,21 @@ class SymFunc(_Value):
 # -- basis conversions -------------------------------------------------------
 
 
-def _p_expansion(k: int, bound: int, signed: bool = False) -> SymFunc:
+def _p_rational(k: int, signed: bool) -> dict[Partition, Fraction]:
     """h_k = sum over partitions lambda of k of p_lambda / z_lambda, or e_k
-    when signed: each coefficient times (-1)^(k - length(lambda))."""
-    return SymFunc(
-        {
-            part: Rational((-1) ** (k - len(part)) if signed else 1, z_value(part))
-            for part in partitions_of(k)
-        },
-        bound,
+    when signed: each coefficient times (-1)^(k - length(lambda)); as a
+    {partition: rational} map."""
+    return {
+        part: Rational((-1) ** (k - len(part)) if signed else 1, z_value(part))
+        for part in partitions_of(k)
+    }
+
+
+def _rational_symfunc(terms: Mapping[Partition, Fraction], bound: int) -> SymFunc:
+    """The SymFunc over Q of a {partition: nonzero rational} map whose parts
+    are sorted and within ``bound``: one LaurentPoly constant per term."""
+    return SymFunc._raw(
+        {part: LaurentPoly._raw((), {(): coeff}) for part, coeff in terms.items()}, bound, ()
     )
 
 
@@ -366,53 +372,55 @@ def _conjugate(partition: Partition) -> Partition:
     return tuple(sum(1 for part in partition if part >= i) for i in range(1, top + 1))
 
 
-def _jacobi_trudi(
-    partition: Partition, bound: int, expansions: dict[tuple[int, bool], SymFunc] | None = None
-) -> SymFunc:
+def _schur_rational(
+    partition: Partition, expansions: dict[tuple[int, bool], tuple]
+) -> dict[Partition, Fraction]:
     """s_lambda = det(h_{lambda_i - i + j}) = det(e_{lambda'_i - i + j})
-    (Macdonald I.(3.4)-(3.5)) expanded in the p-basis, from the shorter of
-    lambda and its conjugate lambda': the Laplace expansion visits up to
-    2^size minors.  ``expansions`` holds the h_k / e_k built so far, keyed by
+    (Macdonald I.(3.4)-(3.5)) expanded in the p-basis as a {partition:
+    rational} map, from the shorter of lambda and its conjugate lambda': the
+    Laplace expansion visits up to 2^size minors.  Its entries are plain
+    (partition, rational) pairs, so no SymFunc or LaurentPoly is built.
+    ``expansions`` holds the h_k / e_k pairs built so far, keyed by
     (k, signed); a caller expanding several determinants passes one dict so
     that each is built once."""
     conjugate = _conjugate(partition)
     signed = len(conjugate) < len(partition)
     rows = conjugate if signed else partition
     size = len(rows)
-    if size == 0:
-        return SymFunc.constant(1, bound)
-    if expansions is None:
-        expansions = {}
-    zero = SymFunc.zero(bound)
 
-    def expand(k: int) -> SymFunc:
+    def expand(k: int) -> tuple:
         if k < 0:
-            return zero
+            return ()
         if (k, signed) not in expansions:
-            expansions[k, signed] = _p_expansion(k, bound, signed)
+            expansions[k, signed] = tuple(_p_rational(k, signed).items())
         return expansions[k, signed]
 
     matrix = [[expand(rows[i] - i + j) for j in range(size)] for i in range(size)]
 
     # Laplace expansion along the first remaining row, memoized on the
-    # surviving column set.
-    memo: dict[tuple[int, ...], SymFunc] = {}
+    # surviving column set; each entry times its minor is added, signed,
+    # straight into the running sum.
+    memo: dict[tuple[int, ...], dict[Partition, Fraction]] = {}
 
-    def minor(columns: tuple[int, ...]) -> SymFunc:
+    def minor(columns: tuple[int, ...]) -> dict[Partition, Fraction]:
         if not columns:
-            return SymFunc.constant(1, bound)
+            return {(): _ONE}
         if columns in memo:
             return memo[columns]
         row = size - len(columns)
-        total = zero
+        total: dict[Partition, Fraction] = {}
         for position, column in enumerate(columns):
             entry = matrix[row][column]
             if not entry:
                 continue
-            rest = minor(columns[:position] + columns[position + 1 :])
-            term = entry * rest
-            total = total + (term if position % 2 == 0 else -term)
-        memo[columns] = total
+            rest = minor(columns[:position] + columns[position + 1 :]).items()
+            for part, coeff in entry:
+                if position % 2:
+                    coeff = -coeff
+                for rest_part, rest_coeff in rest:
+                    key = tuple(sorted(part + rest_part, reverse=True))
+                    total[key] = total.get(key, 0) + coeff * rest_coeff
+        memo[columns] = total = {key: coeff for key, coeff in total.items() if coeff}
         return total
 
     return minor(tuple(range(size)))
@@ -431,7 +439,7 @@ def basis_in_p(basis: str, index: int | Iterable[int], bound: int) -> SymFunc:
             raise ValueError("index must be >= 0")
         if index > bound:
             raise GeneratorBoundError(f"weight {index} exceeds the bound {bound}")
-        return _p_expansion(index, bound, signed=basis == "e")
+        return _rational_symfunc(_p_rational(index, basis == "e"), bound)
     if basis == "s":
         partition = normalize_partition(
             (index,) if isinstance(index, int) else tuple(index)
@@ -440,7 +448,7 @@ def basis_in_p(basis: str, index: int | Iterable[int], bound: int) -> SymFunc:
             raise GeneratorBoundError(
                 f"weight {sum(partition)} exceeds the bound {bound}"
             )
-        return _jacobi_trudi(partition, bound)
+        return _rational_symfunc(_schur_rational(partition, {}), bound)
     if basis == "p":
         partition = normalize_partition(
             (index,) if isinstance(index, int) else tuple(index)
@@ -453,19 +461,21 @@ def p_to_schur(f: SymFunc) -> dict[Partition, LaurentPoly]:
     """Expansion of a homogeneous f over Schur functions of its weight n.
 
     By character orthogonality p_mu = sum_lambda chi^lambda(mu) s_lambda, and
-    chi^lambda(mu) = z_mu [p_mu] s_lambda is read off the Jacobi-Trudi
-    expansion of s_lambda, so c_lambda = sum_mu chi^lambda(mu) f_mu over the
-    support of f.  Zero coefficients are omitted from the result.
+    chi^lambda(mu) = z_mu [p_mu] s_lambda is read off the rational
+    Jacobi-Trudi map of s_lambda (:func:`_schur_rational`), so
+    c_lambda = sum_mu chi^lambda(mu) f_mu over the support of f.  Zero
+    coefficients are omitted from the result.
     """
     n = f.weight()
+    support = [(mu, z_value(mu), f_mu) for mu, f_mu in f.terms.items()]
     expansion: dict[Partition, LaurentPoly] = {}
-    expansions: dict[tuple[int, bool], SymFunc] = {}
+    expansions: dict[tuple[int, bool], tuple] = {}
     for lam in partitions_of(n):
-        s_lam = _jacobi_trudi(lam, n, expansions).terms
+        s_lam = _schur_rational(lam, expansions)
         c = LaurentPoly.zero(f.vars)
-        for mu, f_mu in f.terms.items():
+        for mu, z_mu, f_mu in support:
             if mu in s_lam:
-                c = c + z_value(mu) * s_lam[mu].constant_term() * f_mu
+                c = c + z_mu * s_lam[mu] * f_mu
         if c:
             expansion[lam] = c
     return expansion

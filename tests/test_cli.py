@@ -471,7 +471,7 @@ class TestCaps:
             ("(1+(h[0]+h[1]+h[2]+h[3]+h[4]+h[5])*t)^1000", 6, 12294064, 37),
             ("(1+(h[0]+h[1]+h[2]+h[3]+h[4]+h[5])*t)^1000", 5, 2171259, 37),
             ("(1 + (L + 1)*t)^1000", 66, 1016474, 15),
-            ("(1 + (L + 1)*t)^-1000", 128, 10260574, 15),
+            ("(1 + (L + 1)*t)^-1000", 128, 10277600, 15),
             ("(1 + (u + v + w)*t)^1000", 32, 32447045, 19),
         ],
     )
@@ -488,6 +488,28 @@ class TestCaps:
         argv = ["pow", "--base", base, "--exponent", "1", "--order", str(order)]
         assert main_streams(argv) == (
             2, "", f"series power of work {work} at position {position} exceeds the limit 1000000\n")
+
+    @pytest.mark.parametrize(
+        "base, order, work, position",
+        [
+            ("1/(1-(h[0]+h[1]+h[2]+h[3]+h[4]+h[5])*t)", 8, 1381710, 1),
+            ("1/(1-(p[1]+p[2]+p[3])*t)", 128, 1805570, 1),
+            ("(1 + L*t)/(1 - (p[1]+p[2]+p[3]+p[4])*t)", 48, 1541050, 9),
+        ],
+    )
+    def test_series_division_over_work_cap(self, p_atoms, monkeypatch, base, order, work, position):
+        """A ``/`` by a series whose estimated work exceeds the cap is
+        refused before the division starts."""
+        from powerstruct import TruncSeries
+
+        def refuse(*args):
+            raise AssertionError("work started past a cap")
+
+        monkeypatch.setattr(TruncSeries, "__truediv__", refuse)
+        monkeypatch.setattr(TruncSeries, "__rtruediv__", refuse)
+        argv = ["pow", "--base", base, "--exponent", "1", "--order", str(order)]
+        assert main_streams(argv) == (
+            2, "", f"series division of work {work} at position {position} exceeds the limit 1000000\n")
 
     def test_over_cap_by_request_and_input(self, tmp_path, monkeypatch):
         assert run("adams", {"element": "L", "k": 1001}) == (2, "argument --k: must be <= 1000, got 1001")

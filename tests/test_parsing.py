@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from powerstruct import ConstantTermError, LaurentPoly, LimitError, ParseError, SymFunc, TruncSeries, basis_in_p
+from powerstruct.cli import main
 from powerstruct.parsing import (
     parse_expression,
     parse_poly,
@@ -369,6 +370,25 @@ class TestOnePass:
     def test_malformed(self, text, order, error, message):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             parse_expression(text, order=order)
+
+    @pytest.mark.parametrize("digit", ["\u0663", "\u0969", "\uff13", "\U0001d7db"])
+    def test_integers_are_ascii(self, digit, capsys):
+        """Only 0-9 are digits: an Arabic-Indic, Devanagari, fullwidth or
+        mathematical 3 is an unexpected character, in a value and in the
+        O(t^k) tail of a series argument."""
+        for text, position in ((f"L^{digit} + 2", 2), (f"1 + {digit}*L", 4), (f"p[1{digit}]", 3)):
+            with pytest.raises(ParseError, match=f"^unexpected character '{digit}' at position {position}$"):
+                parse_expression(text, order=3)
+        assert main(["pow", "--base", f"1+t + O(t^1{digit})", "--exponent", "1"]) == 1
+        assert capsys.readouterr() == ("", f"error: unexpected character '{digit}' at position 11\n")
+
+    @pytest.mark.parametrize("order", [8, 64, 256])
+    def test_sparse_division_at_any_order(self, order):
+        """A quotient with one term per coefficient stays under the work
+        cap of series division up to the order cap."""
+        p1 = SymFunc.p(1, order)
+        value = parse_expression("1/(1-p[1]*t)", order=order)
+        assert value.coeffs == tuple(p1**k for k in range(order + 1))
 
     def test_variables_come_from_the_tokens(self):
         tokens = tokenize("p*t + e [2] + s^2 - pq")

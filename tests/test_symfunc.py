@@ -1,6 +1,7 @@
 """Symmetric functions: arithmetic, bases, plethysm, specializations."""
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -61,10 +62,11 @@ def sym_funcs(bound=6, max_weight=4):
 
 
 @st.composite
-def homogeneous_sym_funcs(draw, max_weight=7):
-    """A homogeneous f of weight 0..max_weight with 1-4 p-monomials, its
-    coefficients in Q or in Q[L], and a generator bound >= the weight."""
-    n = draw(st.integers(0, max_weight))
+def homogeneous_sym_funcs(draw, max_weight=7, min_weight=0):
+    """A homogeneous f of weight min_weight..max_weight with 1-4
+    p-monomials, its coefficients in Q or in Q[L], and a generator bound >=
+    the weight."""
+    n = draw(st.integers(min_weight, max_weight))
     vars = draw(st.sampled_from([(), ("L",)]))
     rational = st.fractions(-5, 5, max_denominator=6).filter(bool)
     coeff = rational if not vars else st.lists(rational, min_size=1, max_size=3).map(
@@ -73,6 +75,67 @@ def homogeneous_sym_funcs(draw, max_weight=7):
     partitions = draw(st.lists(st.sampled_from(partitions_of(n)), min_size=1, max_size=4, unique=True))
     bound = draw(st.integers(n, n + 3))
     return SymFunc({mu: draw(coeff) for mu in partitions}, bound, vars)
+
+
+def laplace_schur(partition, bound, signed):
+    """s_lambda as det(h_{lambda_i - i + j}), or as det(e_{lambda'_i - i + j})
+    when signed, by a Laplace expansion over SymFunc entries memoized on the
+    surviving columns: the SymFunc-valued form that symfunc used before its
+    rational one, kept here as the reference.  Unlike the library it takes
+    the side it is told, not the shorter one."""
+    rows = _conjugate(partition) if signed else partition
+    size = len(rows)
+    zero = SymFunc.zero(bound)
+
+    def expand(k):
+        if k < 0:
+            return zero
+        return SymFunc(
+            {part: Fraction((-1) ** (k - len(part)) if signed else 1, z_value(part)) for part in partitions_of(k)},
+            bound,
+        )
+
+    matrix = [[expand(rows[i] - i + j) for j in range(size)] for i in range(size)]
+    memo = {}
+
+    def minor(columns):
+        if not columns:
+            return SymFunc.constant(1, bound)
+        if columns in memo:
+            return memo[columns]
+        row = size - len(columns)
+        total = zero
+        for position, column in enumerate(columns):
+            entry = matrix[row][column]
+            if not entry:
+                continue
+            term = entry * minor(columns[:position] + columns[position + 1 :])
+            total = total + (term if position % 2 == 0 else -term)
+        memo[columns] = total
+        return total
+
+    return minor(tuple(range(size)))
+
+
+@lru_cache(maxsize=None)
+def reference_characters(partition):
+    """chi^lambda(mu) = z_mu [p_mu] s_lambda for every mu, from the
+    reference determinant on the shorter side."""
+    s_lam = laplace_schur(partition, sum(partition), len(_conjugate(partition)) < len(partition))
+    return {mu: z_value(mu) * coeff.constant_term() for mu, coeff in s_lam.terms.items()}
+
+
+def reference_p_to_schur(f):
+    """p_to_schur through the reference characters."""
+    expansion = {}
+    for lam in partitions_of(f.weight()):
+        chi = reference_characters(lam)
+        c = LaurentPoly.zero(f.vars)
+        for mu, f_mu in f.terms.items():
+            c = c + chi.get(mu, 0) * f_mu
+        if c:
+            expansion[lam] = c
+    return expansion
 
 
 def expand_in_variables(f: SymFunc, n_vars: int = 3) -> LaurentPoly:
@@ -334,6 +397,26 @@ class TestSchur:
         for lam, coeff in p_to_schur(f).items():
             back = back + coeff * basis_in_p("s", lam, f.bound)
         assert back == f
+
+
+class TestRationalJacobiTrudi:
+    """The determinants expanded on {partition: rational} maps against the
+    SymFunc-valued reference expansion."""
+
+    @pytest.mark.parametrize("weight", range(12))
+    def test_every_schur_function_on_both_sides(self, weight):
+        for lam in partitions_of(weight):
+            s_lam = basis_in_p("s", lam, weight)
+            assert s_lam == laplace_schur(lam, weight, signed=False), lam
+            assert s_lam == laplace_schur(lam, weight, signed=True), lam
+            assert s_lam.vars == () and all(c.vars == () for c in s_lam.terms.values())
+
+    @given(homogeneous_sym_funcs(max_weight=9, min_weight=1))
+    @settings(max_examples=60, deadline=None)
+    def test_p_to_schur_matches_the_reference(self, f):
+        expansion = p_to_schur(f)
+        assert expansion == reference_p_to_schur(f)
+        assert all(c.vars == f.vars for c in expansion.values())
 
 
 class TestPlethysm:
