@@ -8,9 +8,10 @@ values over Q, Q[L], Q[u,v] and symmetric functions, zero exponents, both
 algorithms of ``pow`` and ``factorize``, the edges of the dense Euler-product
 route (one Q[L] ``pow`` and one ``factorize`` at order 24, a Q base with a
 Q[L] exponent, ``L^-2``, ``1/3`` and zero exponents, a Q[u,v] exponent),
-``schur`` at weights up to 14 and on tall and wide partitions, ``config``,
-``quotient`` and ``moduli-g2`` at orders 12 and 24, the three ``config
---specialize`` modes at order 16 over Q[L] and Q[u,v], the small-operand
+``schur`` at weights up to 16 and on tall, wide and self-conjugate
+partitions, ``config``, ``quotient`` and ``moduli-g2`` at orders 12 and
+24, the three ``config --specialize`` modes at order 16 over Q[L] and
+Q[u,v], the small-operand
 paths of the rings (a scalar that cancels or zeroes a polynomial, a
 one-term factor with negative or two-variable exponents, and ``pow``,
 ``factorize`` and ``lambda`` on Q[L] series whose coefficients are
@@ -102,8 +103,8 @@ AT_ORDER = [
     (["pow", "--base", "1 + L*t + 1/2*t^2", "--exponent", "1/3"], 10),
     (["pow", "--base", "1 + t - 1/2*t^2", "--exponent", "u*v - 1"], 6),
     (["pow", "--base", "1 + u*t", "--exponent", "1/3"], 6),
-    # Schur expansions through both Jacobi-Trudi determinants; tall
-    # partitions take the det(e) form.
+    # Schur expansions through det(h); tall partitions are read through
+    # omega from their conjugates.
     (["schur", "--f", "p[1]^8"], 8),
     (["schur", "--f", "p[1]^11"], 11),
     (["schur", "--f", "s[1,1,1,1,1]"], 5),
@@ -116,6 +117,13 @@ AT_ORDER = [
     (["schur", "--f", "L*p[1]^12 - (L^2 - 1/2)*p[3]^4 + p[6,6]"], 12),
     (["schur", "--f", "s[2,1,1,1,1,1,1,1,1,1,1,1,1]"], 14),
     (["schur", "--f", "s[11,2,1]"], 14),
+    # Self-conjugate partitions, which omega maps to themselves, a tall
+    # partition at weight 16 and a Q[L] combination at weight 10.
+    (["schur", "--f", "s[3,2,1]"], 6),
+    (["schur", "--f", "s[4,3,2,1]"], 10),
+    (["schur", "--f", "s[4,2,1,1]"], 8),
+    (["schur", "--f", "s[2,1,1,1,1,1,1,1,1,1,1,1,1,1,1]"], 16),
+    (["schur", "--f", "2*p[1]^10 - 1/3*p[4]*p[2]^3 + L*p[3,3,2,2] - p[5,5]"], 10),
     # The cycle-index closed form of config, quotient and moduli-g2 past
     # the seeded orders.
     (["config", "--x-class", "L^2 - 3*L + 1/2"], 12),
@@ -237,6 +245,9 @@ ERRORS = [
     # Series division past the work cap; the exponent t then fails, so a
     # tree without the cap spends 6 s on the division alone.
     ["pow", "--base", "1/(1-(h[0]+h[1]+h[2]+h[3]+h[4]+h[5])*t)", "--exponent", "t", "--order", "8"],
+    # Work estimates of bases with many terms of one t-degree.
+    ["pow", "--base", "1/(1-h[40]*t)", "--exponent", "1", "--order", "256"],
+    ["pow", "--base", "(1-h[30]*t)^(-1)", "--exponent", "1", "--order", "256"],
     ["irr", "--vars", "7", "--degree", "1"],
     ["irr", "--vars", "2", "--degree", "17", "--target", "euler"],
     ["hyperelliptic", "--genus", "128"],

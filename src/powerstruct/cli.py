@@ -77,10 +77,10 @@ MAX_POINTS = 1000
 # The default of 100 cases takes ~15 s; the cost grows linearly.  Fewer
 # than one case would check nothing.
 MAX_AXIOM_CASES = 1000
-# schur expands all p(n) Schur functions of its input's weight n, whatever
-# the input's support.  On a 2-core machine p[1]^16 takes ~1.5 s and p[18]
-# and p[1]^18 ~6 s; 18 stays below the ~9 s of the slowest atom under
-# parsing.MAX_ATOM_WEIGHT.
+# schur expands one Jacobi-Trudi determinant per conjugate pair of
+# partitions of its input's weight n, whatever the input's support.  On a
+# 2-core machine p[1]^16 takes ~0.9 s and p[18] and p[1]^18 ~4.5 s; 18
+# stays below the ~9 s of the slowest atom under parsing.MAX_ATOM_WEIGHT.
 MAX_SCHUR_WEIGHT = 18
 
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import re
 from itertools import accumulate
+from operator import add
 
 from .errors import LimitError, ParseError
 from .rings import _ONE, _ZERO, MAX_EXPONENT, SCALAR_TYPES, LaurentPoly, Rational
@@ -134,11 +135,30 @@ def _partition_counts(weight: int, bound: int) -> list[int]:
     at most bound."""
     counts = [1] + [0] * weight
     for part in range(1, min(weight, bound) + 1):
-        for w in range(part, weight + 1):
-            counts[w] += counts[w - part]
-    for w in range(1, weight + 1):
-        counts[w] += counts[w - 1]
-    return counts
+        # counts[w] += counts[w - part] for w >= part, one residue class at a time
+        for residue in range(part):
+            counts[residue::part] = accumulate(counts[residue::part])
+    return list(accumulate(counts))
+
+
+def _multisets(counts: list[int], order: int) -> list[int]:
+    """For k <= order, the multisets of terms whose t-degrees add up to k,
+    with counts[j] terms of t-degree j >= 1: the t^k coefficients of the
+    product over j of (1 - t^j)^(-counts[j]).  Each factor is folded in one
+    step with its coefficients C(c + m - 1, m) at t^(jm), so the cost does
+    not grow with the number of terms."""
+    multisets = [1] + [0] * order
+    for j, c in enumerate(counts[1 : order + 1], start=1):
+        if c:
+            folded = multisets[:]
+            binomial = 1
+            for m in range(1, order // j + 1):
+                binomial = binomial * (c + m - 1) // m
+                shift = m * j
+                scaled = map(binomial.__mul__, multisets[: order + 1 - shift])
+                folded[shift:] = map(add, folded[shift:], scaled)
+            multisets = folded
+    return multisets
 
 
 def _power_work(base: TruncSeries, n: int, weight: int) -> int:
@@ -168,12 +188,7 @@ def _power_work(base: TruncSeries, n: int, weight: int) -> int:
     if n < 0:
         weight = top * order
     partitions = _partition_counts(weight, zero.bound) if isinstance(zero, SymFunc) else None
-    # multisets[k]: multisets of terms of a_1, a_2, ... whose t-degrees add up to k
-    multisets = [1] + [0] * order
-    for j, terms in enumerate(per_index[1:], start=1):
-        for _ in terms:
-            for k in range(j, order + 1):
-                multisets[k] += multisets[k - j]
+    multisets = _multisets([len(terms) for terms in per_index], order)
 
     def reach(a: int) -> list[int]:
         if a == 1 and n > 0:

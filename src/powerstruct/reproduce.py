@@ -6,7 +6,8 @@ seeded generator so output is byte-identical between runs.
 
 The symmetric-group character oracle here is deliberately independent of the
 Jacobi-Trudi route used by :func:`powerstruct.symfunc.p_to_schur`, which
-expands det(h) or det(e) on {partition: rational} maps: characters
+expands det(h) on {partition: rational} maps, once per conjugate pair
+through the involution omega: characters
 come from coefficient extraction in the alternant product
 prod_{i<j}(x_i - x_j) * p_mu(x), which uses nothing but honest polynomial
 arithmetic.

@@ -373,29 +373,33 @@ def _conjugate(partition: Partition) -> Partition:
 
 
 def _schur_rational(
-    partition: Partition, expansions: dict[tuple[int, bool], tuple]
+    partition: Partition, expansions: dict[int, tuple]
 ) -> dict[Partition, Fraction]:
-    """s_lambda = det(h_{lambda_i - i + j}) = det(e_{lambda'_i - i + j})
-    (Macdonald I.(3.4)-(3.5)) expanded in the p-basis as a {partition:
-    rational} map, from the shorter of lambda and its conjugate lambda': the
-    Laplace expansion visits up to 2^size minors.  Its entries are plain
-    (partition, rational) pairs, so no SymFunc or LaurentPoly is built.
-    ``expansions`` holds the h_k / e_k pairs built so far, keyed by
-    (k, signed); a caller expanding several determinants passes one dict so
-    that each is built once."""
+    """s_lambda = det(h_{lambda_i - i + j}) (Macdonald I.(3.4)) expanded in
+    the p-basis as a {partition: rational} map.  The Laplace expansion
+    visits up to 2^length(lambda) minors, so a lambda longer than its
+    conjugate lambda' is read through the involution omega instead:
+    s_lambda = omega(s_lambda'), and omega(p_mu) = (-1)^(|mu| - length(mu))
+    p_mu (Macdonald I.(2.13), I.(3.8)).  Entries are plain (partition,
+    rational) pairs, so no SymFunc or LaurentPoly is built.  ``expansions``
+    holds the h_k pairs built so far, keyed by k; a caller expanding several
+    determinants passes one dict so that each is built once."""
     conjugate = _conjugate(partition)
-    signed = len(conjugate) < len(partition)
-    rows = conjugate if signed else partition
-    size = len(rows)
+    if len(conjugate) < len(partition):
+        return {
+            part: -coeff if (sum(part) - len(part)) % 2 else coeff
+            for part, coeff in _schur_rational(conjugate, expansions).items()
+        }
+    size = len(partition)
 
     def expand(k: int) -> tuple:
         if k < 0:
             return ()
-        if (k, signed) not in expansions:
-            expansions[k, signed] = tuple(_p_rational(k, signed).items())
-        return expansions[k, signed]
+        if k not in expansions:
+            expansions[k] = tuple(_p_rational(k, False).items())
+        return expansions[k]
 
-    matrix = [[expand(rows[i] - i + j) for j in range(size)] for i in range(size)]
+    matrix = [[expand(partition[i] - i + j) for j in range(size)] for i in range(size)]
 
     # Laplace expansion along the first remaining row, memoized on the
     # surviving column set; each entry times its minor is added, signed,
@@ -463,21 +467,31 @@ def p_to_schur(f: SymFunc) -> dict[Partition, LaurentPoly]:
     By character orthogonality p_mu = sum_lambda chi^lambda(mu) s_lambda, and
     chi^lambda(mu) = z_mu [p_mu] s_lambda is read off the rational
     Jacobi-Trudi map of s_lambda (:func:`_schur_rational`), so
-    c_lambda = sum_mu chi^lambda(mu) f_mu over the support of f.  Zero
-    coefficients are omitted from the result.
+    c_lambda = sum_mu chi^lambda(mu) f_mu over the support of f.  Only the
+    lambda no longer than their conjugates are expanded: omega gives
+    chi^lambda'(mu) = eps_mu chi^lambda(mu) with eps_mu = (-1)^(n -
+    length(mu)), so one map yields c_lambda and c_lambda' (one entry for a
+    self-conjugate lambda).  Zero coefficients are omitted from the result.
     """
     n = f.weight()
-    support = [(mu, z_value(mu), f_mu) for mu, f_mu in f.terms.items()]
+    support = [(mu, z_value(mu) * f_mu, (n - len(mu)) % 2) for mu, f_mu in f.terms.items()]
     expansion: dict[Partition, LaurentPoly] = {}
-    expansions: dict[tuple[int, bool], tuple] = {}
+    expansions: dict[int, tuple] = {}
     for lam in partitions_of(n):
+        if lam and len(lam) > lam[0]:
+            continue
         s_lam = _schur_rational(lam, expansions)
-        c = LaurentPoly.zero(f.vars)
-        for mu, z_mu, f_mu in support:
+        c = c_conjugate = LaurentPoly.zero(f.vars)
+        for mu, z_f_mu, odd in support:
             if mu in s_lam:
-                c = c + z_mu * s_lam[mu] * f_mu
+                term = s_lam[mu] * z_f_mu
+                c = c + term
+                c_conjugate = c_conjugate - term if odd else c_conjugate + term
         if c:
             expansion[lam] = c
+        if c_conjugate:
+            # for a self-conjugate lam this rewrites c: there eps_mu = 1 wherever chi^lam(mu) != 0
+            expansion[_conjugate(lam)] = c_conjugate
     return expansion
 
 

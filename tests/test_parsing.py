@@ -2,12 +2,16 @@
 
 import re
 from fractions import Fraction
+from math import comb
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from powerstruct import ConstantTermError, LaurentPoly, LimitError, ParseError, SymFunc, TruncSeries, basis_in_p
+from powerstruct import (
+    ConstantTermError, LaurentPoly, LimitError, ParseError, SymFunc, TruncSeries, basis_in_p, partitions_of,
+)
+from powerstruct import parsing
 from powerstruct.cli import main
 from powerstruct.parsing import (
     parse_expression,
@@ -395,3 +399,84 @@ class TestOnePass:
         assert variables(tokens) == ("p", "pq", "s")
         assert variables(tokens, tokenize("u + h[1]")) == ("p", "pq", "s", "u")
         assert parse_expression(tokens, order=2, bound=2) == parse_expression("p*t + e [2] + s^2 - pq", order=2, bound=2)
+
+
+def reference_multisets(counts, order):
+    """The multiset count one base term at a time: the loop that
+    parsing._multisets folds per t-degree, kept as its reference."""
+    multisets = [1] + [0] * order
+    for j, c in enumerate(counts[1:], start=1):
+        for _ in range(c):
+            for k in range(j, order + 1):
+                multisets[k] += multisets[k - j]
+    return multisets
+
+
+def reference_partition_counts(weight, bound):
+    """Partitions of weight at most w with parts at most bound, one weight
+    at a time."""
+    counts = [1] + [0] * weight
+    for part in range(1, min(weight, bound) + 1):
+        for w in range(part, weight + 1):
+            counts[w] += counts[w - part]
+    for w in range(1, weight + 1):
+        counts[w] += counts[w - 1]
+    return counts
+
+
+@st.composite
+def work_bases(draw):
+    """A series base for parsing._power_work: over Q, Q[L], Q[u,v] or
+    symmetric functions, with a constant term 1 or not, and zero runs."""
+    ring = draw(st.sampled_from(["Q", "L", "uv", "sym"]))
+    order = draw(st.integers(1 if ring == "sym" else 0, 12))
+    small = st.fractions(-3, 3, max_denominator=2).filter(bool)
+    if ring == "Q":
+        coeff = small
+    elif ring == "sym":
+        partitions = [p for n in range(1, 5) for p in partitions_of(n) if max(p) <= order]
+        coeff = st.dictionaries(st.sampled_from(partitions), small, max_size=4).map(
+            lambda terms: SymFunc(terms, order))
+    else:
+        vars = ("L",) if ring == "L" else ("u", "v")
+        exps = st.tuples(*[st.integers(-2, 3)] * len(vars))
+        coeff = st.dictionaries(exps, small, max_size=5).map(lambda terms: LaurentPoly(vars, terms))
+    zero = {"Q": Fraction(0), "sym": SymFunc.zero(order), "L": LaurentPoly.zero(("L",)),
+            "uv": LaurentPoly.zero(("u", "v"))}[ring]
+    constant = draw(st.sampled_from([1, 2, "any"]))
+    c0 = draw(coeff) if constant == "any" else constant + zero
+    rest = draw(st.lists(st.one_of(st.just(zero), coeff), min_size=order, max_size=order))
+    return TruncSeries([c0, *rest], order, zero)
+
+
+class TestPowerWork:
+    """The work estimate of a series power with its multisets folded per
+    t-degree, against the loop over base terms."""
+
+    @given(st.integers(0, 40).flatmap(
+        lambda order: st.lists(st.integers(0, 30), min_size=order + 1, max_size=order + 1)))
+    @settings(max_examples=200, deadline=None)
+    def test_multisets(self, counts):
+        assert parsing._multisets(counts, len(counts) - 1) == reference_multisets(counts, len(counts) - 1)
+
+    @given(st.integers(0, 200), st.integers(0, 40))
+    @settings(max_examples=100, deadline=None)
+    def test_partition_counts(self, weight, bound):
+        assert parsing._partition_counts(weight, bound) == reference_partition_counts(weight, bound)
+
+    @given(work_bases(), st.integers(-6, 40), st.integers(0, 12))
+    @settings(max_examples=200, deadline=None)
+    def test_power_work(self, base, n, weight):
+        if n < 0 and base.coeffs[0] == 0:
+            n = -n
+        estimate = parsing._power_work(base, n, weight)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(parsing, "_multisets", reference_multisets)
+            patch.setattr(parsing, "_partition_counts", reference_partition_counts)
+            assert estimate == parsing._power_work(base, n, weight)
+
+    def test_many_terms_of_one_degree(self):
+        """37338 terms of t-degree 1, as h[40]*t has: C(c + k - 1, k)
+        multisets at t^k, without a pass per term."""
+        c = len(partitions_of(40))
+        assert parsing._multisets([1, c] + [0] * 255, 256) == [comb(c + k - 1, k) for k in range(257)]

@@ -24,7 +24,7 @@ from powerstruct import (
     z_value,
 )
 from powerstruct.reproduce import character_table
-from powerstruct.symfunc import _conjugate
+from powerstruct.symfunc import _conjugate, _schur_rational
 
 
 def full_product_character_table(n):
@@ -401,15 +401,24 @@ class TestSchur:
 
 class TestRationalJacobiTrudi:
     """The determinants expanded on {partition: rational} maps against the
-    SymFunc-valued reference expansion."""
+    SymFunc-valued reference expansion.  The library expands det(h) only and
+    reads a lambda longer than its conjugate through omega; the reference
+    expands det(h) and det(e) as it is told, so det(e) is an independent
+    oracle of the omega path."""
 
     @pytest.mark.parametrize("weight", range(12))
     def test_every_schur_function_on_both_sides(self, weight):
+        expansions = {}
         for lam in partitions_of(weight):
             s_lam = basis_in_p("s", lam, weight)
-            assert s_lam == laplace_schur(lam, weight, signed=False), lam
-            assert s_lam == laplace_schur(lam, weight, signed=True), lam
+            rational = _schur_rational(lam, {})
+            assert _schur_rational(lam, expansions) == rational, lam
+            for signed in (False, True):
+                reference = laplace_schur(lam, weight, signed)
+                assert rational == {mu: c.constant_term() for mu, c in reference.terms.items()}, (lam, signed)
+                assert s_lam == reference, (lam, signed)
             assert s_lam.vars == () and all(c.vars == () for c in s_lam.terms.values())
+        assert set(expansions) <= set(range(weight + 1)), "h_k entries only, keyed by k"
 
     @given(homogeneous_sym_funcs(max_weight=9, min_weight=1))
     @settings(max_examples=60, deadline=None)
@@ -417,6 +426,22 @@ class TestRationalJacobiTrudi:
         expansion = p_to_schur(f)
         assert expansion == reference_p_to_schur(f)
         assert all(c.vars == f.vars for c in expansion.values())
+
+    @given(st.sampled_from([3, 6, 8, 9, 10]).flatmap(lambda n: homogeneous_sym_funcs(max_weight=n, min_weight=n)))
+    @settings(max_examples=40, deadline=None)
+    def test_p_to_schur_with_self_conjugate_partitions(self, f):
+        """Weights whose partitions include self-conjugate ones, which the
+        omega path writes once from one map."""
+        assert any(lam == _conjugate(lam) for lam in partitions_of(f.weight()))
+        expansion = p_to_schur(f)
+        assert expansion == reference_p_to_schur(f)
+        assert all(c.vars == f.vars for c in expansion.values())
+
+    @pytest.mark.parametrize("lam", [(2, 1), (3, 2, 1), (4, 2, 1, 1), (3, 3, 2), (4, 3, 2, 1)])
+    def test_self_conjugate_schur_functions_round_trip(self, lam):
+        n = sum(lam)
+        assert lam == _conjugate(lam)
+        assert p_to_schur(basis_in_p("s", lam, n)) == {lam: LaurentPoly.constant(1)}
 
 
 class TestPlethysm:
