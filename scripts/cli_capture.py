@@ -5,26 +5,28 @@ Runs a seeded list of requests through ``powerstruct.cli.main`` in one
 process and writes, per request, its argv, stdout, stderr and exit code to a
 JSON file.  The list covers every subcommand in text and JSON at orders 0-8,
 values over Q, Q[L], Q[u,v] and symmetric functions, zero exponents, both
-algorithms of ``pow`` and ``factorize``, the edges of the dense Euler-product
-route (one Q[L] ``pow`` and one ``factorize`` at order 24, a Q base with a
-Q[L] exponent, ``L^-2``, ``1/3`` and zero exponents, a Q[u,v] exponent),
-``schur`` at weights up to 16 and on tall, wide and self-conjugate
-partitions, ``config``, ``quotient`` and ``moduli-g2`` at orders 12 and
-24, the three ``config --specialize`` modes at order 16 over Q[L] and
-Q[u,v], the small-operand
-paths of the rings (a scalar that cancels or zeroes a polynomial, a
-one-term factor with negative or two-variable exponents, and ``pow``,
-``factorize`` and ``lambda`` on Q[L] series whose coefficients are
+algorithms of ``pow`` and ``factorize``, the edges of the dense
+Euler-product route (one Q[L] ``pow`` and one ``factorize`` at order 24, a Q
+base with a Q[L] exponent, ``L^-2``, ``1/3`` and zero exponents, a Q[u,v]
+exponent), ``schur`` at weights up to 16 and on tall, wide and
+self-conjugate partitions, the ``h`` and ``e`` atoms at weights 12-20 and a
+tall ``s`` atom, ``specialize --mode sign`` on Q[L] and non-homogeneous
+values, ``adams`` on Q[L] symmetric functions at and past the bound,
+``config``, ``quotient`` and ``moduli-g2`` at orders 12 and 24, the three
+``config --specialize`` modes at order 16 over Q[L] and Q[u,v], the
+small-operand paths of the rings (a scalar that cancels or zeroes a
+polynomial, a one-term factor with negative or two-variable exponents, and
+``pow``, ``factorize`` and ``lambda`` on Q[L] series whose coefficients are
 rationals or single terms, at orders 0-8), the grammar's literal monomials
 (``t^0``, ``t^k`` past the order, ``x^k`` with k <= 0, spaces inside a power
-or an atom, ``p``, ``e`` and ``s`` as plain variables), a Q base with a
-Q[L] exponent at orders 0 and 1, values given as separate words
-that start with ``-``, ``--input`` and ``@file`` values,
-malformed JSON values, size caps (the symmetric-function weight of ``*``
+or an atom, ``p``, ``e`` and ``s`` as plain variables), a Q base with a Q[L]
+exponent at orders 0 and 1, values given as separate words that start with
+``-``, ``--input`` and ``@file`` values, malformed JSON values, JSON term
+lists that repeat a term, size caps (the symmetric-function weight of ``*``
 and ``^`` and the work of a series ``^`` and ``/`` among them) and error
-paths, digits outside 0-9 among them.  Two
-captures of the same seed, taken from two source trees, show whether a
-change kept the CLI's output byte-identical.
+paths, digits outside 0-9 among them.  Two captures of the same seed, taken
+from two source trees, show whether a change kept the CLI's output
+byte-identical.
 
 Usage:
   python scripts/cli_capture.py --src SRC_DIR --out FILE [--seed N] [--limit N]
@@ -155,6 +157,23 @@ AT_ORDER = [
     # A Q base with a Q[L] exponent at the smallest orders.
     *((["pow", "--base", "1 + 2*t - 1/3*t^3", "--exponent", "L^2 - 1"], order) for order in (0, 1)),
     *((["pow", "--base", "(1 + t)^3", "--exponent", "L"], order) for order in (0, 1)),
+    # The h and e atoms (e through omega) at weights 12-20, a tall Schur
+    # atom, and e[3] past its bound.
+    *((["adams", "--element", f"{name}[{w}]", "--k", "1"], w) for name in ("h", "e") for w in range(12, 21)),
+    (["adams", "--element", "s[2,1,1,1,1,1,1,1,1,1,1]", "--k", "1"], 12),
+    (["adams", "--element", "e[3]", "--k", "1"], 2),
+    # The sign specialization (invariants after omega) on Q[L] and on
+    # non-homogeneous symmetric functions.
+    *(
+        (["specialize", "--f", f, "--mode", "sign"], 6)
+        for f in ("L*p[1]^2 - (L^2 + 1)*p[2] + p[3]", "1 + p[1] - L*e[2] + h[3]", "L + s[2,1] - e[3]*p[1] + s[1,1,1,1]")
+    ),
+    # Adams operations on Q[L] symmetric functions, at the bound and past it.
+    *(
+        (["adams", "--element", f, "--k", str(k)], order)
+        for f in ("L*p[2] - p[1]^2", "(L + 1)*h[2] + L^2*p[1] - e[2]")
+        for k, order in ((2, 4), (2, 3), (3, 6), (3, 5))
+    ),
 ]
 # Operands that take the scalar and one-term paths of the rings: a scalar
 # that zeroes a polynomial or cancels its constant term, a one-term factor
@@ -268,6 +287,9 @@ ERRORS = [
     ["adams", "--element", "@str_bound.json", "--k", "2"],
     ["adams", "--element", "@decimal_coeff.json", "--k", "2"],
     ["pow", "--base", "1+t", "--exponent", "@decimal.json", "--order", "2"],
+    # JSON term lists that repeat a term: the terms add.
+    *(["adams", "--element", "@repeated_terms.json", "--k", "1", "--output-format", fmt] for fmt in FORMATS),
+    *(["adams", "--element", "@repeated_partitions.json", "--k", "1", "--output-format", fmt] for fmt in FORMATS),
     # Digits outside 0-9, in a value and in the O(t^k) tail of a series.
     ["adams", "--element", "L^\u0663 + \u0662", "--k", "1"],
     ["pow", "--base", "1+t + O(t^1\u0663)", "--exponent", "1"],
@@ -289,6 +311,15 @@ FILES = {
     "big_exponent.json": {"order": 2, "coeffs": ["1", {"vars": ["L"], "terms": [{"e": [1001], "c": "1"}]}, "0"]},
     "decimal_coeff.json": {"vars": ["L"], "terms": [{"e": [1], "c": " 1.5e1 "}]},
     "decimal.json": "2.5",
+    "repeated_terms.json": {"vars": ["L"], "terms": [{"e": [1], "c": "1"}, {"e": [1], "c": "2"}]},
+    "repeated_partitions.json": {
+        "bound": 3,
+        "vars": [],
+        "terms": [
+            {"p": p, "c": {"vars": [], "terms": [{"e": [], "c": c}]}}
+            for p, c in (([2, 1], "1"), ([1, 2], "1"), ([2, 1], "5"))
+        ],
+    },
 }
 
 

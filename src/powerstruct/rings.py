@@ -472,7 +472,7 @@ class LaurentPoly(_Value):
                 if abs(e) > MAX_EXPONENT:
                     raise LimitError(f"exponent {e} of a polynomial term exceeds the limit {MAX_EXPONENT}")
             c = json_field(entry, "c", "polynomial term", str)
-            terms[exps] = parse_rational(c, "polynomial term field 'c'")
+            terms[exps] = terms.get(exps, _ZERO) + parse_rational(c, "polynomial term field 'c'")
         return cls(vars, terms)
 
 
@@ -785,6 +785,9 @@ class GradedAdamsElement(_Value):
         return self.components == other.components
 
     def __hash__(self):
+        # equal to a rational when nothing lies above degree 0, so hash as one
+        if set(self.components) <= {0}:
+            return hash(self.components.get(0, _ZERO))
         return hash(frozenset(self.components.items()))
 
     def __bool__(self):

@@ -22,7 +22,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 from .arith import binary_power
 from .errors import GeneratorBoundError, HomogeneityError, InexactDivisionError, json_field
@@ -223,10 +223,6 @@ class SymFunc(_Value):
         for pa, ca in a.terms.items():
             for pb, cb in b.terms.items():
                 key = tuple(sorted(pa + pb, reverse=True))
-                if key and key[0] > a.bound:
-                    raise GeneratorBoundError(
-                        f"product index p_{key[0]} exceeds the generator bound {a.bound}"
-                    )
                 coeff = ca * cb
                 prev = product.get(key)
                 total = coeff if prev is None else prev + coeff
@@ -301,7 +297,7 @@ class SymFunc(_Value):
             raise GeneratorBoundError(
                 f"adams({k}) would need p_{k * top} > bound {self.bound}"
             )
-        return SymFunc(
+        return SymFunc._raw(
             {
                 tuple(part * k for part in partition): coeff.adams(k)
                 for partition, coeff in self.terms.items()
@@ -341,28 +337,33 @@ class SymFunc(_Value):
         terms = {}
         for entry in json_field(data, "terms", where, list):
             partition = tuple(json_field(entry, "p", f"{where} term", list, int))
-            terms[partition] = LaurentPoly.from_json_dict(json_field(entry, "c", f"{where} term", dict))
+            coeff = LaurentPoly.from_json_dict(json_field(entry, "c", f"{where} term", dict))
+            # a repeated term adds, as one partition written in two orders does
+            terms[partition] = terms[partition] + coeff if partition in terms else coeff
         return cls(terms, json_field(data, "bound", where, int), vars)
 
 
 # -- basis conversions -------------------------------------------------------
 
 
-def _p_rational(k: int, signed: bool) -> dict[Partition, Fraction]:
-    """h_k = sum over partitions lambda of k of p_lambda / z_lambda, or e_k
-    when signed: each coefficient times (-1)^(k - length(lambda)); as a
-    {partition: rational} map."""
-    return {
-        part: Rational((-1) ** (k - len(part)) if signed else 1, z_value(part))
-        for part in partitions_of(k)
-    }
+def _h_terms(k: int) -> dict[Partition, Fraction]:
+    """h_k = sum over partitions lambda of k of p_lambda / z_lambda
+    (Macdonald I.(2.14)), as its {lambda: 1/z_lambda} terms."""
+    return {part: Rational(1, z_value(part)) for part in partitions_of(k)}
 
 
-def _rational_symfunc(terms: Mapping[Partition, Fraction], bound: int) -> SymFunc:
-    """The SymFunc over Q of a {partition: nonzero rational} map whose parts
-    are sorted and within ``bound``: one LaurentPoly constant per term."""
+def _omega(terms: Iterable[tuple[Partition, object]]) -> Iterator[tuple[Partition, object]]:
+    """The involution omega on (partition, coefficient) terms in the p-basis:
+    p_mu -> eps_mu p_mu with eps_mu = (-1)^(|mu| - length(mu)) (Macdonald
+    I.(2.13)).  It swaps h_k and e_k and sends s_lambda to s_lambda' (I.(3.8))."""
+    return ((part, -coeff if (sum(part) - len(part)) % 2 else coeff) for part, coeff in terms)
+
+
+def _rational_symfunc(terms: Iterable[tuple[Partition, Fraction]], bound: int) -> SymFunc:
+    """The SymFunc over Q of distinct (partition, nonzero rational) terms
+    whose parts are sorted and within ``bound``: one LaurentPoly per term."""
     return SymFunc._raw(
-        {part: LaurentPoly._raw((), {(): coeff}) for part, coeff in terms.items()}, bound, ()
+        {part: LaurentPoly._raw((), {(): coeff}) for part, coeff in terms}, bound, ()
     )
 
 
@@ -378,25 +379,21 @@ def _schur_rational(
     """s_lambda = det(h_{lambda_i - i + j}) (Macdonald I.(3.4)) expanded in
     the p-basis as a {partition: rational} map.  The Laplace expansion
     visits up to 2^length(lambda) minors, so a lambda longer than its
-    conjugate lambda' is read through the involution omega instead:
-    s_lambda = omega(s_lambda'), and omega(p_mu) = (-1)^(|mu| - length(mu))
-    p_mu (Macdonald I.(2.13), I.(3.8)).  Entries are plain (partition,
-    rational) pairs, so no SymFunc or LaurentPoly is built.  ``expansions``
-    holds the h_k pairs built so far, keyed by k; a caller expanding several
-    determinants passes one dict so that each is built once."""
+    conjugate lambda' is read as s_lambda = omega(s_lambda') instead
+    (:func:`_omega`).  Entries are plain (partition, rational) pairs, so no
+    SymFunc or LaurentPoly is built.  ``expansions`` holds the h_k terms
+    built so far, keyed by k; a caller expanding several determinants passes
+    one dict so that each is built once."""
     conjugate = _conjugate(partition)
     if len(conjugate) < len(partition):
-        return {
-            part: -coeff if (sum(part) - len(part)) % 2 else coeff
-            for part, coeff in _schur_rational(conjugate, expansions).items()
-        }
+        return dict(_omega(_schur_rational(conjugate, expansions).items()))
     size = len(partition)
 
     def expand(k: int) -> tuple:
         if k < 0:
             return ()
         if k not in expansions:
-            expansions[k] = tuple(_p_rational(k, False).items())
+            expansions[k] = tuple(_h_terms(k).items())
         return expansions[k]
 
     matrix = [[expand(partition[i] - i + j) for j in range(size)] for i in range(size)]
@@ -434,31 +431,31 @@ def basis_in_p(basis: str, index: int | Iterable[int], bound: int) -> SymFunc:
     """Expand a named basis element exactly in the p-basis.
 
     basis 'h' and 'e' take an integer index; 's' takes a partition; 'p' is
-    accepted for symmetry and returns the plain power-sum monomial.
+    accepted for symmetry and returns the plain power-sum monomial.  h_k is
+    sum_lambda p_lambda / z_lambda, e_k = omega(h_k), and s_lambda is the
+    Jacobi-Trudi determinant of :func:`_schur_rational`.
     """
     if basis in ("h", "e"):
         if not isinstance(index, int):
             raise TypeError(f"basis {basis!r} takes an integer index")
         if index < 0:
             raise ValueError("index must be >= 0")
-        if index > bound:
-            raise GeneratorBoundError(f"weight {index} exceeds the bound {bound}")
-        return _rational_symfunc(_p_rational(index, basis == "e"), bound)
+        weight = index
+    elif basis in ("s", "p"):
+        partition = normalize_partition(
+            (index,) if isinstance(index, int) else tuple(index)
+        )
+        if basis == "p":
+            return SymFunc.p_monomial(partition, bound)
+        weight = sum(partition)
+    else:
+        raise ValueError(f"unknown basis {basis!r}")
+    if weight > bound:
+        raise GeneratorBoundError(f"weight {weight} exceeds the bound {bound}")
     if basis == "s":
-        partition = normalize_partition(
-            (index,) if isinstance(index, int) else tuple(index)
-        )
-        if sum(partition) > bound:
-            raise GeneratorBoundError(
-                f"weight {sum(partition)} exceeds the bound {bound}"
-            )
-        return _rational_symfunc(_schur_rational(partition, {}), bound)
-    if basis == "p":
-        partition = normalize_partition(
-            (index,) if isinstance(index, int) else tuple(index)
-        )
-        return SymFunc.p_monomial(partition, bound)
-    raise ValueError(f"unknown basis {basis!r}")
+        return _rational_symfunc(_schur_rational(partition, {}).items(), bound)
+    terms = _h_terms(weight).items()
+    return _rational_symfunc(_omega(terms) if basis == "e" else terms, bound)
 
 
 def p_to_schur(f: SymFunc) -> dict[Partition, LaurentPoly]:
@@ -468,25 +465,25 @@ def p_to_schur(f: SymFunc) -> dict[Partition, LaurentPoly]:
     chi^lambda(mu) = z_mu [p_mu] s_lambda is read off the rational
     Jacobi-Trudi map of s_lambda (:func:`_schur_rational`), so
     c_lambda = sum_mu chi^lambda(mu) f_mu over the support of f.  Only the
-    lambda no longer than their conjugates are expanded: omega gives
-    chi^lambda'(mu) = eps_mu chi^lambda(mu) with eps_mu = (-1)^(n -
-    length(mu)), so one map yields c_lambda and c_lambda' (one entry for a
-    self-conjugate lambda).  Zero coefficients are omitted from the result.
+    lambda no longer than their conjugates are expanded: :func:`_omega`
+    gives chi^lambda'(mu) = eps_mu chi^lambda(mu), so one map yields
+    c_lambda and c_lambda' (one entry for a self-conjugate lambda).  Zero
+    coefficients are omitted from the result.
     """
-    n = f.weight()
-    support = [(mu, z_value(mu) * f_mu, (n - len(mu)) % 2) for mu, f_mu in f.terms.items()]
+    support = [(mu, z_value(mu) * f_mu) for mu, f_mu in f.terms.items()]
+    odd = {mu for mu, sign in _omega((mu, 1) for mu in f.terms) if sign < 0}
     expansion: dict[Partition, LaurentPoly] = {}
     expansions: dict[int, tuple] = {}
-    for lam in partitions_of(n):
+    for lam in partitions_of(f.weight()):
         if lam and len(lam) > lam[0]:
             continue
         s_lam = _schur_rational(lam, expansions)
         c = c_conjugate = LaurentPoly.zero(f.vars)
-        for mu, z_f_mu, odd in support:
+        for mu, z_f_mu in support:
             if mu in s_lam:
                 term = s_lam[mu] * z_f_mu
                 c = c + term
-                c_conjugate = c_conjugate - term if odd else c_conjugate + term
+                c_conjugate = c_conjugate - term if mu in odd else c_conjugate + term
         if c:
             expansion[lam] = c
         if c_conjugate:
@@ -543,18 +540,11 @@ def plethysm_apply(f: SymFunc, x):
 
 def specialize(f: SymFunc, mode: SpecializationMode) -> LaurentPoly:
     """Apply one of the three character specializations; see
-    :class:`SpecializationMode`."""
-    if mode is SpecializationMode.INVARIANTS:
-        total = LaurentPoly.zero(f.vars)
-        for coeff in f.terms.values():
-            total = total + coeff
-        return total
-    if mode is SpecializationMode.SIGN:
-        total = LaurentPoly.zero(f.vars)
-        for partition, coeff in f.terms.items():
-            sign = (-1) ** (sum(partition) - len(partition))
-            total = total + (coeff if sign > 0 else -coeff)
-        return total
+    :class:`SpecializationMode`.  Sign is invariants applied to omega(f)
+    (:func:`_omega`): omega turns the sign character into the trivial one."""
+    if mode in (SpecializationMode.INVARIANTS, SpecializationMode.SIGN):
+        terms = f.terms.items() if mode is SpecializationMode.INVARIANTS else _omega(f.terms.items())
+        return sum((coeff for _, coeff in terms), LaurentPoly.zero(f.vars))
     if mode is SpecializationMode.ORDERED:
         n = f.weight()
         coeff = f.coefficient((1,) * n)

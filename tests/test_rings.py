@@ -144,6 +144,15 @@ class TestGraded:
         k = 4
         assert adams(x * y, k) == adams(x, k) * adams(y, k)
 
+    @pytest.mark.parametrize("value", [0, 1, -3, Fraction(1, 2)])
+    def test_hash_of_a_degree_zero_element_is_its_rationals(self, value):
+        """An element with nothing above degree 0 equals its rational, so it
+        hashes as one and finds the rational's dictionary entry."""
+        x = GradedAdamsElement({0: value})
+        assert x == value and hash(x) == hash(value)
+        assert {value: "a"}.get(x) == "a"
+        assert hash(GradedAdamsElement({1: 1})) == hash(GradedAdamsElement({1: 1}))
+
 
 class TestCanonicalForm:
     def test_text_form(self):
@@ -168,6 +177,14 @@ class TestCanonicalForm:
     @settings(max_examples=40)
     def test_json_round_trip_two_vars(self, p):
         assert LaurentPoly.from_json_dict(p.to_json_dict()) == p
+
+    def test_json_repeated_term_adds(self):
+        """A term repeated in a JSON term list adds, as the constructor adds
+        one exponent given twice; a repeat that cancels leaves no term."""
+        data = {"vars": ["L"], "terms": [{"e": [1], "c": "1"}, {"e": [0], "c": "1"}, {"e": [1], "c": "2"}]}
+        assert LaurentPoly.from_json_dict(data) == 3 * L + 1
+        data["terms"].append({"e": [0], "c": "-1"})
+        assert LaurentPoly.from_json_dict(data).terms == {(1,): 3}
 
     def test_no_zero_terms_stored(self):
         p = L - L

@@ -1,5 +1,6 @@
 """Symmetric functions: arithmetic, bases, plethysm, specializations."""
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from powerstruct import (
+    AlphabetMismatchError,
     GeneratorBoundError,
     HomogeneityError,
     LaurentPoly,
@@ -24,7 +26,7 @@ from powerstruct import (
     z_value,
 )
 from powerstruct.reproduce import character_table
-from powerstruct.symfunc import _conjugate, _schur_rational
+from powerstruct.symfunc import _conjugate, _omega, _schur_rational
 
 
 def full_product_character_table(n):
@@ -115,6 +117,27 @@ def laplace_schur(partition, bound, signed):
         return total
 
     return minor(tuple(range(size)))
+
+
+def reference_p_rational(k, signed):
+    """h_k = sum over partitions lambda of k of p_lambda / z_lambda, or e_k
+    when signed, each coefficient times (-1)^(k - length(lambda)): the map
+    symfunc built before e_k was read as omega(h_k), kept as the reference."""
+    return {
+        part: Fraction((-1) ** (k - len(part)) if signed else 1, z_value(part))
+        for part in partitions_of(k)
+    }
+
+
+def reference_sign(f):
+    """The sign specialization term by term, p_mu -> (-1)^(|mu| - length(mu)):
+    the loop symfunc ran before sign was read as invariants after omega,
+    kept as the reference."""
+    total = LaurentPoly.zero(f.vars)
+    for partition, coeff in f.terms.items():
+        sign = (-1) ** (sum(partition) - len(partition))
+        total = total + (coeff if sign > 0 else -coeff)
+    return total
 
 
 @lru_cache(maxsize=None)
@@ -322,6 +345,33 @@ class TestBases:
         expected = SymFunc({(1, 1): Fraction(1, 2), (2,): Fraction(-1, 2)}, 5)
         assert basis_in_p("e", 2, 5) == expected
 
+    @pytest.mark.parametrize("k", range(21))
+    def test_h_and_e_match_the_reference(self, k):
+        """h_k from its (lambda, 1/z_lambda) terms and e_k = omega(h_k)
+        against the signed and unsigned reference maps."""
+        for basis, signed in (("h", False), ("e", True)):
+            f = basis_in_p(basis, k, k + 1)
+            assert_canonical(f)
+            assert f.bound == k + 1 and f.vars == ()
+            assert {mu: c.constant_term() for mu, c in f.terms.items()} == reference_p_rational(k, signed)
+
+    @pytest.mark.parametrize(
+        "basis, index, bound, error, message",
+        [
+            ("h", 4, 3, GeneratorBoundError, "weight 4 exceeds the bound 3"),
+            ("e", 3, 2, GeneratorBoundError, "weight 3 exceeds the bound 2"),
+            ("s", (2, 2), 3, GeneratorBoundError, "weight 4 exceeds the bound 3"),
+            ("p", (4,), 3, GeneratorBoundError, "p_4 exceeds the generator bound 3"),
+            ("e", -1, 3, ValueError, "index must be >= 0"),
+            ("h", (2,), 3, TypeError, "basis 'h' takes an integer index"),
+            ("s", (2, 0), 3, ValueError, "partition parts must be positive"),
+            ("q", 1, 3, ValueError, "unknown basis 'q'"),
+        ],
+    )
+    def test_invalid_atoms(self, basis, index, bound, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            basis_in_p(basis, index, bound)
+
 
 class TestSchur:
     def test_p1_squared(self):
@@ -496,6 +546,21 @@ class TestSpecialize:
                 SpecializationMode.ORDERED,
             )
 
+    @given(st.data(), st.integers(3, 6), st.sampled_from([(), ("L",)]))
+    @settings(max_examples=150, deadline=None)
+    def test_sign_matches_the_reference(self, data, bound, vars):
+        """Sign read as invariants after omega against the term-by-term
+        loop, on Q and Q[L] functions of mixed weights."""
+        f = data.draw(bounded_sym_funcs(bound, vars))
+        assert specialize(f, SpecializationMode.SIGN) == reference_sign(f)
+        assert specialize(f, SpecializationMode.SIGN).vars == vars
+
+    @given(st.data(), st.integers(3, 6), st.sampled_from([(), ("L",)]))
+    @settings(max_examples=60, deadline=None)
+    def test_omega_is_an_involution(self, data, bound, vars):
+        f = data.draw(bounded_sym_funcs(bound, vars))
+        assert dict(_omega(_omega(f.terms.items()))) == f.terms
+
     @given(sym_funcs(), sym_funcs())
     @settings(max_examples=40)
     def test_invariants_is_ring_map(self, f, g):
@@ -526,3 +591,17 @@ class TestSerialization:
     def test_json_round_trip(self):
         f = U * SymFunc.p(2, 4, ("u", "v")) - SymFunc.constant(3, 4, ("u", "v"))
         assert SymFunc.from_json_dict(f.to_json_dict()) == f
+
+    def test_json_repeated_term_adds(self):
+        """A partition repeated in a JSON term list adds, in either order of
+        its parts, as the constructor adds one partition written twice."""
+        def term(p, c, vars=()):
+            return {"p": p, "c": {"vars": list(vars), "terms": [{"e": [1] * len(vars), "c": c}]}}
+
+        data = {"bound": 3, "vars": [], "terms": [term([2, 1], "1"), term([1, 2], "1"), term([2, 1], "5")]}
+        assert SymFunc.from_json_dict(data) == 7 * SymFunc.p_monomial((2, 1), 3)
+        data = {"bound": 2, "vars": ["L"], "terms": [term([1], "1", "L"), term([1], "2", "L"), term([1], "-3", "L")]}
+        assert SymFunc.from_json_dict(data).terms == {}
+        data["terms"].append(term([1], "1", "u"))
+        with pytest.raises(AlphabetMismatchError):
+            SymFunc.from_json_dict(data)
