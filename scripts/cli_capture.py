@@ -22,7 +22,11 @@ rationals or single terms, at orders 0-8), the grammar's literal monomials
 or an atom, ``p``, ``e`` and ``s`` as plain variables), a Q base with a Q[L]
 exponent at orders 0 and 1, values given as separate words that start with
 ``-``, ``--input`` and ``@file`` values, malformed JSON values, JSON term
-lists that repeat a term, size caps (the symmetric-function weight of ``*``
+lists that repeat a term (among them terms that sum to zero), the
+cancelling sums of the term maps (Q[u,v] products in ``pow`` and
+``factorize``, ``irr`` at 3 variables and degrees 6-8, exact and inexact
+polynomial ``/``, ``schur`` and ``specialize`` of a sum whose terms
+cancel), size caps (the symmetric-function weight of ``*``
 and ``^`` and the work of a series ``^`` and ``/`` among them) and error
 paths, digits outside 0-9 among them.  Two captures of the same seed, taken
 from two source trees, show whether a change kept the CLI's output
@@ -168,6 +172,27 @@ AT_ORDER = [
         (["specialize", "--f", f, "--mode", "sign"], 6)
         for f in ("L*p[1]^2 - (L^2 + 1)*p[2] + p[3]", "1 + p[1] - L*e[2] + h[3]", "L + s[2,1] - e[3]*p[1] + s[1,1,1,1]")
     ),
+    # Sums whose terms cancel: Q[u,v] products in pow and factorize, the
+    # remainder of exact_div in irr and in polynomial /, and a symmetric
+    # function whose p[2] terms cancel.
+    *(
+        (["pow", "--base", "1 + (u - v)*t - u*v*t^2", "--exponent", "u + v", *algorithm], 6)
+        for algorithm in ([], ["--algorithm", "product"])
+    ),
+    *(
+        (["factorize", "--series", "(1 + (u + v)*t)*(1 - (u - v)*t)", "--algorithm", algorithm], 6)
+        for algorithm in ("moebius", "iterative")
+    ),
+    *((["irr", "--vars", "3", "--degree", str(degree)], 4) for degree in (6, 7, 8)),
+    (["adams", "--element", "(L^3-1)/(L-1)", "--k", "1"], 0),
+    (["adams", "--element", "(L^3-1)/(L-2)", "--k", "1"], 0),
+    (["schur", "--f", "p[2] + p[1,1] - p[2]"], 2),
+    *(
+        (["specialize", "--f", "p[2] + p[1,1] - p[2]", "--mode", mode], 2)
+        for mode in ("invariants", "sign", "ordered")
+    ),
+    (["adams", "--element", "@cancelling_terms.json", "--k", "2"], 0),
+    (["adams", "--element", "@cancelling_partitions.json", "--k", "1"], 3),
     # Adams operations on Q[L] symmetric functions, at the bound and past it.
     *(
         (["adams", "--element", f, "--k", str(k)], order)
@@ -312,6 +337,23 @@ FILES = {
     "decimal_coeff.json": {"vars": ["L"], "terms": [{"e": [1], "c": " 1.5e1 "}]},
     "decimal.json": "2.5",
     "repeated_terms.json": {"vars": ["L"], "terms": [{"e": [1], "c": "1"}, {"e": [1], "c": "2"}]},
+    "cancelling_terms.json": {
+        "vars": ["L"],
+        "terms": [
+            {"e": e, "c": c}
+            for e, c in (([1], "1"), ([2], "3"), ([1], "-1"), ([0], "1/2"), ([0], "-1/2"))
+        ],
+    },
+    "cancelling_partitions.json": {
+        "bound": 3,
+        "vars": ["L"],
+        "terms": [
+            {"p": p, "c": {"vars": ["L"], "terms": [{"e": [e], "c": c}]}}
+            for p, e, c in (
+                ([2, 1], 1, "1"), ([1, 2], 1, "-1"), ([3], 0, "2"), ([3], 0, "-2"), ([1], 2, "1")
+            )
+        ],
+    },
     "repeated_partitions.json": {
         "bound": 3,
         "vars": [],

@@ -39,9 +39,9 @@ from math import comb, factorial
 from typing import Mapping, Sequence
 
 from .arith import bernoulli
-from .errors import IntegralityError, PowerStructError, json_field
+from .errors import IntegralityError, PowerStructError, _require_int, json_field
 from .power import factorize, moebius_exponent, power
-from .rings import LaurentPoly
+from .rings import LaurentPoly, _add_terms
 from .series import TruncSeries, binomial_series
 from .symfunc import SpecializationMode, SymFunc
 
@@ -261,22 +261,11 @@ class GroupActionData:
         return cls(json_field(data, "group_order", "group action", int), tuple(classes))
 
 
-def _require_int(value, field: str) -> None:
-    """Refuse anything but an int (a bool is not one) for ``field``."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise TypeError(f"{field} must be an int, got {value!r}")
-
-
 def _orbit_length(key: str, where: str) -> int:
     """An orbit_euler key: the canonical decimal text of a positive integer."""
     if not (isinstance(key, str) and re.fullmatch("[1-9][0-9]*", key)):
         raise ValueError(f"{where} orbit_euler key {key!r} must be a positive integer in decimal")
     return int(key)
-
-
-def _accumulate(terms: dict, key, value) -> None:
-    prev = terms.get(key)
-    terms[key] = value if prev is None else prev + value
 
 
 def _cycle_index_series(terms, order: int, bound: int, vars=()) -> TruncSeries:
@@ -294,21 +283,21 @@ def _cycle_index_series(terms, order: int, bound: int, vars=()) -> TruncSeries:
         for k, exponent in sorted(factors, key=lambda factor: -factor[0]):
             if exponent and k <= order:
                 column = binomial_series(1, 1, exponent, order // k).coeffs
-                step = dict(grown)  # m = 0: C(exponent, 0) = 1
-                for partition, coeff in grown.items():
-                    for m in range(1, (order - sum(partition)) // k + 1):
-                        if column[m]:
-                            _accumulate(step, partition + (k,) * m, coeff * column[m])
-                grown = step
+                grown = _add_terms(dict(grown), (  # m = 0: C(exponent, 0) = 1
+                    (partition + (k,) * m, coeff * column[m])
+                    for partition, coeff in grown.items()
+                    for m in range(1, (order - sum(partition)) // k + 1)
+                    if column[m]
+                ))
         for partition, coeff in grown.items():
-            _accumulate(weights[sum(partition)], partition, coeff)
+            _add_terms(weights[sum(partition)], [(partition, coeff)])
 
     def promote(coeff):
         if isinstance(coeff, LaurentPoly):
             return coeff._promote(vars)
         return LaurentPoly.constant(coeff, vars)
 
-    coeffs = [SymFunc._raw({p: promote(c) for p, c in w.items() if c}, bound, vars) for w in weights]
+    coeffs = [SymFunc._raw({p: promote(c) for p, c in w.items()}, bound, vars) for w in weights]
     return TruncSeries(coeffs, order, SymFunc.zero(bound, vars))
 
 

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the field check of every
-value read from JSON."""
+"""Exception types shared across the package, the field check of every
+value read from JSON, and the int check of every key of a term map."""
 
 
 class PowerStructError(Exception):
@@ -49,6 +49,12 @@ class LimitError(PowerStructError):
     """A value exceeded a documented size limit, such as the integer
     exponent of ``^`` in the value grammar; raised before the work it
     would have started."""
+
+
+def _require_int(value, field: str) -> None:
+    """Refuse anything but an int (a bool is not one) for ``field``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{field} must be an int, got {value!r}")
 
 
 _JSON_KINDS = {int: "integer", dict: "object", list: "array", bool: "boolean", str: "string"}

@@ -22,7 +22,9 @@ values can be shared freely.
 
 Canonical form
 --------------
-Term maps never store zero coefficients, and serialization orders terms by
+Term maps never store zero coefficients: every constructor, sum and product
+adds its terms through :func:`_add_terms`, the one place where a zero sum is
+dropped.  Keys are ints or tuples of ints.  Serialization orders terms by
 descending lexicographic exponent tuple, e.g. ``L^5 - L^2``.  Every value
 prints as a signed sum through :func:`format_sum` and :func:`format_term`.
 The JSON form is
@@ -43,6 +45,7 @@ from .errors import (
     InexactDivisionError,
     LimitError,
     SubstitutionError,
+    _require_int,
     json_field,
 )
 
@@ -76,6 +79,20 @@ def _as_rational(value):
     if isinstance(value, SCALAR_TYPES):
         return Rational(value)
     raise TypeError(f"expected an exact rational, got {value!r}")
+
+
+def _add_terms(terms: dict, items: Iterable[tuple]) -> dict:
+    """Add each (key, coefficient) of ``items`` into the term map ``terms``
+    in place and return it.  A new key stores its coefficient as given, and
+    a key whose sum is zero is deleted."""
+    for key, coeff in items:
+        prev = terms.get(key)
+        total = coeff if prev is None else prev + coeff
+        if total:
+            terms[key] = total
+        else:
+            terms.pop(key, None)
+    return terms
 
 
 def format_rational(value) -> str:
@@ -163,19 +180,16 @@ class LaurentPoly(_Value):
 
     def __init__(self, vars: Iterable[str], terms: Mapping[Exponents, Scalar]):
         vars = tuple(vars)
-        width = len(vars)
-        clean: dict[Exponents, Fraction] = {}
-        for exps, coeff in terms.items():
+
+        def checked(exps) -> Exponents:
             exps = tuple(exps)
-            if len(exps) != width:
-                raise ValueError(
-                    f"exponent tuple {exps} does not match alphabet {vars}"
-                )
-            coeff = _as_rational(coeff)
-            if coeff:
-                clean[exps] = clean.get(exps, _ZERO) + coeff
-                if not clean[exps]:
-                    del clean[exps]
+            if len(exps) != len(vars):
+                raise ValueError(f"exponent tuple {exps} does not match alphabet {vars}")
+            for e in exps:
+                _require_int(e, "polynomial exponent")
+            return exps
+
+        clean = _add_terms({}, ((checked(exps), _as_rational(c)) for exps, c in terms.items()))
         object.__setattr__(self, "vars", vars)
         object.__setattr__(self, "terms", clean)
 
@@ -223,10 +237,10 @@ class LaurentPoly(_Value):
 
     def _align(self, other) -> tuple["LaurentPoly", "LaurentPoly"] | None:
         """Coerce the pair to a common alphabet, or None if not a known scalar."""
-        if isinstance(other, SCALAR_TYPES):
-            other = LaurentPoly.constant(other, self.vars)
         if not isinstance(other, LaurentPoly):
-            return None
+            if not isinstance(other, SCALAR_TYPES):
+                return None
+            other = LaurentPoly.constant(other, self.vars)
         if self.vars == other.vars:
             return self, other
         if self.vars == ():
@@ -240,26 +254,13 @@ class LaurentPoly(_Value):
             # A scalar lands on the constant term, which drops if it cancels.
             if not other:
                 return self
-            terms = dict(self.terms)
-            key = (0,) * len(self.vars)
-            total = terms.get(key, _ZERO) + other
-            if total:
-                terms[key] = total
-            else:
-                del terms[key]
-            return LaurentPoly._raw(self.vars, terms)
+            constant = [((0,) * len(self.vars), _as_rational(other))]
+            return LaurentPoly._raw(self.vars, _add_terms(dict(self.terms), constant))
         pair = self._align(other)
         if pair is None:
             return NotImplemented
         a, b = pair
-        terms = dict(a.terms)
-        for exps, coeff in b.terms.items():
-            total = terms.get(exps, _ZERO) + coeff
-            if total:
-                terms[exps] = total
-            else:
-                terms.pop(exps, None)
-        return LaurentPoly._raw(a.vars, terms)
+        return LaurentPoly._raw(a.vars, _add_terms(dict(a.terms), b.terms.items()))
 
     __radd__ = __add__
 
@@ -371,23 +372,20 @@ class LaurentPoly(_Value):
             raise InexactDivisionError(f"({a}) is not divisible by ({b})")
         lead_b = max(b.terms)
         lead_b_coeff = b.terms[lead_b]
+        negated = [(eb, -cb) for eb, cb in b.terms.items()]
         remainder = dict(a.terms)
+        # Each step's leading exponent is below the last one's, so the
+        # quotient's keys are distinct and its coefficients nonzero.
         quotient: dict[Exponents, Fraction] = {}
         while remainder:
             lead_r = max(remainder)
             exps = tuple(x - y for x, y in zip(lead_r, lead_b))
             if any(e < l or e > h for e, l, h in zip(exps, lo, hi)):
                 raise InexactDivisionError(f"({a}) is not divisible by ({b})")
-            coeff = remainder[lead_r] / lead_b_coeff
-            quotient[exps] = coeff
-            for eb, cb in b.terms.items():
-                key = tuple(x + y for x, y in zip(exps, eb))
-                total = remainder.get(key, _ZERO) - coeff * cb
-                if total:
-                    remainder[key] = total
-                else:
-                    remainder.pop(key, None)
-        return LaurentPoly(a.vars, quotient)
+            coeff = quotient[exps] = remainder[lead_r] / lead_b_coeff
+            _add_terms(remainder, ((tuple(x + y for x, y in zip(exps, eb)), coeff * cb)
+                                   for eb, cb in negated))
+        return LaurentPoly._raw(a.vars, quotient)
 
     # -- substitution and Adams -------------------------------------------
 
@@ -507,16 +505,8 @@ def _mul_dict(a_terms: Mapping, b_terms: Mapping) -> dict[Exponents, Fraction]:
         # products collide and none cancels.
         ((ea, ca),) = a_terms.items()
         return {tuple(x + y for x, y in zip(ea, eb)): ca * cb for eb, cb in b_terms.items()}
-    product: dict[Exponents, Fraction] = {}
-    for ea, ca in a_terms.items():
-        for eb, cb in b_terms.items():
-            exps = tuple(x + y for x, y in zip(ea, eb))
-            total = product.get(exps, _ZERO) + ca * cb
-            if total:
-                product[exps] = total
-            else:
-                del product[exps]
-    return product
+    return _add_terms({}, ((tuple(x + y for x, y in zip(ea, eb)), ca * cb)
+                           for ea, ca in a_terms.items() for eb, cb in b_terms.items()))
 
 
 def _dense_integers(terms: Mapping) -> tuple[int, int, list[int]]:
@@ -726,15 +716,13 @@ class GradedAdamsElement(_Value):
     __slots__ = ("components",)
 
     def __init__(self, components: Mapping[int, Scalar]):
-        clean: dict[int, Fraction] = {}
-        for degree, coeff in components.items():
+        def checked(degree: int) -> int:
+            _require_int(degree, "degree")
             if degree < 0:
                 raise ValueError(f"negative degree {degree}")
-            coeff = _as_rational(coeff)
-            if coeff:
-                clean[int(degree)] = clean.get(int(degree), _ZERO) + coeff
-                if not clean[int(degree)]:
-                    del clean[int(degree)]
+            return degree
+
+        clean = _add_terms({}, ((checked(d), _as_rational(c)) for d, c in components.items()))
         object.__setattr__(self, "components", clean)
 
     def _coerce(self, other) -> "GradedAdamsElement | None":
@@ -748,14 +736,7 @@ class GradedAdamsElement(_Value):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        merged = dict(self.components)
-        for degree, coeff in other.components.items():
-            total = merged.get(degree, _ZERO) + coeff
-            if total:
-                merged[degree] = total
-            else:
-                merged.pop(degree, None)
-        return GradedAdamsElement(merged)
+        return GradedAdamsElement(_add_terms(dict(self.components), other.components.items()))
 
     __radd__ = __add__
 
@@ -766,14 +747,8 @@ class GradedAdamsElement(_Value):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        product: dict[int, Fraction] = {}
-        for da, ca in self.components.items():
-            for db, cb in other.components.items():
-                total = product.get(da + db, _ZERO) + ca * cb
-                if total:
-                    product[da + db] = total
-                else:
-                    del product[da + db]
+        a, b = self.components.items(), other.components.items()
+        product = _add_terms({}, ((da + db, ca * cb) for da, ca in a for db, cb in b))
         return GradedAdamsElement(product)
 
     __rmul__ = __mul__
@@ -810,10 +785,10 @@ class GradedAdamsElement(_Value):
         return sum(self.components.values(), _ZERO)
 
     def __str__(self):
-        if not self.components:
-            return "0"
-        return " + ".join(
-            f"{format_rational(c)}*deg[{d}]" for d, c in sorted(self.components.items())
+        """``1 - deg[2]``: degree 0 is the bare rational the element equals."""
+        return format_sum(
+            format_term(format_rational(c), f"deg[{d}]" if d else "")
+            for d, c in sorted(self.components.items())
         )
 
     def __repr__(self):

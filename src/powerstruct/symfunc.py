@@ -21,15 +21,22 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 from typing import Iterable, Iterator, Mapping, Union
 
 from .arith import binary_power
-from .errors import GeneratorBoundError, HomogeneityError, InexactDivisionError, json_field
+from .errors import (
+    GeneratorBoundError,
+    HomogeneityError,
+    InexactDivisionError,
+    _require_int,
+    json_field,
+)
 from .rings import (
     SCALAR_TYPES,
     LaurentPoly,
     Rational,
+    _add_terms,
     _Value,
     format_sum,
     format_term,
@@ -42,8 +49,11 @@ CoeffLike = Union[int, Fraction, LaurentPoly]
 
 
 def normalize_partition(parts: Iterable[int]) -> Partition:
-    """Sort descending and validate positivity."""
-    parts = tuple(sorted((int(p) for p in parts), reverse=True))
+    """Sort descending and validate: every part a positive int."""
+    parts = tuple(parts)
+    for part in parts:
+        _require_int(part, "partition part")
+    parts = tuple(sorted(parts, reverse=True))
     if parts and parts[-1] < 1:
         raise ValueError(f"partition parts must be positive, got {parts}")
     return parts
@@ -72,11 +82,16 @@ def by_weight(items: Iterable[tuple[Partition, object]]) -> list:
 
 
 def z_value(partition: Partition) -> int:
-    """The centralizer order z_lambda = prod_i i^{m_i} m_i!."""
-    z = 1
-    for part in set(partition):
-        mult = partition.count(part)
-        z *= part**mult * factorial(mult)
+    """The centralizer order z_lambda = prod_i i^{m_i} m_i! of a partition
+    with sorted parts: the product of the parts times, for each run of equal
+    parts, the position of every part in its run."""
+    z, run, prev = prod(partition), 0, 0
+    for part in partition:
+        if part == prev:
+            run += 1
+            z *= run
+        else:
+            prev, run = part, 1
     return z
 
 
@@ -108,8 +123,8 @@ class SymFunc(_Value):
         if bound < 0:
             raise ValueError(f"generator bound must be >= 0, got {bound}")
         vars = tuple(vars)
-        clean: dict[Partition, LaurentPoly] = {}
-        for partition, coeff in terms.items():
+
+        def checked(partition, coeff) -> tuple[Partition, LaurentPoly]:
             partition = normalize_partition(partition)
             if partition and partition[0] > bound:
                 raise GeneratorBoundError(
@@ -123,13 +138,9 @@ class SymFunc(_Value):
                     raise ValueError(
                         f"coefficient alphabet {coeff.vars} does not match {vars}"
                     )
-            if coeff:
-                prev = clean.get(partition)
-                total = coeff if prev is None else prev + coeff
-                if total:
-                    clean[partition] = total
-                else:
-                    del clean[partition]
+            return partition, coeff
+
+        clean = _add_terms({}, (checked(p, c) for p, c in terms.items()))
         object.__setattr__(self, "bound", bound)
         object.__setattr__(self, "vars", vars)
         object.__setattr__(self, "terms", clean)
@@ -199,15 +210,7 @@ class SymFunc(_Value):
         if pair is None:
             return NotImplemented
         a, b = pair
-        terms: dict[Partition, LaurentPoly] = dict(a.terms)
-        for partition, coeff in b.terms.items():
-            prev = terms.get(partition)
-            total = coeff if prev is None else prev + coeff
-            if total:
-                terms[partition] = total
-            else:
-                terms.pop(partition, None)
-        return SymFunc._raw(terms, a.bound, a.vars)
+        return SymFunc._raw(_add_terms(dict(a.terms), b.terms.items()), a.bound, a.vars)
 
     __radd__ = __add__
 
@@ -219,17 +222,8 @@ class SymFunc(_Value):
         if pair is None:
             return NotImplemented
         a, b = pair
-        product: dict[Partition, LaurentPoly] = {}
-        for pa, ca in a.terms.items():
-            for pb, cb in b.terms.items():
-                key = tuple(sorted(pa + pb, reverse=True))
-                coeff = ca * cb
-                prev = product.get(key)
-                total = coeff if prev is None else prev + coeff
-                if total:
-                    product[key] = total
-                else:
-                    del product[key]
+        product = _add_terms({}, ((tuple(sorted(pa + pb, reverse=True)), ca * cb)
+                                  for pa, ca in a.terms.items() for pb, cb in b.terms.items()))
         return SymFunc._raw(product, a.bound, a.vars)
 
     __rmul__ = __mul__

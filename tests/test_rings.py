@@ -1,5 +1,6 @@
 """Laurent polynomials, graded elements, Adams operations."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,12 +13,14 @@ from powerstruct import (
     InexactDivisionError,
     LaurentPoly,
     SubstitutionError,
+    TruncSeries,
     adams,
 )
 from powerstruct.rings import (
     _KRONECKER_MAX_SPAN,
     _KRONECKER_MIN_TERMS,
     Rational,
+    _add_terms,
     _kronecker_applies,
     _mul_dict,
     _mul_kronecker,
@@ -347,3 +350,223 @@ class TestSmallOperands:
         for got in (m * q, q * m):
             same_poly(got, m.vars, expected)
         assert _mul_dict(m.terms, q.terms) == _mul_dict(q.terms, m.terms) == expected
+
+
+# -- the one zero-dropping sum, against schoolbook references -----------------
+
+RATIONAL = type(Rational(1))
+
+
+def rational_terms(terms):
+    """No zero coefficient stored, and every coefficient a Rational."""
+    return all(c != 0 and type(c) is RATIONAL for c in terms.values())
+
+
+def reference_division(a_terms, b_terms):
+    """The quotient of a by a nonzero b by plain long division, or None when
+    b does not divide a: each step takes the remainder's leading term, and a
+    step whose quotient exponent leaves the window that the extreme
+    exponents of a and b allow shows that b does not divide a."""
+    if not a_terms:
+        return {}
+    width = len(next(iter(b_terms)))
+    lo = [min(e[i] for e in a_terms) - min(e[i] for e in b_terms) for i in range(width)]
+    hi = [max(e[i] for e in a_terms) - max(e[i] for e in b_terms) for i in range(width)]
+    lead_b = max(b_terms)
+    remainder, quotient = dict(a_terms), {}
+    while remainder:
+        lead = max(remainder)
+        exps = tuple(x - y for x, y in zip(lead, lead_b))
+        if not all(l <= e <= h for e, l, h in zip(exps, lo, hi)):
+            return None
+        quotient[exps] = remainder[lead] / b_terms[lead_b]
+        step = schoolbook({exps: -quotient[exps]}, b_terms)
+        remainder = schoolbook_sum(remainder, step)
+    return quotient
+
+
+@st.composite
+def cancelling_pairs(draw, alphabets=(("u", "v"), ("u", "v", "w"))):
+    """Two polynomials over two or three variables whose product has
+    colliding terms: small exponents, and half of the time the pair
+    p (x + y), q (x - y), whose cross terms cancel (y = 1 over one variable)."""
+    vars = draw(st.sampled_from(alphabets))
+    p = draw(laurent_polys(vars, min_exp=0, max_exp=2, max_terms=4))
+    q = draw(laurent_polys(vars, min_exp=-1, max_exp=2, max_terms=4))
+    if draw(st.booleans()):
+        x = LaurentPoly.var(vars[0], vars)
+        y = LaurentPoly.var(vars[1], vars) if len(vars) > 1 else 1
+        p, q = p * (x + y), q * (x - y)
+    return p, q
+
+
+class TestAddTerms:
+    def test_sums_drop_zeros_and_keep_new_coefficients(self):
+        one, half = Rational(1), Rational(1, 2)
+        terms = _add_terms({(1,): one}, [((1,), -one), ((2,), half), ((3,), Rational(0))])
+        assert terms == {(2,): half} and terms[(2,)] is half
+        assert _add_terms(terms, [((2,), half), ((2,), -one)]) == {}
+
+    @given(cancelling_pairs())
+    @settings(max_examples=300)
+    @example((U + V, U - V))
+    @example(((U + V) * (U - V), U * U + V * V))
+    def test_mul_dict_matches_schoolbook(self, pair):
+        p, q = pair
+        expected = schoolbook(p.terms, q.terms)
+        assert _mul_dict(p.terms, q.terms) == _mul_dict(q.terms, p.terms) == expected
+        same_poly(p * q, p.vars, expected)
+        assert rational_terms(expected)
+
+    @given(cancelling_pairs(alphabets=(("L",), ("u", "v"))), st.booleans())
+    @settings(max_examples=300)
+    @example((L + 1, L - 1), True)
+    @example((L**2 - 1, L + 2), False)
+    @example((U - V, U + V), False)
+    def test_exact_div_matches_long_division(self, pair, divisible):
+        a, b = pair
+        if not b:
+            return
+        if divisible:
+            a = LaurentPoly(b.vars, schoolbook(a.terms, b.terms))
+        expected = reference_division(a.terms, b.terms)
+        if expected is None:
+            with pytest.raises(InexactDivisionError):
+                a.exact_div(b)
+            return
+        quotient = a.exact_div(b)
+        same_poly(quotient, a.vars, expected)
+        assert quotient * b == a
+        assert schoolbook(quotient.terms, b.terms) == a.terms
+
+    @given(
+        st.sampled_from(ALPHABETS).flatmap(
+            lambda vars: st.tuples(laurent_polys(vars, max_terms=5), laurent_polys(vars, max_terms=5))
+        ),
+        st.booleans(),
+    )
+    @settings(max_examples=300)
+    def test_sum_matches_schoolbook(self, pair, cancel):
+        p, q = pair
+        if cancel:
+            # q takes minus some of p's terms, which cancel in the sum
+            q = q - LaurentPoly(p.vars, dict(list(p.terms.items())[::2]))
+        expected = schoolbook_sum(p.terms, q.terms)
+        for got in (p + q, q + p):
+            same_poly(got, p.vars, expected)
+        same_poly(p - q, p.vars, schoolbook_sum(p.terms, {e: -c for e, c in q.terms.items()}))
+
+    @given(
+        st.sampled_from(ALPHABETS).flatmap(
+            lambda vars: st.tuples(
+                st.just(vars),
+                st.lists(
+                    st.tuples(
+                        st.tuples(*(st.integers(-1, 1) for _ in vars)),
+                        st.fractions(-2, 2, max_denominator=2),
+                    ),
+                    max_size=8,
+                ),
+            )
+        )
+    )
+    @settings(max_examples=300)
+    @example((("L",), [((1,), Fraction(1)), ((1,), Fraction(-1))]))
+    @example((("u", "v"), [((0, 1), Fraction(1, 2)), ((0, 1), Fraction(-1, 2)), ((0, 1), Fraction(2))]))
+    def test_json_repeated_terms(self, drawn):
+        vars, pairs = drawn
+        data = {"vars": list(vars), "terms": [{"e": list(e), "c": str(c)} for e, c in pairs]}
+        expected = {}
+        for e, c in pairs:
+            expected[e] = expected.get(e, 0) + c
+        same_poly(LaurentPoly.from_json_dict(data), vars, {e: c for e, c in expected.items() if c})
+
+    def test_json_cancelling_term_is_still_checked(self):
+        """A term whose repeats cancel is still checked against the
+        alphabet: a JSON polynomial is read as the constructor reads it."""
+        data = {"vars": ["L"], "terms": [{"e": [1, 2], "c": "1"}, {"e": [1, 2], "c": "-1"}]}
+        with pytest.raises(ValueError, match=re.escape("exponent tuple (1, 2) does not match alphabet ('L',)")):
+            LaurentPoly.from_json_dict(data)
+
+
+def graded_elements(max_degree=4):
+    return st.dictionaries(st.integers(0, max_degree), st.integers(-3, 3).map(Fraction), max_size=4).map(
+        GradedAdamsElement
+    )
+
+
+def as_exponents(components):
+    return {(d,): c for d, c in components.items()}
+
+
+class TestGradedSums:
+    """Graded sums and products against the schoolbook loops over their
+    degree maps: no zero stored, rationals throughout."""
+
+    @given(graded_elements(), graded_elements(), st.booleans())
+    @settings(max_examples=300)
+    @example(GradedAdamsElement({0: 1, 1: 1}), GradedAdamsElement({1: -1}), False)
+    @example(GradedAdamsElement({0: 1, 1: 1}), GradedAdamsElement({0: 1, 1: -1}), False)
+    def test_sum_and_product(self, a, b, cancel):
+        if cancel:
+            b = b - GradedAdamsElement(dict(list(a.components.items())[::2]))
+        x, y = as_exponents(a.components), as_exponents(b.components)
+        for got, expected in ((a + b, schoolbook_sum(x, y)), (b + a, schoolbook_sum(x, y)), (a * b, schoolbook(x, y))):
+            assert as_exponents(got.components) == expected
+            assert rational_terms(got.components)
+        assert (a - a).components == {}
+
+
+class TestKeyTypes:
+    """Every key entry of a term map is an int; a float, a bool or any other
+    value is refused by name rather than truncated, merged or kept."""
+
+    @pytest.mark.parametrize("exps", [(1.5,), (1.0,), (True,), ("1",), (Fraction(1),)])
+    def test_polynomial_exponent(self, exps):
+        with pytest.raises(TypeError, match=re.escape(f"polynomial exponent must be an int, got {exps[0]!r}")):
+            LaurentPoly(("L",), {exps: 1})
+
+    @pytest.mark.parametrize("degree", [1.5, 1.0, True, False, "1"])
+    def test_graded_degree(self, degree):
+        with pytest.raises(TypeError, match=re.escape(f"degree must be an int, got {degree!r}")):
+            GradedAdamsElement({degree: 3})
+
+    def test_first_offending_term_decides(self):
+        with pytest.raises(ValueError, match="does not match alphabet"):
+            LaurentPoly(("L",), {(1, 2): "x", (1,): 1})
+        with pytest.raises(TypeError, match="expected an exact rational"):
+            LaurentPoly(("L",), {(1,): "x", (1, 2): 1})
+        with pytest.raises(TypeError, match="polynomial exponent"):
+            LaurentPoly(("L",), {(1.5,): 1, (1,): "x"})
+        with pytest.raises(ValueError, match="negative degree -1"):
+            GradedAdamsElement({-1: 1, 2: "x"})
+        with pytest.raises(TypeError, match="expected an exact rational"):
+            GradedAdamsElement({2: "x", -1: 1})
+
+
+class TestGradedText:
+    """Graded elements print as signed sums, degree 0 bare."""
+
+    @pytest.mark.parametrize(
+        "components, text",
+        [
+            ({}, "0"),
+            ({0: 1, 2: -1}, "1 - deg[2]"),
+            ({0: -3}, "-3"),
+            ({2: 1, 0: Fraction(-1, 2)}, "-1/2 + deg[2]"),
+            ({1: Fraction(1, 2), 3: -2}, "1/2*deg[1] - 2*deg[3]"),
+            ({1: -1}, "-deg[1]"),
+        ],
+    )
+    def test_text(self, components, text):
+        assert str(GradedAdamsElement(components)) == text
+
+    def test_series_text(self):
+        coeffs = [GradedAdamsElement({0: 1}), GradedAdamsElement({1: -1, 2: 1})]
+        series = TruncSeries(coeffs, 1, GradedAdamsElement({}))
+        assert str(series) == "1 + (-deg[1] + deg[2])*t + O(t^2)"
+
+    def test_repr_is_the_degree_map(self):
+        assert repr(GradedAdamsElement({2: -1, 0: 1})) == (
+            "GradedAdamsElement({0: Fraction(1, 1), 2: Fraction(-1, 1)})"
+        )

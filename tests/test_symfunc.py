@@ -3,9 +3,10 @@
 import re
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from powerstruct import (
@@ -26,7 +27,8 @@ from powerstruct import (
     z_value,
 )
 from powerstruct.reproduce import character_table
-from powerstruct.symfunc import _conjugate, _omega, _schur_rational
+from powerstruct.rings import Rational
+from powerstruct.symfunc import _conjugate, _omega, _schur_rational, normalize_partition
 
 
 def full_product_character_table(n):
@@ -605,3 +607,113 @@ class TestSerialization:
         data["terms"].append(term([1], "1", "u"))
         with pytest.raises(AlphabetMismatchError):
             SymFunc.from_json_dict(data)
+
+
+# -- the one zero-dropping sum, against schoolbook references -----------------
+
+
+def schoolbook_terms(pairs):
+    """The term map of (partition, coefficient) pairs by the plain loop:
+    every pair added at its sorted partition, then the zero sums dropped."""
+    out = {}
+    for partition, coeff in pairs:
+        key = tuple(sorted(partition, reverse=True))
+        out[key] = out[key] + coeff if key in out else coeff
+    return {key: coeff for key, coeff in out.items() if coeff}
+
+
+def assert_rational_coefficients(f: SymFunc):
+    """f is canonical, and every coefficient of every coefficient is a Rational."""
+    assert_canonical(f)
+    assert all(type(c) is type(Rational(1)) for coeff in f.terms.values() for c in coeff.terms.values())
+
+
+@st.composite
+def cancelling_sym_pairs(draw):
+    """Two symmetric functions over Q or Q[L] at one bound; half of the
+    time the pair x + y, x - y, whose product's cross terms cancel, and
+    otherwise b with minus some of a's terms, which cancel in the sum."""
+    vars = draw(st.sampled_from([(), ("L",)]))
+    x, y = draw(bounded_sym_funcs(4, vars)), draw(bounded_sym_funcs(4, vars))
+    if draw(st.booleans()):
+        return x + y, x - y
+    return x, y - SymFunc(dict(list(x.terms.items())[::2]), 4, vars)
+
+
+class TestSumsAgainstSchoolbook:
+    @given(cancelling_sym_pairs())
+    @settings(max_examples=200, deadline=None)
+    @example((SymFunc.p(1, 4) + SymFunc.p(2, 4), SymFunc.p(1, 4) - SymFunc.p(2, 4)))
+    @example((L * SymFunc.p(1, 4) + 1, SymFunc.p(1, 4) * (L - 1)))
+    def test_sum_and_product(self, pair):
+        a, b = pair
+        sums = schoolbook_terms([*a.terms.items(), *b.terms.items()])
+        products = schoolbook_terms(
+            (pa + pb, ca * cb) for pa, ca in a.terms.items() for pb, cb in b.terms.items()
+        )
+        for got, expected in ((a + b, sums), (b + a, sums), (a * b, products), (b * a, products)):
+            assert got.terms == expected
+            assert_rational_coefficients(got)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([p for n in range(1, 5) for p in partitions_of(n)]).flatmap(st.permutations),
+                st.fractions(-2, 2, max_denominator=2),
+            ),
+            max_size=8,
+        ),
+        st.sampled_from([(), ("L",)]),
+    )
+    @settings(max_examples=200, deadline=None)
+    @example([((2, 1), Fraction(1)), ((1, 2), Fraction(-1))], ())
+    def test_constructor_and_json_read(self, pairs, vars):
+        """Partitions given in any order add at their sorted form, in the
+        constructor and in a JSON read, and terms that cancel leave none."""
+        coeffs = [(tuple(p), c * L if vars else LaurentPoly.constant(c)) for p, c in pairs]
+        data = {"bound": 4, "vars": list(vars), "terms": [{"p": list(p), "c": c.to_json_dict()} for p, c in coeffs]}
+        read = SymFunc.from_json_dict(data)
+        assert read.terms == schoolbook_terms(coeffs)
+        assert_rational_coefficients(read)
+        terms = dict(coeffs)  # a partition written twice in one order keeps its last coefficient
+        built = SymFunc(terms, 4, vars)
+        assert built.terms == schoolbook_terms(terms.items())
+        assert_rational_coefficients(built)
+
+    def test_json_cancelling_term_is_still_checked(self):
+        """A partition whose repeats cancel is still checked against the
+        bound: a JSON value is read as the constructor reads it."""
+        term = lambda c: {"p": [2], "c": {"vars": [], "terms": [{"e": [], "c": c}]}}
+        data = {"bound": 1, "vars": [], "terms": [term("1"), term("-1")]}
+        with pytest.raises(GeneratorBoundError, match="p_2 exceeds the generator bound 1"):
+            SymFunc.from_json_dict(data)
+
+
+class TestPartitionKeys:
+    """Every part of a partition key is an int; a float, a bool or any
+    other value is refused by name rather than truncated."""
+
+    @pytest.mark.parametrize("parts", [(1.5, 2), (2.7,), (2, 1.0), (True,), ("2",), (Fraction(2),)])
+    def test_refused(self, parts):
+        bad = next(part for part in parts if type(part) is not int)
+        message = re.escape(f"partition part must be an int, got {bad!r}")
+        for build in (lambda: SymFunc({parts: 1}, 3), lambda: SymFunc.p_monomial(parts, 3)):
+            with pytest.raises(TypeError, match=message):
+                build()
+        with pytest.raises(TypeError, match=message):
+            normalize_partition(parts)
+
+
+def reference_z_value(partition):
+    """z_lambda by counting each distinct part over the whole partition."""
+    z = 1
+    for part in set(partition):
+        mult = partition.count(part)
+        z *= part**mult * factorial(mult)
+    return z
+
+
+def test_z_value_matches_counting_every_part():
+    for n in range(21):
+        for partition in partitions_of(n):
+            assert z_value(partition) == reference_z_value(partition)
