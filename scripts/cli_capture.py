@@ -26,7 +26,11 @@ lists that repeat a term (among them terms that sum to zero), the
 cancelling sums of the term maps (Q[u,v] products in ``pow`` and
 ``factorize``, ``irr`` at 3 variables and degrees 6-8, exact and inexact
 polynomial ``/``, ``schur`` and ``specialize`` of a sum whose terms
-cancel), size caps (the symmetric-function weight of ``*``
+cancel), the coefficient ring of a symmetric function (a JSON value over
+Q with a Q[L] coefficient, which is refused, and one over Q[L] with Q
+coefficients, which are promoted; the series quotient
+``(2 + p[1]*t)/(2 - p[1]*t)``, which inverts the rational 2; ``adams --k 2``
+of ``(h[0]+h[1]+...+h[6])^2`` at order 24), size caps (the symmetric-function weight of ``*``
 and ``^`` and the work of a series ``^`` and ``/`` among them) and error
 paths, digits outside 0-9 among them.  Two captures of the same seed, taken
 from two source trees, show whether a change kept the CLI's output
@@ -193,6 +197,13 @@ AT_ORDER = [
     ),
     (["adams", "--element", "@cancelling_terms.json", "--k", "2"], 0),
     (["adams", "--element", "@cancelling_partitions.json", "--k", "1"], 3),
+    # The coefficient ring of a symmetric function: a Q[L] coefficient in a
+    # Q value, Q coefficients in a Q[L] value, the inverse of a rational
+    # leading coefficient, and a product of many Q terms.
+    (["adams", "--element", "@alphabet_mismatch.json", "--k", "1"], 3),
+    (["adams", "--element", "@promoted_coefficients.json", "--k", "1"], 3),
+    (["pow", "--base", "(2 + p[1]*t)/(2 - p[1]*t)", "--exponent", "1"], 6),
+    (["adams", "--element", "(h[0]+h[1]+h[2]+h[3]+h[4]+h[5]+h[6])^2", "--k", "2"], 24),
     # Adams operations on Q[L] symmetric functions, at the bound and past it.
     *(
         (["adams", "--element", f, "--k", str(k)], order)
@@ -352,6 +363,19 @@ FILES = {
             for p, e, c in (
                 ([2, 1], 1, "1"), ([1, 2], 1, "-1"), ([3], 0, "2"), ([3], 0, "-2"), ([1], 2, "1")
             )
+        ],
+    },
+    "alphabet_mismatch.json": {
+        "bound": 3,
+        "vars": [],
+        "terms": [{"p": [1], "c": {"vars": ["L"], "terms": [{"e": [1], "c": "1"}]}}],
+    },
+    "promoted_coefficients.json": {
+        "bound": 3,
+        "vars": ["L"],
+        "terms": [
+            {"p": p, "c": {"vars": vars, "terms": [{"e": e, "c": c}]}}
+            for p, vars, e, c in (([2, 1], [], [], "3/2"), ([], [], [], "-1"), ([3], ["L"], [2], "1"))
         ],
     },
     "repeated_partitions.json": {

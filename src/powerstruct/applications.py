@@ -41,7 +41,7 @@ from typing import Mapping, Sequence
 from .arith import bernoulli
 from .errors import IntegralityError, PowerStructError, _require_int, json_field
 from .power import factorize, moebius_exponent, power
-from .rings import LaurentPoly, _add_terms
+from .rings import LaurentPoly, _add_terms, _coefficient
 from .series import TruncSeries, binomial_series
 from .symfunc import SpecializationMode, SymFunc
 
@@ -275,8 +275,8 @@ def _cycle_index_series(terms, order: int, bound: int, vars=()) -> TruncSeries:
     # m_k(lambda) counts the parts of lambda equal to k.  Each term grows its
     # partitions factor by factor in descending k, so a partition stays
     # sorted and repeated k accumulate; C(exponent, m) for m <= order // k
-    # is one column per factor.  The result has coefficients over ``vars``,
-    # each promoted once as it goes into its SymFunc.
+    # is one column per factor.  Each coefficient is coerced once into the
+    # ring of ``vars`` as it goes into its SymFunc.
     weights = [{} for _ in range(order + 1)]
     for prefactor, factors in terms:
         grown = {(): prefactor}
@@ -291,13 +291,8 @@ def _cycle_index_series(terms, order: int, bound: int, vars=()) -> TruncSeries:
                 ))
         for partition, coeff in grown.items():
             _add_terms(weights[sum(partition)], [(partition, coeff)])
-
-    def promote(coeff):
-        if isinstance(coeff, LaurentPoly):
-            return coeff._promote(vars)
-        return LaurentPoly.constant(coeff, vars)
-
-    coeffs = [SymFunc._raw({p: promote(c) for p, c in w.items()}, bound, vars) for w in weights]
+    coeffs = [SymFunc._raw({p: _coefficient(c, vars) for p, c in w.items()}, bound, vars)
+              for w in weights]
     return TruncSeries(coeffs, order, SymFunc.zero(bound, vars))
 
 

@@ -53,6 +53,7 @@ from .symfunc import (
     SpecializationMode,
     SymFunc,
     by_weight,
+    coefficient_json,
     p_to_schur,
     plethysm_apply,
     schur_expansion_str,
@@ -258,7 +259,7 @@ def _cmd_schur(params, order, fmt):
     expansion = p_to_schur(f)
     if fmt == "json":
         payload = [
-            {"s": list(partition), "c": value_to_json(coeff)}
+            {"s": list(partition), "c": coefficient_json(coeff)}
             for partition, coeff in by_weight(expansion.items())
         ]
         return 0, json.dumps(payload, indent=2)

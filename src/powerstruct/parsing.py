@@ -37,7 +37,7 @@ from itertools import accumulate
 from operator import add
 
 from .errors import LimitError, ParseError
-from .rings import _ONE, _ZERO, MAX_EXPONENT, SCALAR_TYPES, LaurentPoly, Rational
+from .rings import _ONE, _ZERO, MAX_EXPONENT, SCALAR_TYPES, LaurentPoly, Rational, _coefficient
 from .series import TruncSeries, _invert_leading
 from .symfunc import SymFunc, basis_in_p
 
@@ -124,7 +124,7 @@ def _check_work(work: int, what: str, position: int) -> None:
 def _terms(value) -> list[tuple[int, tuple[int, ...]]]:
     """(weight, exponents) of each term of a coefficient."""
     if isinstance(value, SymFunc):
-        return [(sum(partition), exps) for partition, c in value.terms.items() for exps in c.terms]
+        return [(sum(p) + w, exps) for p, c in value.terms.items() for w, exps in _terms(c)]
     if isinstance(value, LaurentPoly):
         return [(0, exps) for exps in value.terms]
     return [(0, ())] if value else []
@@ -254,11 +254,7 @@ class _Parser:
         self.vars = vars
         # t and its powers are built over the alphabet's ring, so that a
         # polynomial coefficient scales them without a promotion.
-        if vars:
-            self.zero = LaurentPoly._raw(vars, {})
-            self.one = LaurentPoly._raw(vars, {(0,) * len(vars): _ONE})
-        else:
-            self.zero, self.one = _ZERO, _ONE
+        self.zero, self.one = _coefficient(_ZERO, vars), _coefficient(_ONE, vars)
 
     def peek(self) -> Token | None:
         return self.tokens[self.index] if self.index < len(self.tokens) else None

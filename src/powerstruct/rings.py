@@ -474,6 +474,20 @@ class LaurentPoly(_Value):
         return cls(vars, terms)
 
 
+def _coefficient(value, vars: tuple[str, ...]):
+    """``value`` in the one coefficient ring of the alphabet ``vars``: a
+    Rational over Q (no alphabet), a LaurentPoly over exactly ``vars``
+    otherwise.  A scalar or an empty-alphabet polynomial is promoted; a
+    polynomial over another non-empty alphabet raises ValueError."""
+    if isinstance(value, LaurentPoly):
+        if value.vars:
+            if value.vars != vars:
+                raise ValueError(f"coefficient alphabet {value.vars} does not match {vars}")
+            return value
+        value = value.constant_term()
+    return LaurentPoly.constant(value, vars) if vars else _as_rational(value)
+
+
 # -- integer kernels: products and series quotients ---------------------------
 
 # Crossover of the two kernels, timed on random dense and sparse products:

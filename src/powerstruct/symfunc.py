@@ -1,10 +1,12 @@
-"""Symmetric functions in the power-sum basis, with polynomial coefficients.
+"""Symmetric functions in the power-sum basis, over Q or Q[vars].
 
 The storage basis is the power sums p_1, p_2, ...: a :class:`SymFunc` maps a
 partition (l_1 >= l_2 >= ...) representing the monomial p_{l_1} p_{l_2} ...
-to a :class:`LaurentPoly` coefficient.  The power-sum basis is the one in
-which both the Adams operations (p_m -> p_{km}) and plethysm
-(p_k acts as adams(., k)) are diagonal, which is why it is the storage basis.
+to a coefficient in the one ring of its alphabet ``vars``: a rational over
+Q, a :class:`LaurentPoly` over exactly ``vars`` otherwise (the JSON form
+writes every coefficient as a polynomial object).  The power-sum basis is the
+one in which both the Adams operations (p_m -> p_{km}) and plethysm (p_k acts
+as adams(., k)) are diagonal, which is why it is the storage basis.
 Complete homogeneous, elementary and Schur functions exist as conversions.
 
 Every value carries a generator bound K: the largest power-sum index that may
@@ -37,7 +39,9 @@ from .rings import (
     LaurentPoly,
     Rational,
     _add_terms,
+    _coefficient,
     _Value,
+    adams,
     format_sum,
     format_term,
 )
@@ -46,6 +50,7 @@ _ONE = Rational(1)
 
 Partition = tuple[int, ...]
 CoeffLike = Union[int, Fraction, LaurentPoly]
+Coefficient = Union[Fraction, LaurentPoly]
 
 
 def normalize_partition(parts: Iterable[int]) -> Partition:
@@ -110,7 +115,8 @@ class SpecializationMode(Enum):
 
 
 class SymFunc(_Value):
-    """Polynomial in p_1..p_K with LaurentPoly coefficients."""
+    """Polynomial in p_1..p_K over Q (rational coefficients) or over
+    Q[vars] (:class:`LaurentPoly` coefficients over ``vars``)."""
 
     __slots__ = ("bound", "vars", "terms")
 
@@ -124,21 +130,13 @@ class SymFunc(_Value):
             raise ValueError(f"generator bound must be >= 0, got {bound}")
         vars = tuple(vars)
 
-        def checked(partition, coeff) -> tuple[Partition, LaurentPoly]:
+        def checked(partition, coeff) -> tuple[Partition, Coefficient]:
             partition = normalize_partition(partition)
             if partition and partition[0] > bound:
                 raise GeneratorBoundError(
                     f"p_{partition[0]} exceeds the generator bound {bound}"
                 )
-            if isinstance(coeff, SCALAR_TYPES):
-                coeff = LaurentPoly.constant(coeff, vars)
-            elif coeff.vars != vars:
-                coeff = coeff._promote(vars) if coeff.vars == () else coeff
-                if coeff.vars != vars:
-                    raise ValueError(
-                        f"coefficient alphabet {coeff.vars} does not match {vars}"
-                    )
-            return partition, coeff
+            return partition, _coefficient(coeff, vars)
 
         clean = _add_terms({}, (checked(p, c) for p, c in terms.items()))
         object.__setattr__(self, "bound", bound)
@@ -148,7 +146,7 @@ class SymFunc(_Value):
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def _raw(cls, terms: dict[Partition, LaurentPoly], bound: int, vars: tuple[str, ...]) -> "SymFunc":
+    def _raw(cls, terms: dict[Partition, Coefficient], bound: int, vars: tuple[str, ...]) -> "SymFunc":
         """Internal: build from an already-canonical term map (sorted
         partitions within the bound, nonzero coefficients over ``vars``)."""
         self = object.__new__(cls)
@@ -189,18 +187,14 @@ class SymFunc(_Value):
         if not isinstance(other, SymFunc):
             return None
         a, b = self, other
-        if a.vars != b.vars:
-            if a.vars == ():
-                a = SymFunc({p: c for p, c in a.terms.items()}, a.bound, b.vars)
-            elif b.vars == ():
-                b = SymFunc({p: c for p, c in b.terms.items()}, b.bound, a.vars)
-            else:
-                return None
-        bound = min(a.bound, b.bound)
-        if a.bound != bound:
-            a = SymFunc(a.terms, bound, a.vars)
-        if b.bound != bound:
-            b = SymFunc(b.terms, bound, b.vars)
+        if a.vars and b.vars and a.vars != b.vars:
+            return None
+        # a Q value is promoted to the other's alphabet, both to the smaller bound
+        vars, bound = a.vars or b.vars, min(a.bound, b.bound)
+        if (a.vars, a.bound) != (vars, bound):
+            a = SymFunc(a.terms, bound, vars)
+        if (b.vars, b.bound) != (vars, bound):
+            b = SymFunc(b.terms, bound, vars)
         return a, b
 
     # -- arithmetic ------------------------------------------------------------
@@ -244,18 +238,22 @@ class SymFunc(_Value):
         raise InexactDivisionError(f"cannot divide by the symmetric function {self}")
 
     def __eq__(self, other):
-        pair = self._align(other)
+        try:
+            pair = self._align(other)
+        except GeneratorBoundError:  # an index past the common bound: unequal
+            return False
         if pair is None:
             return NotImplemented
         a, b = pair
         return a.terms == b.terms
 
     def __hash__(self):
-        if not self.terms:
-            return hash(Rational(0))
-        if set(self.terms) == {()}:
-            return hash(self.terms[()])
-        return hash((self.vars, frozenset((p, c) for p, c in self.terms.items())))
+        # The alphabet stays out: == promotes a Q value to Q[vars], and a
+        # constant polynomial hashes as its rational.  A constant hashes as
+        # the scalar it equals.
+        if set(self.terms) <= {()}:
+            return hash(self.terms.get((), Rational(0)))
+        return hash(frozenset(self.terms.items()))
 
     def __bool__(self):
         return bool(self.terms)
@@ -273,7 +271,8 @@ class SymFunc(_Value):
         coeff = self.terms.get(())
         if coeff is None:
             raise ZeroDivisionError("cannot invert 0")
-        return SymFunc.constant(coeff.invert_unit(), self.bound, self.vars)
+        inverse = coeff.invert_unit() if isinstance(coeff, LaurentPoly) else _ONE / coeff
+        return SymFunc.constant(inverse, self.bound, self.vars)
 
     def weight(self) -> int:
         """Common weight of all terms; raises unless homogeneous."""
@@ -293,21 +292,19 @@ class SymFunc(_Value):
             )
         return SymFunc._raw(
             {
-                tuple(part * k for part in partition): coeff.adams(k)
+                tuple(part * k for part in partition): adams(coeff, k)
                 for partition, coeff in self.terms.items()
             },
             self.bound,
             self.vars,
         )
 
-    def coefficient(self, partition: Iterable[int]) -> LaurentPoly:
-        return self.terms.get(
-            normalize_partition(partition), LaurentPoly.zero(self.vars)
-        )
+    def coefficient(self, partition: Iterable[int]) -> Coefficient:
+        return self.terms.get(normalize_partition(partition), _coefficient(0, self.vars))
 
     # -- serialization -----------------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[Partition, LaurentPoly]]:
+    def sorted_terms(self) -> list[tuple[Partition, Coefficient]]:
         """Terms in the canonical order of :func:`by_weight`."""
         return by_weight(self.terms.items())
 
@@ -319,7 +316,7 @@ class SymFunc(_Value):
             "bound": self.bound,
             "vars": list(self.vars),
             "terms": [
-                {"p": list(partition), "c": coeff.to_json_dict()}
+                {"p": list(partition), "c": coefficient_json(coeff)}
                 for partition, coeff in self.sorted_terms()
             ],
         }
@@ -337,6 +334,11 @@ class SymFunc(_Value):
         return cls(terms, json_field(data, "bound", where, int), vars)
 
 
+def coefficient_json(coeff: Coefficient) -> dict:
+    """The JSON form of a coefficient: a polynomial object, ``"vars": []`` over Q."""
+    return (coeff if isinstance(coeff, LaurentPoly) else LaurentPoly.constant(coeff)).to_json_dict()
+
+
 # -- basis conversions -------------------------------------------------------
 
 
@@ -351,14 +353,6 @@ def _omega(terms: Iterable[tuple[Partition, object]]) -> Iterator[tuple[Partitio
     p_mu -> eps_mu p_mu with eps_mu = (-1)^(|mu| - length(mu)) (Macdonald
     I.(2.13)).  It swaps h_k and e_k and sends s_lambda to s_lambda' (I.(3.8))."""
     return ((part, -coeff if (sum(part) - len(part)) % 2 else coeff) for part, coeff in terms)
-
-
-def _rational_symfunc(terms: Iterable[tuple[Partition, Fraction]], bound: int) -> SymFunc:
-    """The SymFunc over Q of distinct (partition, nonzero rational) terms
-    whose parts are sorted and within ``bound``: one LaurentPoly per term."""
-    return SymFunc._raw(
-        {part: LaurentPoly._raw((), {(): coeff}) for part, coeff in terms}, bound, ()
-    )
 
 
 def _conjugate(partition: Partition) -> Partition:
@@ -447,13 +441,13 @@ def basis_in_p(basis: str, index: int | Iterable[int], bound: int) -> SymFunc:
     if weight > bound:
         raise GeneratorBoundError(f"weight {weight} exceeds the bound {bound}")
     if basis == "s":
-        return _rational_symfunc(_schur_rational(partition, {}).items(), bound)
-    terms = _h_terms(weight).items()
-    return _rational_symfunc(_omega(terms) if basis == "e" else terms, bound)
+        return SymFunc._raw(_schur_rational(partition, {}), bound, ())
+    terms = _h_terms(weight)
+    return SymFunc._raw(dict(_omega(terms.items())) if basis == "e" else terms, bound, ())
 
 
-def p_to_schur(f: SymFunc) -> dict[Partition, LaurentPoly]:
-    """Expansion of a homogeneous f over Schur functions of its weight n.
+def p_to_schur(f: SymFunc) -> dict[Partition, Coefficient]:
+    """Expansion of a homogeneous f over the Schur functions of its weight n.
 
     By character orthogonality p_mu = sum_lambda chi^lambda(mu) s_lambda, and
     chi^lambda(mu) = z_mu [p_mu] s_lambda is read off the rational
@@ -466,13 +460,13 @@ def p_to_schur(f: SymFunc) -> dict[Partition, LaurentPoly]:
     """
     support = [(mu, z_value(mu) * f_mu) for mu, f_mu in f.terms.items()]
     odd = {mu for mu, sign in _omega((mu, 1) for mu in f.terms) if sign < 0}
-    expansion: dict[Partition, LaurentPoly] = {}
+    expansion: dict[Partition, Coefficient] = {}
     expansions: dict[int, tuple] = {}
     for lam in partitions_of(f.weight()):
         if lam and len(lam) > lam[0]:
             continue
         s_lam = _schur_rational(lam, expansions)
-        c = c_conjugate = LaurentPoly.zero(f.vars)
+        c = c_conjugate = _coefficient(0, f.vars)
         for mu, z_f_mu in support:
             if mu in s_lam:
                 term = s_lam[mu] * z_f_mu
@@ -486,7 +480,7 @@ def p_to_schur(f: SymFunc) -> dict[Partition, LaurentPoly]:
     return expansion
 
 
-def _combination_str(items: Iterable[tuple[Partition, LaurentPoly]], letter: str, empty: str) -> str:
+def _combination_str(items: Iterable[tuple[Partition, Coefficient]], letter: str, empty: str) -> str:
     """Canonical text of sum c_lambda x_lambda over the (lambda, c_lambda)
     items in order: x_lambda is ``letter[l_1,l_2,...]``, and ``empty`` for
     the empty partition (a bare coefficient when ``empty`` is ""); a
@@ -495,12 +489,13 @@ def _combination_str(items: Iterable[tuple[Partition, LaurentPoly]], letter: str
     terms = []
     for partition, coeff in items:
         monomial = f"{letter}[{','.join(map(str, partition))}]" if partition else empty
-        text = str(coeff) if coeff.is_constant() or not monomial else f"({coeff})"
+        bracket = monomial and isinstance(coeff, LaurentPoly) and not coeff.is_constant()
+        text = f"({coeff})" if bracket else str(coeff)
         terms.append(format_term(text, monomial))
     return format_sum(terms)
 
 
-def schur_expansion_str(expansion: Mapping[Partition, LaurentPoly]) -> str:
+def schur_expansion_str(expansion: Mapping[Partition, Coefficient]) -> str:
     """Canonical text for a Schur expansion, e.g. ``s[2] + s[1,1]``."""
     return _combination_str(by_weight(expansion.items()), "s", "s[]")
 
@@ -515,17 +510,16 @@ def plethysm_apply(f: SymFunc, x):
     any lambda-ring element (rational, polynomial, graded, or symmetric
     function); the result lives where x does.
     """
-    from .rings import adams as adams_op
-
     result = None
-    for partition, coeff in f.terms.items():
-        if not coeff.is_constant():
-            raise ValueError(
-                f"plethysm needs constant coefficients, found {coeff} at p{list(partition)}"
-            )
-        term = coeff.constant_term()
+    for partition, term in f.terms.items():
+        if isinstance(term, LaurentPoly):
+            if not term.is_constant():
+                raise ValueError(
+                    f"plethysm needs constant coefficients, found {term} at p{list(partition)}"
+                )
+            term = term.constant_term()
         for part in partition:
-            term = term * adams_op(x, part)
+            term = term * adams(x, part)
         result = term if result is None else result + term
     if result is None:
         return Rational(0) * x if not isinstance(x, SCALAR_TYPES) else Rational(0)
@@ -536,11 +530,11 @@ def specialize(f: SymFunc, mode: SpecializationMode) -> LaurentPoly:
     """Apply one of the three character specializations; see
     :class:`SpecializationMode`.  Sign is invariants applied to omega(f)
     (:func:`_omega`): omega turns the sign character into the trivial one."""
+    zero = LaurentPoly.zero(f.vars)
     if mode in (SpecializationMode.INVARIANTS, SpecializationMode.SIGN):
         terms = f.terms.items() if mode is SpecializationMode.INVARIANTS else _omega(f.terms.items())
-        return sum((coeff for _, coeff in terms), LaurentPoly.zero(f.vars))
+        return zero + sum(coeff for _, coeff in terms)
     if mode is SpecializationMode.ORDERED:
         n = f.weight()
-        coeff = f.coefficient((1,) * n)
-        return factorial(n) * coeff
+        return zero + factorial(n) * f.coefficient((1,) * n)
     raise ValueError(f"unknown specialization mode {mode!r}")

@@ -36,6 +36,7 @@ from powerstruct import (
     unordered_config_product,
 )
 from powerstruct.applications import _cycle_index_series
+from powerstruct.rings import Rational
 
 L = LaurentPoly.var("L")
 Q = LaurentPoly.var("q")
@@ -421,6 +422,17 @@ def ring_of(value):
     return (type(value), getattr(value, "vars", None), getattr(value, "bound", None))
 
 
+def assert_coefficient_ring(coeff, vars):
+    """A symmetric-function coefficient is a Rational (never an int) over Q,
+    and a LaurentPoly of Rationals over exactly vars otherwise."""
+    rational = type(Rational(1))
+    if vars:
+        assert type(coeff) is LaurentPoly and coeff.vars == vars, coeff
+        assert all(type(c) is rational for c in coeff.terms.values()), coeff
+    else:
+        assert type(coeff) is rational, coeff
+
+
 def same_series(got, expected):
     """Equal coefficients, and every coefficient and the zero in one ring."""
     assert got == expected
@@ -450,14 +462,14 @@ QL_POLYS = st.dictionaries(st.integers(-2, 3).map(lambda e: (e,)), RATIONALS.fil
 
 @st.composite
 def cycle_index_terms(draw):
-    """(terms, order, vars): up to three prefactors, each with up to four
-    factors; rational, integer (negative or not) and, over Q[L], polynomial
-    exponents, zeros included; indices k up to 12, repeated or past the
-    order."""
+    """(terms, order, vars): up to three rational or integer prefactors, each
+    with up to four factors; rational, integer (negative or not) and, over
+    Q[L], polynomial exponents, zeros included; indices k up to 12, repeated
+    or past the order."""
     vars = draw(st.sampled_from([(), ("L",)]))
     exponents = st.one_of(st.just(0), RATIONALS, st.integers(-4, 4), *([QL_POLYS] if vars else []))
     factors = st.lists(st.tuples(st.one_of(st.integers(1, 3), st.integers(1, 12)), exponents), max_size=4)
-    terms = draw(st.lists(st.tuples(RATIONALS, factors), min_size=1, max_size=3))
+    terms = draw(st.lists(st.tuples(st.one_of(RATIONALS, st.integers(-3, 3)), factors), min_size=1, max_size=3))
     return terms, draw(st.integers(0, 10)), vars
 
 
@@ -487,10 +499,23 @@ class TestCycleIndexClosedForm:
         series = _cycle_index_series(terms, order, bound, vars)
         same_series(series, binomial_product_sum(terms, order, bound, vars))
         # Built without the normalising constructor: already canonical, with
-        # every coefficient a nonzero polynomial over vars.
+        # every coefficient nonzero and in the ring of vars.
         for c in series.coeffs:
             assert c.terms == SymFunc(c.terms, bound, vars).terms
-            assert all(coeff.vars == tuple(vars) for coeff in c.terms.values())
+            for coeff in c.terms.values():
+                assert_coefficient_ring(coeff, tuple(vars))
+                assert coeff
+
+    @pytest.mark.parametrize("x_class", [1 + L, LaurentPoly.constant(2), U * V - 1])
+    def test_integer_prefactor_is_a_rational(self, x_class):
+        """config's prefactor is the int 1; it enters the t^0 coefficient,
+        and every other one, as a Rational over Q or a LaurentPoly of
+        Rationals over the class's alphabet."""
+        series = config_space_series(x_class, 6)
+        assert series.coeffs[0] == 1
+        for c in series.coeffs:
+            for coeff in c.terms.values():
+                assert_coefficient_ring(coeff, x_class.vars)
 
     @given(st.integers(0, 8), st.one_of(QL_POLYS, st.sampled_from([U * V - 1, U**2 * V - 3 * U + Fraction(1, 3)])))
     @settings(max_examples=40, deadline=None)

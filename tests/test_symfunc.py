@@ -1,5 +1,6 @@
 """Symmetric functions: arithmetic, bases, plethysm, specializations."""
 
+import json
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -13,6 +14,7 @@ from powerstruct import (
     AlphabetMismatchError,
     GeneratorBoundError,
     HomogeneityError,
+    InexactDivisionError,
     LaurentPoly,
     SpecializationMode,
     SymFunc,
@@ -27,8 +29,15 @@ from powerstruct import (
     z_value,
 )
 from powerstruct.reproduce import character_table
-from powerstruct.rings import Rational
-from powerstruct.symfunc import _conjugate, _omega, _schur_rational, normalize_partition
+from powerstruct.rings import Rational, format_sum, format_term
+from powerstruct.symfunc import (
+    _conjugate,
+    _omega,
+    _schur_rational,
+    by_weight,
+    coefficient_json,
+    normalize_partition,
+)
 
 
 def full_product_character_table(n):
@@ -147,7 +156,9 @@ def reference_characters(partition):
     """chi^lambda(mu) = z_mu [p_mu] s_lambda for every mu, from the
     reference determinant on the shorter side."""
     s_lam = laplace_schur(partition, sum(partition), len(_conjugate(partition)) < len(partition))
-    return {mu: z_value(mu) * coeff.constant_term() for mu, coeff in s_lam.terms.items()}
+    for coeff in s_lam.terms.values():
+        assert_coefficient_ring(coeff, ())
+    return {mu: z_value(mu) * coeff for mu, coeff in s_lam.terms.items()}
 
 
 def reference_p_to_schur(f):
@@ -170,7 +181,7 @@ def expand_in_variables(f: SymFunc, n_vars: int = 3) -> LaurentPoly:
     gens = [LaurentPoly.var(f"x{i}", names) for i in range(n_vars)]
     total = LaurentPoly.zero(names)
     for partition, coeff in f.terms.items():
-        term = coeff._promote(names) if coeff.vars == () else _widen(coeff, names)
+        term = _widen(coeff, names) if f.vars else LaurentPoly.constant(coeff, names)
         for part in partition:
             power_sum = LaurentPoly.zero(names)
             for g in gens:
@@ -228,15 +239,29 @@ def bounded_sym_funcs(draw, bound, vars):
     return SymFunc(terms, bound, vars)
 
 
+RATIONAL = type(Rational(1))
+
+
+def assert_coefficient_ring(coeff, vars):
+    """The one coefficient rule: a Rational (never an int) over Q, and over
+    Q[vars] a LaurentPoly over exactly vars whose coefficients are Rationals."""
+    if vars:
+        assert type(coeff) is LaurentPoly and coeff.vars == vars, coeff
+        assert all(type(c) is RATIONAL for c in coeff.terms.values()), coeff
+    else:
+        assert type(coeff) is RATIONAL, coeff
+
+
 def assert_canonical(f: SymFunc):
     """f's term map is the one the public constructor makes of it: sorted
-    positive partitions within the bound, nonzero coefficients that are
-    polynomials over f's own alphabet."""
+    positive partitions within the bound, nonzero coefficients in the ring
+    of f's own alphabet."""
     assert f.terms == SymFunc(f.terms, f.bound, f.vars).terms
     for partition, coeff in f.terms.items():
         assert partition == tuple(sorted(partition, reverse=True))
         assert not partition or 1 <= partition[-1] and partition[0] <= f.bound
-        assert type(coeff) is LaurentPoly and coeff.vars == f.vars and coeff
+        assert_coefficient_ring(coeff, f.vars)
+        assert coeff
 
 
 class TestCanonicalArithmetic:
@@ -355,7 +380,7 @@ class TestBases:
             f = basis_in_p(basis, k, k + 1)
             assert_canonical(f)
             assert f.bound == k + 1 and f.vars == ()
-            assert {mu: c.constant_term() for mu, c in f.terms.items()} == reference_p_rational(k, signed)
+            assert f.terms == reference_p_rational(k, signed)
 
     @pytest.mark.parametrize(
         "basis, index, bound, error, message",
@@ -467,9 +492,11 @@ class TestRationalJacobiTrudi:
             assert _schur_rational(lam, expansions) == rational, lam
             for signed in (False, True):
                 reference = laplace_schur(lam, weight, signed)
-                assert rational == {mu: c.constant_term() for mu, c in reference.terms.items()}, (lam, signed)
+                assert_canonical(reference)
+                assert rational == reference.terms, (lam, signed)
                 assert s_lam == reference, (lam, signed)
-            assert s_lam.vars == () and all(c.vars == () for c in s_lam.terms.values())
+            assert_canonical(s_lam)
+            assert s_lam.vars == () and s_lam.terms == rational
         assert set(expansions) <= set(range(weight + 1)), "h_k entries only, keyed by k"
 
     @given(homogeneous_sym_funcs(max_weight=9, min_weight=1))
@@ -477,7 +504,8 @@ class TestRationalJacobiTrudi:
     def test_p_to_schur_matches_the_reference(self, f):
         expansion = p_to_schur(f)
         assert expansion == reference_p_to_schur(f)
-        assert all(c.vars == f.vars for c in expansion.values())
+        for c in expansion.values():
+            assert_coefficient_ring(c, f.vars)
 
     @given(st.sampled_from([3, 6, 8, 9, 10]).flatmap(lambda n: homogeneous_sym_funcs(max_weight=n, min_weight=n)))
     @settings(max_examples=40, deadline=None)
@@ -487,7 +515,8 @@ class TestRationalJacobiTrudi:
         assert any(lam == _conjugate(lam) for lam in partitions_of(f.weight()))
         expansion = p_to_schur(f)
         assert expansion == reference_p_to_schur(f)
-        assert all(c.vars == f.vars for c in expansion.values())
+        for c in expansion.values():
+            assert_coefficient_ring(c, f.vars)
 
     @pytest.mark.parametrize("lam", [(2, 1), (3, 2, 1), (4, 2, 1, 1), (3, 3, 2), (4, 3, 2, 1)])
     def test_self_conjugate_schur_functions_round_trip(self, lam):
@@ -623,9 +652,11 @@ def schoolbook_terms(pairs):
 
 
 def assert_rational_coefficients(f: SymFunc):
-    """f is canonical, and every coefficient of every coefficient is a Rational."""
+    """f is canonical: every coefficient is a Rational over Q, and a
+    LaurentPoly over f's alphabet of Rationals over Q[L]."""
     assert_canonical(f)
-    assert all(type(c) is type(Rational(1)) for coeff in f.terms.values() for c in coeff.terms.values())
+    for coeff in f.terms.values():
+        assert all(type(c) is RATIONAL for c in (coeff.terms.values() if f.vars else [coeff]))
 
 
 @st.composite
@@ -717,3 +748,183 @@ def test_z_value_matches_counting_every_part():
     for n in range(21):
         for partition in partitions_of(n):
             assert z_value(partition) == reference_z_value(partition)
+
+
+# -- one coefficient ring, against polynomial coefficients ---------------------
+
+
+def as_polynomials(terms):
+    """A term map with every coefficient a LaurentPoly, a rational as one
+    over the empty alphabet: the form symfunc held before its coefficients
+    over Q became rationals, kept as the reference."""
+    return {p: c if isinstance(c, LaurentPoly) else LaurentPoly.constant(c) for p, c in terms.items()}
+
+
+def reference_text(terms):
+    """The text symfunc wrote of a term map of LaurentPoly coefficients: a
+    non-constant coefficient is parenthesised before a monomial."""
+    out = []
+    for partition, coeff in by_weight(terms.items()):
+        monomial = f"p[{','.join(map(str, partition))}]" if partition else ""
+        out.append(format_term(str(coeff) if coeff.is_constant() or not monomial else f"({coeff})", monomial))
+    return format_sum(out)
+
+
+def reference_json(terms, bound, vars):
+    """The JSON symfunc wrote of a term map of LaurentPoly coefficients."""
+    return {
+        "bound": bound,
+        "vars": list(vars),
+        "terms": [{"p": list(p), "c": c.to_json_dict()} for p, c in by_weight(terms.items())],
+    }
+
+
+def reference_specialization(terms, vars, mode):
+    """The three specializations on LaurentPoly coefficients, term by term."""
+    zero = LaurentPoly.zero(vars)
+    if mode is SpecializationMode.INVARIANTS:
+        return sum(terms.values(), zero)
+    if mode is SpecializationMode.SIGN:
+        return sum(((-c if (sum(p) - len(p)) % 2 else c) for p, c in terms.items()), zero)
+    (n,) = {sum(p) for p in terms} or {0}
+    return factorial(n) * terms.get((1,) * n, zero)
+
+
+UNITS = st.one_of(
+    st.fractions(-5, 5, max_denominator=6).filter(bool),
+    st.tuples(st.fractions(-5, 5, max_denominator=6).filter(bool), st.integers(-3, 3)).map(
+        lambda ce: LaurentPoly(("L",), {(ce[1],): ce[0]})
+    ),
+)
+
+
+class TestCoefficientRing:
+    """Over Q a coefficient is a Rational, over Q[vars] a LaurentPoly over
+    vars: every operation against the same operation on LaurentPoly
+    coefficients, with the coefficient types asserted."""
+
+    @given(st.data(), st.integers(3, 6), st.sampled_from([(), ("L",)]))
+    @settings(max_examples=200, deadline=None)
+    def test_against_polynomial_coefficients(self, data, bound, vars):
+        self.check(data.draw(bounded_sym_funcs(bound, vars)), data.draw(bounded_sym_funcs(bound, vars)))
+
+    def test_an_atom_against_polynomial_coefficients(self):
+        self.check(basis_in_p("h", 2, 3) + 3, SymFunc({(1,): Fraction(1, 2), (2, 1): -2}, 3))
+
+    @staticmethod
+    def check(a, b):
+        bound, vars = a.bound, a.vars
+        pa, pb = as_polynomials(a.terms), as_polynomials(b.terms)
+        results = [
+            (a + b, schoolbook_terms([*pa.items(), *pb.items()])),
+            (a - b, schoolbook_terms([*pa.items(), *((p, -c) for p, c in pb.items())])),
+            (a * b, schoolbook_terms((p + q, c * d) for p, c in pa.items() for q, d in pb.items())),
+            (a * 3, schoolbook_terms((p, 3 * c) for p, c in pa.items())),
+            (a / 2, schoolbook_terms((p, c / 2) for p, c in pa.items())),
+        ]
+        for k in (1, 2, 3):
+            if k * a.max_index() <= bound:
+                results.append((a.adams(k), {tuple(k * part for part in p): c.adams(k) for p, c in pa.items()}))
+        for got, expected in results:
+            assert_canonical(got)
+            assert got.vars == vars
+            assert as_polynomials(got.terms) == expected
+        for partition in [*a.terms, (1,), (2, 1), (3, 3)]:
+            coeff = a.coefficient(partition)
+            assert_coefficient_ring(coeff, vars)
+            assert coeff == pa.get(partition, LaurentPoly.zero(vars))
+        assert str(a) == reference_text(pa)
+        assert a.to_json_dict() == reference_json(pa, bound, vars)
+        back = SymFunc.from_json_dict(json.loads(json.dumps(a.to_json_dict())))
+        assert back.terms == a.terms and back.bound == bound and back.vars == vars
+        assert_canonical(back)
+        for mode in SpecializationMode:
+            if mode is SpecializationMode.ORDERED and len({sum(p) for p in a.terms}) > 1:
+                continue
+            got = specialize(a, mode)
+            assert type(got) is LaurentPoly and got.vars == vars
+            assert got == reference_specialization(pa, vars, mode)
+
+    @given(UNITS, st.integers(0, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_invert_unit(self, unit, bound):
+        vars = getattr(unit, "vars", ())
+        f = SymFunc.constant(unit, bound, vars)
+        inverse = f.invert_unit()
+        assert_canonical(inverse)
+        reference = as_polynomials({(): unit})[()].invert_unit()
+        assert as_polynomials(inverse.terms) == {(): reference}
+        assert (f * inverse).terms == SymFunc.constant(1, bound, vars).terms
+
+    def test_invert_unit_errors(self):
+        with pytest.raises(ValueError, match=re.escape("p[1] is not a constant unit")):
+            SymFunc.p(1, 3).invert_unit()
+        with pytest.raises(ZeroDivisionError, match="cannot invert 0"):
+            SymFunc.zero(3).invert_unit()
+        with pytest.raises(InexactDivisionError, match=re.escape("L + 1 is not an invertible monomial")):
+            SymFunc.constant(L + 1, 3).invert_unit()
+
+    def test_constructor_coerces_into_the_ring(self):
+        """Ints, Fractions and empty-alphabet polynomials become Rationals
+        over Q and constants over Q[L]; another alphabet, and a value that
+        is no coefficient at all, is refused."""
+        for vars in ((), ("L",)):
+            f = SymFunc({(): 2, (1,): Fraction(1, 2), (2,): LaurentPoly.constant(3)}, 3, vars)
+            assert_canonical(f)
+            assert f.terms == {(): 2, (1,): Fraction(1, 2), (2,): 3}
+        with pytest.raises(ValueError, match=re.escape("coefficient alphabet ('L',) does not match ()")):
+            SymFunc({(1,): L}, 3)
+        with pytest.raises(ValueError, match=re.escape("coefficient alphabet ('u', 'v') does not match ('L',)")):
+            SymFunc({(1,): U}, 3, ("L",))
+        for bad in (1.5, "1", SymFunc.p(1, 3)):
+            with pytest.raises(TypeError, match=re.escape(f"expected an exact rational, got {bad!r}")):
+                SymFunc({(): bad}, 3)
+
+    def test_coefficient_json_is_a_polynomial_object(self):
+        assert coefficient_json(Rational(-3, 2)) == {"vars": [], "terms": [{"e": [], "c": "-3/2"}]}
+        assert coefficient_json(L - 1) == (L - 1).to_json_dict()
+
+    def test_plethysm_reads_constant_polynomials(self):
+        x = L**2 + 3 * L
+        for f in (basis_in_p("h", 2, 4), SymFunc(basis_in_p("h", 2, 4).terms, 4, ("L",))):
+            assert plethysm_apply(f, x) == plethysm_apply(basis_in_p("h", 2, 4), x)
+        with pytest.raises(ValueError, match=re.escape("plethysm needs constant coefficients, found L at p[1]")):
+            plethysm_apply(L * SymFunc.p(1, 3, ("L",)), x)
+
+
+class TestEqualityAndHash:
+    def test_an_index_past_the_common_bound_is_unequal(self):
+        """== compares at the smaller bound; a side that cannot live there
+        is unequal to the other, where + and * still refuse the pair."""
+        a, b = SymFunc.p(5, 6), SymFunc.p(1, 3)
+        assert not a == b and a != b and not b == a and b != a
+        assert a not in [b] and b not in [a]
+        assert SymFunc.p(1, 6) == b
+        for op in (lambda: a + b, lambda: a * b, lambda: b * a):
+            with pytest.raises(GeneratorBoundError, match="p_5 exceeds the generator bound 3"):
+                op()
+
+    def test_a_promoted_value_hashes_as_its_original(self):
+        a, b = SymFunc.p(1, 3), SymFunc.p(1, 3, ("L",))
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert hash(SymFunc.constant(Fraction(2, 3), 3)) == hash(Fraction(2, 3))
+
+    @given(st.data(), st.integers(1, 5), st.fractions(-3, 3, max_denominator=4))
+    @settings(max_examples=150, deadline=None)
+    def test_equal_values_hash_alike(self, data, bound, q):
+        """a == b implies hash(a) == hash(b) over Q / Q[L] pairs at two
+        bounds and for scalars."""
+        a = data.draw(bounded_sym_funcs(bound, ()))
+        wider = bound + data.draw(st.integers(0, 2))
+        b = data.draw(bounded_sym_funcs(bound, ("L",)))
+        values = [
+            a, b, a + b, SymFunc(a.terms, wider), SymFunc(a.terms, bound, ("L",)), SymFunc(a.terms, wider, ("L",)),
+            SymFunc({p: c.constant_term() for p, c in b.terms.items() if c.is_constant()}, bound),
+            SymFunc.constant(q, bound), SymFunc.constant(q, wider, ("L",)),
+            q, LaurentPoly.constant(q), LaurentPoly.constant(q, ("L",)),
+        ]
+        for x in values:
+            for y in values:
+                if x == y:
+                    assert hash(x) == hash(y), (x, y)
+        assert a == SymFunc(a.terms, bound, ("L",)) == SymFunc(a.terms, wider)
