@@ -31,10 +31,15 @@ Q with a Q[L] coefficient, which is refused, and one over Q[L] with Q
 coefficients, which are promoted; the series quotient
 ``(2 + p[1]*t)/(2 - p[1]*t)``, which inverts the rational 2; ``adams --k 2``
 of ``(h[0]+h[1]+...+h[6])^2`` at order 24), size caps (the symmetric-function weight of ``*``
-and ``^`` and the work of a series ``^`` and ``/`` among them) and error
-paths, digits outside 0-9 among them.  Two captures of the same seed, taken
-from two source trees, show whether a change kept the CLI's output
-byte-identical.
+and ``^`` and the work of a series ``^`` and ``/`` among them; ``h[40]*h[40]``,
+``(h[40]+p[1])^2``, ``(1+h[40]*t)^1000`` at order 2, ``(L^1000+h[40])^2``
+and ``schur --f h[40] --order 40``, whose caps are decided before the atom
+is built; a syntax error after an over-cap node, ``h[20]*h[11] +``, and an
+evaluation error before one, ``1/(L-L) + h[20]*h[11]``), the series over Q
+that ``pow``, ``lambda`` and ``config --specialize`` build from polynomials
+over the empty alphabet, and error paths, digits outside 0-9 among them.
+Two captures of the same seed, taken from two source trees, show whether a
+change kept the CLI's output byte-identical.
 
 Usage:
   python scripts/cli_capture.py --src SRC_DIR --out FILE [--seed N] [--limit N]
@@ -297,9 +302,11 @@ ERRORS = [
     # Series powers past the work cap: 5 s and 14 s of work where they run.
     ["pow", "--base", "(1 + (L + 1)*t)^1000", "--exponent", "1", "--order", "66"],
     ["pow", "--base", "(1+(h[0]+h[1]+h[2]+h[3]+h[4]+h[5])*t)^100", "--exponent", "1", "--order", "5"],
-    # Series division past the work cap; the exponent t then fails, so a
-    # tree without the cap spends 6 s on the division alone.
+    # Series division past the work cap; the exponent then fails (t when
+    # its size is checked, 1/0 when it is built), so a tree without the cap
+    # spends 6 s on the division alone.
     ["pow", "--base", "1/(1-(h[0]+h[1]+h[2]+h[3]+h[4]+h[5])*t)", "--exponent", "t", "--order", "8"],
+    ["pow", "--base", "1/(1-(h[0]+h[1]+h[2]+h[3]+h[4]+h[5])*t)", "--exponent", "1/0", "--order", "8"],
     # Work estimates of bases with many terms of one t-degree.
     ["pow", "--base", "1/(1-h[40]*t)", "--exponent", "1", "--order", "256"],
     ["pow", "--base", "(1-h[30]*t)^(-1)", "--exponent", "1", "--order", "256"],
@@ -329,6 +336,20 @@ ERRORS = [
     # Digits outside 0-9, in a value and in the O(t^k) tail of a series.
     ["adams", "--element", "L^\u0663 + \u0662", "--k", "1"],
     ["pow", "--base", "1+t + O(t^1\u0663)", "--exponent", "1"],
+    # Caps on values holding the heaviest atom, decided before it is built.
+    ["adams", "--element", "h[40]*h[40]", "--k", "1", "--order", "40"],
+    ["adams", "--element", "(h[40]+p[1])^2", "--k", "1", "--order", "40"],
+    ["pow", "--base", "(1+h[40]*t)^1000", "--exponent", "1", "--order", "2"],
+    ["adams", "--element", "(L^1000+h[40])^2", "--k", "1", "--order", "40"],
+    ["schur", "--f", "h[40]", "--order", "40"],
+    # A syntax error after an over-cap node, and an evaluation error
+    # before one.
+    ["adams", "--element", "h[20]*h[11] +", "--k", "1", "--order", "31"],
+    ["adams", "--element", "1/(L-L) + h[20]*h[11]", "--k", "1", "--order", "31"],
+    # Series over Q read from polynomials over the empty alphabet.
+    ["pow", "--base", "@empty_alphabet_series.json", "--exponent", "1", "--order", "2", "--output-format", "json"],
+    ["lambda", "--element", "@empty_alphabet_poly.json", "--order", "2", "--output-format", "json"],
+    ["config", "--x-class", "3", "--specialize", "invariants", "--order", "2", "--output-format", "json"],
 ]
 # Files the requests name, written to the working directory of the run.
 FILES = {
@@ -347,6 +368,8 @@ FILES = {
     "big_exponent.json": {"order": 2, "coeffs": ["1", {"vars": ["L"], "terms": [{"e": [1001], "c": "1"}]}, "0"]},
     "decimal_coeff.json": {"vars": ["L"], "terms": [{"e": [1], "c": " 1.5e1 "}]},
     "decimal.json": "2.5",
+    "empty_alphabet_series.json": {"order": 2, "coeffs": [{"vars": [], "terms": [{"e": [], "c": "1"}]}, "2", "0"]},
+    "empty_alphabet_poly.json": {"vars": [], "terms": [{"e": [], "c": "3"}]},
     "repeated_terms.json": {"vars": ["L"], "terms": [{"e": [1], "c": "1"}, {"e": [1], "c": "2"}]},
     "cancelling_terms.json": {
         "vars": ["L"],

@@ -146,20 +146,20 @@ def _emit(value, fmt: str) -> str:
 
 def _load_at_value(raw):
     """Values starting with @ name a JSON file holding the value; any other
-    value stays as it is: text, or the tokens of a text."""
+    value stays as it is: text, or the tree of a text."""
     if isinstance(raw, str) and raw.startswith("@"):
         data = json.loads(Path(raw[1:]).read_text())
         return value_from_json(data)
     return raw
 
 
-def _load_or_parse(raw, bound: int | None = None, vars: tuple[str, ...] | None = None):
-    """An @file value as loaded, or text (or its tokens) parsed without the
+def _load_or_parse(raw, bound: int | None = None, vars: tuple[str, ...] | None = None, check_weight=None):
+    """An @file value as loaded, or text (or its tree) parsed without the
     series variable."""
     loaded = _load_at_value(raw)
-    if not isinstance(loaded, (str, list)):
+    if not isinstance(loaded, (str, tuple)):
         return loaded
-    return parsing.parse_expression(loaded, order=None, bound=bound, vars=vars)
+    return parsing.parse_expression(loaded, order=None, bound=bound, vars=vars, check_weight=check_weight)
 
 
 def _parse_element(raw, order: int, vars: tuple[str, ...] | None = None):
@@ -192,9 +192,9 @@ def _parse_series_arg(raw, order: int, vars: tuple[str, ...] | None = None) -> T
 
 
 def _as_series(value, known: int, order: int, vars: tuple[str, ...] | None) -> TruncSeries:
-    """A series value, or the text or tokens of one known through ``known``,
+    """A series value, or the text or tree of one known through ``known``,
     as a series of order ``order``."""
-    if isinstance(value, (str, list)):
+    if isinstance(value, (str, tuple)):
         value = parsing.parse_series(value, known, bound=order, vars=vars)
     if not isinstance(value, TruncSeries):
         return TruncSeries.constant(value, order)
@@ -212,16 +212,16 @@ def _cmd_lambda(params, order, fmt):
 
 
 def _cmd_pow(params, order, fmt):
-    # Each text is scanned once: the alphabet the two values share comes
-    # from the tokens that are then parsed.
+    # Each text is parsed once: the alphabet the two values share comes
+    # from the names their trees hold.
     base, exponent = params["base"], params["exponent"]
     known = order
     if not base.startswith("@"):
         text, known = _series_text(base, order)
-        base = parsing.tokenize(text)
+        base = parsing.parse_tree(text)
     if not exponent.startswith("@"):
-        exponent = parsing.tokenize(exponent)
-    vars = parsing.variables(*(v for v in (base, exponent) if isinstance(v, list)))
+        exponent = parsing.parse_tree(exponent)
+    vars = tuple(sorted(set().union(*(v[1] for v in (base, exponent) if isinstance(v, tuple)))))
     base = _as_series(_load_at_value(base), known, order, vars)
     exponent = _parse_element(exponent, order, vars)
     result = power_op(base, exponent, params.get("algorithm", "factorize"))
@@ -251,11 +251,15 @@ def _cmd_plethysm(params, order, fmt):
     return 0, _emit(plethysm_apply(f, x), fmt)
 
 
-def _cmd_schur(params, order, fmt):
-    f = parsing.as_symfunc(_load_or_parse(params["f"], order), order)
-    weight = max(map(sum, f.terms), default=0)
+def _check_schur_weight(weight: int) -> None:
     if weight > MAX_SCHUR_WEIGHT:
         raise LimitError(f"weight {weight} of the schur input exceeds the limit {MAX_SCHUR_WEIGHT}")
+
+
+def _cmd_schur(params, order, fmt):
+    # A text is checked on its size, before it is built; a JSON value as it is.
+    f = parsing.as_symfunc(_load_or_parse(params["f"], order, check_weight=_check_schur_weight), order)
+    _check_schur_weight(max(map(sum, f.terms), default=0))
     expansion = p_to_schur(f)
     if fmt == "json":
         payload = [

@@ -1,44 +1,35 @@
 """Text grammar for ring elements and series.
 
-One grammar covers every value the command line accepts:
+One grammar covers every value the command line accepts: rationals (``3``,
+``-7/3``), polynomial variables (any identifier; the variables of one
+expression share one alphabet), the atoms ``p[2,1]``, ``h[3]``, ``e[2]``
+and ``s[3,1]``, the series variable ``t`` (given an order), ``+ - * /``,
+parentheses, and ``^`` with an integer exponent.  So ``1/2*p[1,1] +
+1/2*p[2]``, ``L^5 - L^2`` and ``1/(1 - L*t)`` parse; ``t`` is reserved, and
+``p``/``h``/``e``/``s`` are atoms only when directly followed by ``[``.
 
-* rationals: ``3``, ``1/2``, ``-7/3``
-* polynomial variables: any identifier (``L``, ``u``, ``v``, ``q``, ...);
-  all variables appearing in one expression share one alphabet
-* power sums and friends: ``p[2]``, ``p[1,1]``, ``h[3]``, ``e[2]``, ``s[3,1]``;
-  an ``h``, ``e`` or ``s`` atom has weight at most :data:`MAX_ATOM_WEIGHT`
-* the series variable ``t`` (meaningful only when an order is supplied)
-* operators ``+ - * / ^`` and parentheses; ``^`` takes an integer exponent
-  of magnitude at most :data:`MAX_EXPONENT`, and no power may build a
-  polynomial exponent beyond it: ``(L^1000)^1000`` and ``(1 + L^2)^501``
-  are refused before they are computed
-* no ``*`` of two symmetric functions and no ``^`` may build a term of
-  weight beyond :data:`MAX_WEIGHT`, through series coefficients too:
-  ``(p[1]+p[2]+p[3])^11`` and ``h[20]*h[11]`` are refused before they are
-  computed, while ``2*h[40]`` parses; a series power counts only the
-  coefficients it keeps, so ``(1 + p[1]^11*t)^3`` parses at order 1
-* no series ``^`` may do more work than :data:`MAX_POWER_WORK` term
-  products, estimated from the terms its coefficients can reach:
-  ``(1 + (h[0]+...+h[5])*t)^1000`` at order 5 is refused before its first
-  product, while ``(1 + t)^1000`` parses at order 256; a ``/`` by a series
-  is held to the same cap, with the estimate of the divisor's ``^(-1)``:
-  ``1/(1 - (p[1]+p[2]+p[3])*t)`` is refused from order 106 on, while
-  ``1/(1 - p[1]*t)`` parses at order 256
-
-so ``1/2*p[1,1] + 1/2*p[2]``, ``L^5 - L^2``, ``1/(1 - L*t)`` and
-``(1 + t)^3`` all parse.  The name ``t`` is reserved, and ``p``/``h``/``e``/
-``s`` are special only when directly followed by ``[``.
+An expression is read into a tree first, which raises every syntax error.
+A size pass then bounds the terms, weights and exponents of each node per
+t-degree and checks every cap on these bounds: exponents and the degrees a
+``^`` builds at :data:`MAX_EXPONENT`, atoms at :data:`MAX_ATOM_WEIGHT`, the
+weight a ``*`` or ``^`` builds at :data:`MAX_WEIGHT` (a series power counts
+only the coefficients it keeps), and the work of a series ``^`` or ``/`` at
+:data:`MAX_POWER_WORK`.  Only then is the tree evaluated, so a value over a
+cap is refused before any part of it is built.
 """
 
 from __future__ import annotations
 
 import re
+from functools import partial, reduce
 from itertools import accumulate
-from operator import add
+from math import comb, prod
+from operator import add, mul, sub, truediv
+from typing import Callable
 
 from .errors import LimitError, ParseError
 from .rings import _ONE, _ZERO, MAX_EXPONENT, SCALAR_TYPES, LaurentPoly, Rational, _coefficient
-from .series import TruncSeries, _invert_leading
+from .series import TruncSeries
 from .symfunc import SymFunc, basis_in_p
 
 # One token after any whitespace; a character no token starts with is
@@ -48,6 +39,7 @@ _TOKEN_RE = re.compile(
 )
 
 _BASIS_NAMES = ("p", "h", "e", "s")
+_OPERATORS = {"+": add, "-": sub, "*": mul, "/": truediv, "^": pow}
 
 # Largest weight of an h[k], e[k] or s[...] atom.  At 40, h[40] has 37338
 # terms (0.24 s, 58 MB) and the slowest s[...] atoms, s[7,7,7,7,6,6] and
@@ -74,6 +66,14 @@ MAX_POWER_WORK = 10**6
 
 
 Token = tuple[str, str, int]
+# A cell bounds the terms of one t-degree: (number of terms, largest weight,
+# lowest and highest exponent of each variable of the alphabet).
+Cell = tuple[int, int, tuple[int, ...], tuple[int, ...]]
+# A size is (order, ring, cells): order None for a value that is no series,
+# the ring _Q, _POLY or _SYM (symmetric functions), and a cell for each
+# t-degree that may hold terms (only 0 outside a series).
+Size = tuple[int | None, int, dict[int, Cell]]
+_Q, _POLY, _SYM = range(3)
 
 
 def tokenize(text: str) -> list[Token]:
@@ -89,45 +89,29 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
-def _degree(value) -> int:
-    """Largest exponent magnitude of a polynomial variable in value, through
-    symmetric-function and series coefficients."""
-    if isinstance(value, LaurentPoly):
-        return max((abs(e) for exps in value.terms for e in exps), default=0)
-    if isinstance(value, SymFunc):
-        return max(map(_degree, value.terms.values()), default=0)
-    if isinstance(value, TruncSeries):
-        return max(map(_degree, value.coeffs), default=0)
-    return 0
+def _check(amount: int, limit: int, what: str, position: int | None) -> None:
+    """Refuse an amount past its limit; ``{}`` in ``what`` stands for it."""
+    if amount > limit:
+        raise LimitError(f"{what.format(amount)} at position {position} exceeds the limit {limit}")
 
 
-def _weight(value) -> int:
-    """Largest weight of a symmetric-function term in value, through series
-    coefficients; a series over Q or Q[L] answers from its zero."""
-    if isinstance(value, TruncSeries):
-        return max(map(_weight, value.coeffs)) if isinstance(value._zero, SymFunc) else 0
-    if isinstance(value, SymFunc):
-        return max(map(sum, value.terms), default=0)
-    return 0
+def _heaviest(size: Size) -> int:
+    return max((cell[1] for cell in size[2].values()), default=0)
 
 
-def _check_weight(weight: int, what: str, position: int) -> None:
-    if weight > MAX_WEIGHT:
-        raise LimitError(f"{what} of weight {weight} at position {position} exceeds the limit {MAX_WEIGHT}")
+def _widest(size: Size) -> int:
+    return max((abs(e) for cell in size[2].values() for e in cell[2] + cell[3]), default=0)
 
 
-def _check_work(work: int, what: str, position: int) -> None:
-    if work > MAX_POWER_WORK:
-        raise LimitError(f"{what} of work {work} at position {position} exceeds the limit {MAX_POWER_WORK}")
+def _add_cells(x: Cell | None, y: Cell | None) -> Cell | None:
+    if x is None or y is None:
+        return y or x
+    return (x[0] + y[0], max(x[1], y[1]), tuple(map(min, x[2], y[2])), tuple(map(max, x[3], y[3])))
 
 
-def _terms(value) -> list[tuple[int, tuple[int, ...]]]:
-    """(weight, exponents) of each term of a coefficient."""
-    if isinstance(value, SymFunc):
-        return [(sum(p) + w, exps) for p, c in value.terms.items() for w, exps in _terms(c)]
-    if isinstance(value, LaurentPoly):
-        return [(0, exps) for exps in value.terms]
-    return [(0, ())] if value else []
+def _box(lo: tuple[int, ...], hi: tuple[int, ...]) -> int:
+    """The exponent vectors between lo and hi."""
+    return prod(h - l + 1 for l, h in zip(lo, hi))
 
 
 def _partition_counts(weight: int, bound: int) -> list[int]:
@@ -144,9 +128,8 @@ def _partition_counts(weight: int, bound: int) -> list[int]:
 def _multisets(counts: list[int], order: int) -> list[int]:
     """For k <= order, the multisets of terms whose t-degrees add up to k,
     with counts[j] terms of t-degree j >= 1: the t^k coefficients of the
-    product over j of (1 - t^j)^(-counts[j]).  Each factor is folded in one
-    step with its coefficients C(c + m - 1, m) at t^(jm), so the cost does
-    not grow with the number of terms."""
+    product over j of (1 - t^j)^(-counts[j]), each factor folded in one
+    step with its coefficients C(c + m - 1, m) at t^(jm)."""
     multisets = [1] + [0] * order
     for j, c in enumerate(counts[1 : order + 1], start=1):
         if c:
@@ -161,56 +144,47 @@ def _multisets(counts: list[int], order: int) -> list[int]:
     return multisets
 
 
-def _power_work(base: TruncSeries, n: int, weight: int) -> int:
-    """An upper estimate of the term products that ``base ** n`` makes: for
-    a negative n, first the division recurrence of 1 / base, one product of
-    base and its inverse; then, by binary powering, over its series
-    products, the term products of coefficients holding every term they can
-    reach.
-
-    With a constant term c, the t^k coefficient of base ** a (or of a power
-    of the inverse that a negative n raises) sums c-multiples of products
-    of f <= k terms of a_1, ..., a_k whose t-degrees add up to k, f <= a
-    for n >= 0.  So it has no more terms than there are such multisets,
-    nor than fit in the weights and exponents that f terms reach: weights
-    up to ``weight``, the grammar's bound, for n >= 0, and up to k times
-    the heaviest term of base for n < 0.  With any other constant term,
-    f = a (a + k for n < 0); an inverse needs a unit, one term, so both
-    bounds still hold for n < 0, but only the second for n >= 0.  A
-    product of one-variable polynomials is counted as the sum of their
-    terms (it packs them into integers), any other as the product."""
-    order, zero = base.order, base._zero
-    per_index = [_terms(c) for c in base.coeffs]
-    constant = per_index[0] == [(0, (0,) * len(getattr(zero, "vars", ())))]
-    everything = [term for terms in per_index for term in terms]
-    spans = [max(e) - min(e) for e in zip(*(exps for _, exps in everything))]
-    top = max((w for w, _ in everything), default=0)
+def _power_work(base: Size, n: int, weight: int, bound: int) -> tuple[int, dict[int, Cell]]:
+    """An upper estimate of the term products that ``base ** n`` makes for
+    a series base (for n < 0, first those of 1 / base, then by binary
+    powering those of coefficients holding every term they can reach), and
+    the cells of ``base ** n``.  With a constant term c, the t^k coefficient
+    of base ** a (or of the inverse's) sums c-multiples of products of f <=
+    k terms of a_1, ..., a_k whose t-degrees add up to k, f <= a for n >= 0:
+    it has no more terms than such multisets, nor than fit in the weights
+    (up to ``weight`` for n >= 0, k times the heaviest for n < 0) and
+    exponents f terms reach.  With any other constant term, f = a (a + k
+    for n < 0), and only the second bound holds for n >= 0.  A product of
+    one-variable polynomials counts the sum of their terms (it packs them
+    into integers), any other the product."""
+    order, ring, cells = base
+    counts = [cells[k][0] if k in cells else 0 for k in range(order + 1)]
+    constant = cells.get(0, ())[:2] == (1, 0) and not any(cells[0][2] + cells[0][3])
+    _, top, lo, hi = reduce(_add_cells, cells.values(), None) or (0, 0, (), ())
+    spans = [h - l for l, h in zip(lo, hi)]
     if n < 0:
         weight = top * order
-    partitions = _partition_counts(weight, zero.bound) if isinstance(zero, SymFunc) else None
-    multisets = _multisets([len(terms) for terms in per_index], order)
+    partitions = _partition_counts(weight, bound) if ring == _SYM else None
+    multisets = _multisets(counts, order)
+
+    def factors(a: int) -> list[int]:
+        if constant:
+            return [min(a, k) if n > 0 else k for k in range(order + 1)]
+        return [a if n > 0 else a + k for k in range(order + 1)]
 
     def reach(a: int) -> list[int]:
         if a == 1 and n > 0:
-            return [len(terms) for terms in per_index]
+            return counts
         out = []
-        for k in range(order + 1):
-            if constant:
-                f = min(a, k) if n > 0 else k
-            else:
-                f = a if n > 0 else a + k
-            terms = 1
-            for span in spans:
-                terms *= f * span + 1
+        for k, f in enumerate(factors(a)):
+            terms = prod(f * span + 1 for span in spans)
             if partitions is not None:
                 terms *= partitions[min(weight, top * f)]
             out.append(min(terms, multisets[k]) if constant or n < 0 else terms)
         return out
 
-    packed = isinstance(zero, LaurentPoly) and len(zero.vars) == 1
-
     def product(x: list[int], y: list[int]) -> int:
-        if packed:
+        if ring == _POLY and len(lo) == 1:
             x_count = list(accumulate(1 if c else 0 for c in x))
             y_count = list(accumulate(1 if c else 0 for c in y))
             return sum(c * y_count[order - i] for i, c in enumerate(x)) + sum(
@@ -223,7 +197,7 @@ def _power_work(base: TruncSeries, n: int, weight: int) -> int:
     # result = base ** done, power = base ** a.
     work, m = 0, abs(n)
     if n < 0:
-        work = product([len(terms) for terms in per_index], reach(1))
+        work = product(counts, reach(1))
     result, done = [1] + [0] * order, 0
     power, a = reach(1), 1
     while m:
@@ -236,25 +210,25 @@ def _power_work(base: TruncSeries, n: int, weight: int) -> int:
             a *= 2
             power = reach(a)
         m >>= 1
-    return work
+    if n < 0 and not constant:
+        # The inverse of a unit c x^e holds powers of x^-e.
+        lo, hi = [min(l, -h) for l, h in zip(lo, hi)], [max(h, -l) for l, h in zip(lo, hi)]
+    return work, {
+        k: (count, min(weight, top * f), tuple(f * e for e in lo), tuple(f * e for e in hi))
+        for k, (count, f) in enumerate(zip(result, factors(done))) if count
+    }
 
 
 class _Parser:
-    def __init__(
-        self,
-        tokens: list[Token],
-        order: int | None,
-        bound: int | None,
-        vars: tuple[str, ...],
-    ):
+    """Builds the tree of an expression, whose nodes are tuples: ("num", n),
+    ("t",), ("var", name), ("atom", name, parts, position), ("power", node,
+    n, exponent position, position) and ("sum" or "product", node, [(op,
+    node, position), ...]); -x is read as 0 - x."""
+
+    def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.index = 0
-        self.order = order
-        self.bound = bound
-        self.vars = vars
-        # t and its powers are built over the alphabet's ring, so that a
-        # polynomial coefficient scales them without a promotion.
-        self.zero, self.one = _coefficient(_ZERO, vars), _coefficient(_ONE, vars)
+        self.names: set[str] = set()
 
     def peek(self) -> Token | None:
         return self.tokens[self.index] if self.index < len(self.tokens) else None
@@ -279,197 +253,241 @@ class _Parser:
     # precedence: sum < product < unary < power < primary
 
     def parse_sum(self):
-        value = self.parse_product()
+        node, rest = self.parse_product(), []
         while self.at_op("+", "-"):
-            op = self.next()[1]
-            rhs = self.parse_product()
-            value = value + rhs if op == "+" else value - rhs
-        return value
+            _, op, position = self.next()
+            rest.append((op, self.parse_product(), position))
+        return ("sum", node, rest) if rest else node
 
     def parse_product(self):
-        value = self.parse_unary()
+        node, rest = self.parse_unary(), []
         while self.at_op("*", "/"):
             _, op, position = self.next()
-            rhs = self.parse_unary()
-            if op == "*":
-                weights = _weight(value), _weight(rhs)
-                if min(weights) > 0:
-                    _check_weight(sum(weights), "product", position)
-                value = value * rhs
-            elif isinstance(rhs, SCALAR_TYPES) and not rhs:
-                raise ParseError(f"division by zero at position {position}")
-            else:
-                if isinstance(rhs, TruncSeries):
-                    # A divisor that is not a unit fails as the division would.
-                    _invert_leading(rhs.coeffs[0])
-                    _check_work(_power_work(rhs, -1, _weight(rhs)), "series division", position)
-                value = value / rhs
-        return value
+            rest.append((op, self.parse_unary(), position))
+        return ("product", node, rest) if rest else node
 
     def parse_unary(self):
-        if self.at_op("-"):
-            self.next()
-            return -self.parse_unary()
-        if self.at_op("+"):
-            self.next()
-            return self.parse_unary()
-        return self.parse_power()
+        if not self.at_op("-", "+"):
+            return self.parse_power()
+        sign, node = self.next()[1], self.parse_unary()
+        return ("sum", ("num", 0), [("-", node, None)]) if sign == "-" else node
 
     def parse_power(self):
-        start = self.index
         base = self.parse_primary()
         if not self.at_op("^"):
             return base
-        # One name token read: the base is t or a variable.
-        literal = self.index == start + 1 and self.tokens[start][0] == "name"
         position = self.next()[2]
-        exponent = self.parse_int_exponent()
-        if exponent < 0 and isinstance(base, SCALAR_TYPES) and not base:
-            raise ParseError(f"division by zero at position {position}")
-        degree = _degree(base) * abs(exponent)
-        if degree > MAX_EXPONENT:
-            raise LimitError(
-                f"power of degree {degree} at position {position} exceeds the limit {MAX_EXPONENT}"
-            )
-        # A kept coefficient of a series power with a weight-0 constant
-        # term multiplies at most min(n, order) coefficients of positive
-        # weight; a negative power divides and keeps the plain bound.
-        times = abs(exponent)
-        if isinstance(base, TruncSeries) and exponent >= 0 and not _weight(base.coeffs[0]):
-            times = min(exponent, base.order)
-        weight = _weight(base) * times
-        _check_weight(weight, "power", position)
-        if isinstance(base, TruncSeries) and not literal:
-            _check_work(_power_work(base, exponent, weight), "series power", position)
-        if literal:
-            name = self.tokens[start][1]
-            if name != "t":
-                return self._monomial(name, exponent)
-            if exponent >= 0:
-                return self._t_power(exponent)
-        return base ** exponent
+        return ("power", base, *self.parse_int_exponent(), position)
 
-    def parse_int_exponent(self) -> int:
+    def parse_int_exponent(self) -> tuple[int, int]:
+        """The exponent and the position of its digits."""
         if self.at_op("("):
             self.next()
             value = self.parse_int_exponent()
             self.expect_op(")")
             return value
-        sign = 1
-        if self.at_op("-"):
+        sign = -1 if self.at_op("-") else 1
+        if sign < 0:
             self.next()
-            sign = -1
         kind, text, position = self.next()
         if kind != "int":
             raise ParseError(f"expected an integer exponent at position {position}")
-        if int(text) > MAX_EXPONENT:
-            raise LimitError(
-                f"exponent {text} at position {position} exceeds the limit {MAX_EXPONENT}"
-            )
-        return sign * int(text)
+        return sign * int(text), position
 
     def parse_int_list(self) -> list[int]:
-        parts: list[int] = []
         self.expect_op("[")
-        if self.at_op("]"):
-            self.next()
-            return parts
-        while True:
+        parts: list[int] = []
+        while parts or not self.at_op("]"):
             kind, text, position = self.next()
             if kind != "int":
                 raise ParseError(f"expected an integer at position {position}")
             parts.append(int(text))
             if self.at_op("]"):
-                self.next()
-                return parts
+                break
             self.expect_op(",")
+        self.next()
+        return parts
 
     def parse_primary(self):
         kind, text, position = self.next()
         if kind == "int":
-            return Rational(int(text))
+            return ("num", int(text))
         if text == "(":
-            value = self.parse_sum()
+            node = self.parse_sum()
             self.expect_op(")")
-            return value
-        if kind == "name":
-            if text in _BASIS_NAMES and self.at_op("["):
-                return self._basis_atom(text, position)
-            if text == "t":
-                if self.order is None:
-                    raise ParseError("the series variable t needs a truncation order")
-                return self._t_power(1)
-            if text not in self.vars:
-                raise ParseError(f"unknown variable {text!r}")
-            return self._monomial(text, 1)
-        raise ParseError(f"unexpected token {text!r} at position {position}")
+            return node
+        if kind != "name":
+            raise ParseError(f"unexpected token {text!r} at position {position}")
+        if text in _BASIS_NAMES and self.at_op("["):
+            parts = self.parse_int_list()
+            if text in ("h", "e") and len(parts) != 1:
+                raise ParseError(f"{text}[...] takes exactly one index (position {position})")
+            return ("atom", text, tuple(parts), position)
+        if text == "t":
+            return ("t",)
+        self.names.add(text)
+        return ("var", text)
 
-    def _t_power(self, k: int) -> TruncSeries:
-        """t^k for k >= 0: one coefficient 1, none past the order."""
-        coeffs = [self.zero] * (self.order + 1)
-        if k <= self.order:
-            coeffs[k] = self.one
+
+class _Sizes:
+    """The size pass over a tree, for one order, bound and alphabet: each
+    node kind names the method that gives a node's size, once its caps hold
+    in the order evaluation meets them, and a function that builds it."""
+
+    def __init__(self, order: int | None, bound: int | None, vars: tuple[str, ...]):
+        self.order, self.bound, self.vars = order, bound, vars
+        # t and its powers are built over the alphabet's ring, so that a
+        # polynomial coefficient scales them without a promotion.
+        self.zero, self.one = _coefficient(_ZERO, vars), _coefficient(_ONE, vars)
+        origin = (0,) * len(vars)
+        self.unit: Cell = (1, 0, origin, origin)
+
+    def walk(self, node) -> tuple[Size, Callable]:
+        if node[0] not in ("sum", "product"):
+            return getattr(self, node[0])(*node[1:])
+        size, build = self.walk(node[1])
+        steps = []
+        for op, rhs, position in node[2]:
+            rhs_size, build_rhs = self.walk(rhs)
+            size = self.combine(op, size, rhs_size, position)
+            steps.append((op, build_rhs, position))
+        return size, partial(_chain, build, steps)
+
+    def num(self, n: int):
+        return (None, _Q, {0: self.unit} if n else {}), partial(Rational, n)
+
+    def t(self, k: int = 1):
+        if self.order is None:
+            raise ParseError("the series variable t needs a truncation order")
+        size = self.order, _POLY if self.vars else _Q, {k: self.unit} if 0 <= k <= self.order else {}
+        return size, partial(self.t_power, k)
+
+    def t_power(self, k: int) -> TruncSeries:
+        """t^k: for k >= 0 one coefficient 1, none past the order."""
+        if k < 0:
+            return self.t_power(1) ** k
+        coeffs = [self.one if j == k else self.zero for j in range(self.order + 1)]
         return TruncSeries._raw(coeffs, self.order, self.zero)
 
-    def _monomial(self, name: str, k: int) -> LaurentPoly:
-        """name^k as a one-term polynomial over the alphabet."""
-        exps = [0] * len(self.vars)
-        exps[self.vars.index(name)] = k
-        return LaurentPoly._raw(self.vars, {tuple(exps): _ONE})
+    def var(self, name: str, k: int = 1):
+        if name not in self.vars:
+            raise ParseError(f"unknown variable {name!r}")
+        exps = tuple(k * (v == name) for v in self.vars)
+        return (None, _POLY, {0: (1, 0, exps, exps)}), lambda: LaurentPoly._raw(self.vars, {exps: _ONE})
 
-    def _basis_atom(self, name: str, position: int):
+    def atom(self, name: str, parts: tuple[int, ...], position: int):
         if self.bound is None:
-            raise ParseError(
-                f"symmetric-function atom {name}[...] needs a generator bound"
-            )
-        parts = self.parse_int_list()
-        if name in ("h", "e") and len(parts) != 1:
-            raise ParseError(
-                f"{name}[...] takes exactly one index (position {position})"
-            )
-        if name != "p" and sum(parts) > MAX_ATOM_WEIGHT:
-            raise LimitError(
-                f"weight {sum(parts)} of {name}[...] at position {position} exceeds the limit {MAX_ATOM_WEIGHT}"
-            )
-        return basis_in_p(name, parts[0] if name in ("h", "e") else tuple(parts), self.bound)
+            raise ParseError(f"symmetric-function atom {name}[...] needs a generator bound")
+        weight = sum(parts)
+        if name != "p":
+            _check(weight, MAX_ATOM_WEIGHT, f"weight {{}} of {name}[...]", position)
+        # An h, e or s atom of weight k has at most one term per partition of k.
+        counts = [0, 1] if name == "p" else _partition_counts(weight, weight)
+        size = None, _SYM, {0: (counts[-1] - (counts[-2] if weight else 0), weight, *self.unit[2:])}
+        return size, partial(basis_in_p, name, parts[0] if name in ("h", "e") else parts, self.bound)
+
+    def power(self, node, n: int, exponent_position: int, position: int):
+        base, build = self.walk(node)
+        order, ring, cells = base
+        _check(abs(n), MAX_EXPONENT, "exponent {}", exponent_position)
+        _check(_widest(base) * abs(n), MAX_EXPONENT, "power of degree {}", position)
+        # A kept coefficient of a series power with a weight-0 constant
+        # term multiplies at most min(n, order) coefficients of positive
+        # weight; a negative power divides and keeps the plain bound.
+        kept = order is not None and n >= 0 and not cells.get(0, self.unit)[1]
+        weight = _heaviest(base) * (min(n, order) if kept else abs(n))
+        _check(weight, MAX_WEIGHT, "power of weight {}", position)
+        # t or a variable to a power is one term, built as such.
+        if node[0] in ("t", "var"):
+            return getattr(self, node[0])(*node[1:], n)
+        if not (cells and n):
+            cells = {} if n else {0: self.unit}
+        elif order is None:
+            cells = {0: _power_cell(cells[0], n, ring)}
+        else:
+            work, cells = _power_work(base, n, weight, self.bound)
+            _check(work, MAX_POWER_WORK, "series power of work {}", position)
+        return (order, ring, cells), partial(_chain, build, [("^", partial(int, n), position)])
+
+    def combine(self, op: str, size: Size, rhs: Size, position: int) -> Size:
+        order, ring = size[0] if size[0] is not None else rhs[0], max(size[1], rhs[1])
+        cells, other = size[2], rhs[2]
+        if op in ("+", "-"):
+            return order, ring, {k: _add_cells(cells.get(k), other.get(k)) for k in cells.keys() | other.keys()}
+        if op == "/" and rhs[0] is not None:
+            work, other = _power_work(rhs, -1, _heaviest(rhs), self.bound)
+            # A divisor without a constant term fails as the division would.
+            if 0 in rhs[2]:
+                _check(work, MAX_POWER_WORK, "series division of work {}", position)
+        elif op == "/":
+            # An exact quotient, as a product by the inverse of the divisor.
+            other = {0: _power_cell(cell, -1, ring) for cell in other.values()}
+        elif min(_heaviest(size), _heaviest(rhs)) > 0:
+            _check(_heaviest(size) + _heaviest(rhs), MAX_WEIGHT, "product of weight {}", position)
+        out: dict[int, Cell] = {}
+        for i, x in cells.items():
+            for j, y in other.items():
+                if i + j <= (order or 0):
+                    lo, hi = tuple(map(add, x[2], y[2])), tuple(map(add, x[3], y[3]))
+                    count = x[0] * y[0] if ring == _SYM else min(x[0] * y[0], _box(lo, hi))
+                    out[i + j] = _add_cells(out.get(i + j), (count, x[1] + y[1], lo, hi))
+        return order, ring, out
 
 
-def variables(*token_lists: list[Token]) -> tuple[str, ...]:
-    """The sorted variable names of expressions given by their tokens: every
-    name but t and a p, h, e or s directly followed by ``[``."""
-    names = set()
-    for tokens in token_lists:
-        for i, (kind, text, _) in enumerate(tokens):
-            if kind != "name" or text == "t":
-                continue
-            if text in _BASIS_NAMES and i + 1 < len(tokens) and tokens[i + 1][1] == "[":
-                continue
-            names.add(text)
-    return tuple(sorted(names))
+def _power_cell(cell: Cell, n: int, ring: int) -> Cell:
+    """The cell of x ** n for a value x that is no series: at most one term
+    per multiset of |n| terms of x."""
+    count, weight, lo, hi = cell
+    scaled = tuple(n * e for e in lo), tuple(n * e for e in hi)
+    lo, hi = scaled if n > 0 else scaled[::-1]
+    count = comb(count + abs(n) - 1, abs(n))
+    return count if ring == _SYM else min(count, _box(lo, hi)), weight * abs(n), lo, hi
 
 
-def parse_expression(
-    text: str | list[Token],
-    order: int | None = None,
-    bound: int | None = None,
-    vars: tuple[str, ...] | None = None,
-):
-    """Parse and evaluate an expression, given as text or as the tokens
-    :func:`tokenize` made of it; the result is a Fraction, LaurentPoly,
-    SymFunc or TruncSeries depending on which atoms appear."""
-    tokens = tokenize(text) if isinstance(text, str) else text
+def _chain(build: Callable, steps: list) -> object:
+    """The value of a sum, a product or a power, one operand at a time."""
+    value = build()
+    for op, build_rhs, position in steps:
+        rhs = build_rhs()
+        # x / 0 and 0 ^ -n divide by a rational zero; a power's step is n.
+        divisor = rhs if op == "/" else value if op == "^" and rhs < 0 else 1
+        if isinstance(divisor, SCALAR_TYPES) and not divisor:
+            raise ParseError(f"division by zero at position {position}")
+        value = _OPERATORS[op](value, rhs)
+    return value
+
+
+def parse_tree(text: str) -> tuple[tuple, set[str]]:
+    """The tree of an expression and the variable names it holds, once it
+    has no syntax error."""
+    tokens = tokenize(text)
     if not tokens:
         raise ParseError("empty expression")
-    if vars is None:
-        vars = variables(tokens)
-    if bound is None:
-        bound = order
-    parser = _Parser(tokens, order, bound, tuple(vars))
-    value = parser.parse_sum()
+    parser = _Parser(tokens)
+    tree = parser.parse_sum()
     if parser.peek() is not None:
         _, text, position = parser.peek()
         raise ParseError(f"trailing input {text!r} at position {position}")
-    return value
+    return tree, parser.names
+
+
+def parse_expression(
+    text: str | tuple[tuple, set[str]],
+    order: int | None = None,
+    bound: int | None = None,
+    vars: tuple[str, ...] | None = None,
+    check_weight: Callable[[int], None] | None = None,
+):
+    """Parse an expression, given as text or as what :func:`parse_tree` made
+    of it, and build its Fraction, LaurentPoly, SymFunc or TruncSeries once
+    every cap holds, and ``check_weight`` on the largest weight it may hold."""
+    if bound is None:
+        bound = order
+    tree, names = parse_tree(text) if isinstance(text, str) else text
+    size, build = _Sizes(order, bound, tuple(sorted(names) if vars is None else vars)).walk(tree)
+    if check_weight is not None:
+        check_weight(_heaviest(size))
+    return build()
 
 
 def parse_poly(text: str, vars: tuple[str, ...] | None = None) -> LaurentPoly:

@@ -26,7 +26,9 @@ from .errors import ConstantTermError
 from .arith import binary_power
 from .rings import (
     SCALAR_TYPES,
+    LaurentPoly,
     Rational,
+    _coefficient,
     _dense_quotient,
     _dense_ring,
     _from_dense,
@@ -58,7 +60,8 @@ def _ring_zero(values, zero):
     for value in values:
         if not (isinstance(value, SCALAR_TYPES) or _in_ring(value, zero)):
             zero = zero + _ZERO * value
-    return zero
+    # Over the empty alphabet, the ring is Q.
+    return _coefficient(zero, ()) if isinstance(zero, LaurentPoly) and not zero.vars else zero
 
 
 def _support(coeffs, n: int) -> list:
@@ -96,9 +99,9 @@ class TruncSeries(_Value):
         zero = _ring_zero(coeffs, zero)
         coeffs += [zero] * (order + 1 - len(coeffs))
         object.__setattr__(self, "order", order)
-        object.__setattr__(
-            self, "coeffs", tuple(c if _in_ring(c, zero) else c + zero for c in coeffs)
-        )
+        # Over Q, a polynomial over the empty alphabet is promoted to its rational.
+        promote = (lambda c: _coefficient(c, ())) if isinstance(zero, SCALAR_TYPES) else (lambda c: c + zero)
+        object.__setattr__(self, "coeffs", tuple(c if _in_ring(c, zero) else promote(c) for c in coeffs))
         object.__setattr__(self, "_zero", zero)
 
     # -- constructors --------------------------------------------------------

@@ -511,6 +511,69 @@ class TestCaps:
         assert main_streams(argv) == (
             2, "", f"series division of work {work} at position {position} exceeds the limit 1000000\n")
 
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            # The over-cap examples of the README cap table.
+            (["lambda", "--element", "L", "--order", "300"], "order must be <= 256, got 300"),
+            (["adams", "--element", "L", "--k", "5000"], "argument --k: must be <= 1000, got 5000"),
+            (["lambda", "--element", "(1+L)^5000"], "exponent 5000 at position 6 exceeds the limit 1000"),
+            (["adams", "--element", "(L^1000)^1000", "--k", "1"], "power of degree 1000000 at position 8 exceeds the limit 1000"),
+            (["schur", "--f", "h[41]", "--order", "41"], "weight 41 of h[...] at position 0 exceeds the limit 40"),
+            (["adams", "--element", "(p[1]+p[2]+p[3])^11", "--k", "1", "--order", "3"],
+             "power of weight 33 at position 16 exceeds the limit 30"),
+            (["schur", "--f", "h[20]*h[11]", "--order", "31"], "product of weight 31 at position 5 exceeds the limit 30"),
+            (["pow", "--base", "(1+(h[0]+h[1]+h[2]+h[3]+h[4]+h[5])*t)^1000", "--exponent", "1", "--order", "5"],
+             "series power of work 2171259 at position 37 exceeds the limit 1000000"),
+            (["pow", "--base", "1/(1-(p[1]+p[2]+p[3])*t)", "--exponent", "1", "--order", "128"],
+             "series division of work 1805570 at position 1 exceeds the limit 1000000"),
+            (["schur", "--f", "p[19]", "--order", "19"], "weight 19 of the schur input exceeds the limit 18"),
+            (["irr", "--vars", "7", "--degree", "1"], "argument --vars: must be <= 6, got 7"),
+            (["irr", "--vars", "2", "--degree", "17"], "argument --degree: must be <= 16, got 17"),
+            (["hyperelliptic", "--genus", "128"], "argument --genus: must be <= 127, got 128"),
+            (["harer-zagier", "--genus", "2", "--points", "1001"], "argument --points: must be <= 1000, got 1001"),
+            (["reproduce", "--axiom-cases", "1001"], "argument --axiom-cases: must be <= 1000, got 1001"),
+            # Products and powers of the heaviest atoms, and their series.
+            (["schur", "--f", "s[7,7,7,7,6,6]*p[1]^5", "--order", "45"],
+             "product of weight 45 at position 14 exceeds the limit 30"),
+            (["schur", "--f", "h[40]*h[40]", "--order", "40"], "product of weight 80 at position 5 exceeds the limit 30"),
+            (["schur", "--f", "(h[40]+p[1])^2", "--order", "40"], "power of weight 80 at position 12 exceeds the limit 30"),
+            (["adams", "--element", "(L^1000+h[40])^2", "--k", "1", "--order", "40"],
+             "power of degree 2000 at position 14 exceeds the limit 1000"),
+            (["pow", "--base", "(1+h[40]*t)^1000", "--exponent", "1", "--order", "2"],
+             "power of weight 80 at position 11 exceeds the limit 30"),
+            (["schur", "--f", "s[7,7,7,7,6,6]", "--order", "40"], "weight 40 of the schur input exceeds the limit 18"),
+        ],
+    )
+    def test_refused_before_any_value_is_built(self, monkeypatch, argv, err):
+        """Every cap is decided on sizes: no atom is expanded and no
+        polynomial, symmetric-function or series product, quotient or power
+        starts."""
+        from powerstruct import LaurentPoly, SymFunc, TruncSeries
+
+        def refuse(*args):
+            raise AssertionError("a value was built past a cap")
+
+        for cls, names in ((LaurentPoly, ("__mul__", "__rmul__")), (SymFunc, ("__mul__", "__rmul__")),
+                           (TruncSeries, ("__mul__", "__rmul__", "__truediv__", "__rtruediv__", "__pow__"))):
+            for name in names:
+                monkeypatch.setattr(cls, name, refuse)
+        assert main_streams(argv) == (2, "", err + "\n")
+
+    def test_division_refused_before_its_divisor_is_built(self, monkeypatch):
+        """1/(1-h[40]*t) at order 256 is refused on the estimate of its
+        divisor's sizes, before h[40] is expanded."""
+        from powerstruct import TruncSeries
+
+        def refuse(*args):
+            raise AssertionError("a value was built past a cap")
+
+        monkeypatch.setattr(TruncSeries, "__truediv__", refuse)
+        monkeypatch.setattr(TruncSeries, "__rtruediv__", refuse)
+        code, out, err = main_streams(["pow", "--base", "1/(1-h[40]*t)", "--exponent", "1", "--order", "256"])
+        assert (code, out) == (2, "")
+        assert err.startswith("series division of work ") and err.endswith(" at position 1 exceeds the limit 1000000\n")
+
     def test_over_cap_by_request_and_input(self, tmp_path, monkeypatch):
         assert run("adams", {"element": "L", "k": 1001}) == (2, "argument --k: must be <= 1000, got 1001")
         assert run("lambda", {"element": "L"}, order=257) == (2, "order must be <= 256, got 257")
@@ -753,6 +816,22 @@ class TestJsonValues:
     def test_num_den_rationals_read(self, tmp_path, text, value):
         argv = ["adams", "--k", "1", "--element"]
         assert self.at_file(tmp_path, argv, text) == (0, f"{value}\n", "")
+
+    @pytest.mark.parametrize(
+        "argv, data, coeffs",
+        [
+            (["pow", "--exponent", "1", "--base"],
+             {"order": 2, "coeffs": [{"vars": [], "terms": [{"e": [], "c": "1"}]}, "2", "0"]}, ["1", "2", "0"]),
+            (["lambda", "--element"], {"vars": [], "terms": [{"e": [], "c": "3"}]}, ["1", "3", "6"]),
+        ],
+    )
+    def test_series_over_the_empty_alphabet_is_over_q(self, tmp_path, argv, data, coeffs):
+        """A series whose coefficients are polynomials over no variable
+        holds rationals, and writes them as the Q form does."""
+        code, out, err = self.at_file(tmp_path, [*argv[:-1], "--order", "2", "--output-format", "json", argv[-1]], data)
+        assert (code, err, json.loads(out)) == (0, "", {"order": 2, "coeffs": coeffs})
+        argv = ["config", "--x-class", "3", "--specialize", "invariants", "--order", "2", "--output-format", "json"]
+        assert json.loads(main_streams(argv)[1]) == {"order": 2, "coeffs": ["1", "3", "3"]}
 
     @given(malformed_json_values())
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])

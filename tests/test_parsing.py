@@ -3,13 +3,14 @@
 import re
 from fractions import Fraction
 from math import comb
+from operator import le
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 from powerstruct import (
-    ConstantTermError, LaurentPoly, LimitError, ParseError, SymFunc, TruncSeries, basis_in_p, partitions_of,
+    ConstantTermError, LaurentPoly, LimitError, ParseError, PowerStructError, SymFunc, TruncSeries, basis_in_p, partitions_of,
 )
 from powerstruct import parsing
 from powerstruct.cli import main
@@ -18,8 +19,8 @@ from powerstruct.parsing import (
     parse_poly,
     parse_series,
     parse_symfunc,
+    parse_tree,
     tokenize,
-    variables,
 )
 
 L = LaurentPoly.var("L")
@@ -195,8 +196,8 @@ class TestErrors:
 
 
 def test_scan_variables():
-    assert variables(tokenize("1/2*p[1,1] + u*t + L")) == ("L", "u")
-    assert variables(tokenize("h[2] + e[3] + s[1]")) == ()
+    assert parse_tree("1/2*p[1,1] + u*t + L")[1] == {"L", "u"}
+    assert parse_tree("h[2] + e[3] + s[1]")[1] == set()
 
 
 # -- differential tests of the one-pass hot path ---------------------------------
@@ -395,10 +396,10 @@ class TestOnePass:
         assert value.coeffs == tuple(p1**k for k in range(order + 1))
 
     def test_variables_come_from_the_tokens(self):
-        tokens = tokenize("p*t + e [2] + s^2 - pq")
-        assert variables(tokens) == ("p", "pq", "s")
-        assert variables(tokens, tokenize("u + h[1]")) == ("p", "pq", "s", "u")
-        assert parse_expression(tokens, order=2, bound=2) == parse_expression("p*t + e [2] + s^2 - pq", order=2, bound=2)
+        parsed = parse_tree("p*t + e [2] + s^2 - pq")
+        assert parsed[1] == {"p", "pq", "s"}
+        assert parsed[1] | parse_tree("u + h[1]")[1] == {"p", "pq", "s", "u"}
+        assert parse_expression(parsed, order=2, bound=2) == parse_expression("p*t + e [2] + s^2 - pq", order=2, bound=2)
 
 
 def reference_multisets(counts, order):
@@ -449,6 +450,147 @@ def work_bases(draw):
     return TruncSeries([c0, *rest], order, zero)
 
 
+def reference_degree(value) -> int:
+    """Largest exponent magnitude of a polynomial variable in value, through
+    symmetric-function and series coefficients: the walk over built values
+    that the size pass replaced."""
+    if isinstance(value, LaurentPoly):
+        return max((abs(e) for exps in value.terms for e in exps), default=0)
+    if isinstance(value, SymFunc):
+        return max(map(reference_degree, value.terms.values()), default=0)
+    if isinstance(value, TruncSeries):
+        return max(map(reference_degree, value.coeffs), default=0)
+    return 0
+
+
+def reference_weight(value) -> int:
+    """Largest weight of a symmetric-function term in value, through series
+    coefficients; a series over Q or Q[L] answers from its zero."""
+    if isinstance(value, TruncSeries):
+        return max(map(reference_weight, value.coeffs)) if isinstance(value._zero, SymFunc) else 0
+    if isinstance(value, SymFunc):
+        return max(map(sum, value.terms), default=0)
+    return 0
+
+
+def reference_terms(value) -> list[tuple[int, tuple[int, ...]]]:
+    """(weight, exponents) of each term of a coefficient."""
+    if isinstance(value, SymFunc):
+        return [(sum(p) + w, exps) for p, c in value.terms.items() for w, exps in reference_terms(c)]
+    if isinstance(value, LaurentPoly):
+        return [(0, exps) for exps in value.terms]
+    return [(0, ())] if value else []
+
+
+def size_of(value):
+    """The size of a built value read off its terms: exact, where the size
+    pass gives upper bounds."""
+    coeffs, order, zero = [value], None, value
+    if isinstance(value, TruncSeries):
+        coeffs, order, zero = value.coeffs, value.order, value._zero
+    ring = parsing._SYM if isinstance(zero, SymFunc) else parsing._POLY if isinstance(zero, LaurentPoly) else parsing._Q
+    cells = {}
+    for k, coeff in enumerate(coeffs):
+        terms = reference_terms(coeff)
+        if terms:
+            exps = list(zip(*(e for _, e in terms)))
+            cells[k] = (len(terms), max(w for w, _ in terms), tuple(map(min, exps)), tuple(map(max, exps)))
+    return order, ring, cells
+
+
+def subtrees(node):
+    """Every node of a tree, with each prefix of a sum or product chain."""
+    yield node
+    if node[0] == "power":
+        yield from subtrees(node[1])
+    elif node[0] in ("sum", "product"):
+        yield from subtrees(node[1])
+        for i, (_, operand, *_) in enumerate(node[2]):
+            yield from subtrees(operand)
+            yield (node[0], node[1], node[2][: i + 1])
+
+
+@st.composite
+def grammar_expressions(draw):
+    """Random expression text over Q, Q[L] or Q[u,v], with p, h, e and s
+    atoms of weight <= 8, t, + - * / and ^ with |n| <= 4, and an order 0-8."""
+    names = draw(st.sampled_from([(), ("L",), ("u", "v")]))
+    order = draw(st.integers(0, 8))
+    atoms = [f"{b}[{k}]" for b in "he" for k in range(9)] + [
+        f"{b}[{','.join(map(str, p))}]" for b in "ps" for n in range(1, 9) for p in partitions_of(n)]
+    leaf = st.one_of(
+        st.integers(0, 3).map(str), st.sampled_from(["t", "1/2"] + list(names)), st.sampled_from(atoms))
+
+    def extend(children):
+        binary = st.tuples(children, st.sampled_from(["+", "-", "*", "/"]), children).map(
+            lambda x: f"({x[0]}){x[1]}({x[2]})")
+        return st.one_of(binary, st.tuples(children, st.integers(-4, 4)).map(lambda x: f"({x[0]})^{x[1]}"),
+                         children.map(lambda x: f"-({x})"))
+
+    return draw(st.recursive(leaf, extend, max_leaves=6)), order
+
+
+class TestSizes:
+    """The size pass against the values it describes."""
+
+    @given(grammar_expressions())
+    @settings(max_examples=300, deadline=None)
+    def test_sizes_bound_the_values(self, case):
+        self.check_every_node(*case)
+
+    @pytest.mark.parametrize(
+        "text, order",
+        [("1/(L + t)", 4), ("(L^2 - u*t)^(-2)", 3), ("(u*v^-1 + t - u*t^2)^(-1)*v", 5), ("(1 + p[1]*t^2)^3", 5)],
+    )
+    def test_sizes_bound_inverses_of_monomial_units(self, text, order):
+        """A unit c*x^e as constant term puts powers of x^-e in the inverse."""
+        self.check_every_node(text, order)
+
+    def check_every_node(self, text, order):
+        tree, names = parse_tree(text)
+        vars = tuple(sorted(names))
+        for node in subtrees(tree):
+            try:
+                size, build = parsing._Sizes(order, 8, vars).walk(node)
+                value = build()
+            except (PowerStructError, ArithmeticError, ValueError):
+                continue
+            exact = size_of(value)
+            assert (size[0], size[1]) == (exact[0], exact[1]), text
+            assert reference_degree(value) <= parsing._widest(size), text
+            assert reference_weight(value) <= parsing._heaviest(size), text
+            for k, (count, weight, lo, hi) in exact[2].items():
+                bound = size[2][k]
+                assert count <= bound[0] and weight <= bound[1], text
+                if lo:
+                    assert all(map(le, bound[2], lo)) and all(map(le, hi, bound[3])), text
+
+
+@st.composite
+def exact_bases(draw):
+    """A series base whose coefficients are sums of distinct monomials with
+    positive coefficients, or a single h or e atom: nothing cancels, and the
+    size pass counts every term exactly."""
+    ring = draw(st.sampled_from(["Q", "L", "uv", "sym"]))
+    order = draw(st.integers(1, 8))
+    if ring == "Q":
+        monomials = ["1"]
+    elif ring == "sym":
+        monomials = [f"p[{','.join(map(str, p))}]" for n in range(1, 4) for p in partitions_of(n)] + ["1"]
+    else:
+        monomials = [f"L^{e}" for e in range(-2, 4)] if ring == "L" else [
+            f"u^{a}*v^{b}" for a in range(-1, 2) for b in range(0, 3)]
+    coeff = st.lists(st.sampled_from(monomials), min_size=1, max_size=4, unique=True).flatmap(
+        lambda terms: st.lists(st.integers(1, 3), min_size=len(terms), max_size=len(terms)).map(
+            lambda cs: " + ".join(f"{c}*{m}" for c, m in zip(cs, terms))))
+    if ring == "sym":
+        coeff = st.one_of(coeff, st.sampled_from([f"{b}[{k}]" for b in "he" for k in range(1, 5)]))
+    constant = draw(st.sampled_from(["1", "2"]) if ring == "Q" else st.one_of(st.just("1"), coeff))
+    rest = draw(st.lists(st.one_of(st.none(), coeff), min_size=order, max_size=order))
+    terms = [f"({constant})", "0*t"] + [f"({c})*t^{k}" for k, c in enumerate(rest, start=1) if c]
+    return " + ".join(terms), order
+
+
 class TestPowerWork:
     """The work estimate of a series power with its multisets folded per
     t-degree, against the loop over base terms."""
@@ -469,11 +611,25 @@ class TestPowerWork:
     def test_power_work(self, base, n, weight):
         if n < 0 and base.coeffs[0] == 0:
             n = -n
-        estimate = parsing._power_work(base, n, weight)
+        bound = getattr(base._zero, "bound", None)
+        estimate = parsing._power_work(size_of(base), n, weight, bound)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(parsing, "_multisets", reference_multisets)
             patch.setattr(parsing, "_partition_counts", reference_partition_counts)
-            assert estimate == parsing._power_work(base, n, weight)
+            assert estimate == parsing._power_work(size_of(base), n, weight, bound)
+
+    @given(exact_bases(), st.integers(-6, 40), st.integers(0, 12))
+    @settings(max_examples=200, deadline=None)
+    def test_power_work_from_sizes(self, case, n, weight):
+        """Where nothing cancels, the size pass gives the exact size of a
+        base, so the estimate is the one read off the built value."""
+        text, order = case
+        tree, names = parse_tree(text)
+        size = parsing._Sizes(order, 4, tuple(sorted(names))).walk(tree)[0]
+        value = parse_expression(text, order=order, bound=4)
+        assert size == size_of(value), text
+        work = parsing._power_work(size, n, weight, 4)[0]
+        assert work == parsing._power_work(size_of(value), n, weight, 4)[0], text
 
     def test_many_terms_of_one_degree(self):
         """37338 terms of t-degree 1, as h[40]*t has: C(c + k - 1, k)

@@ -426,7 +426,6 @@ class TestDenseEulerProduct:
             (TruncSeries([1, p1, L], 4), L),
             (TruncSeries([1, u, v], 4), u - v),
             (TruncSeries([1, graded], 4), 2),
-            (TruncSeries([1, 2], 4, LaurentPoly.zero(())), 2),
         ]:
             power(base, exponent)
             factorize(base)
