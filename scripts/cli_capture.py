@@ -31,15 +31,19 @@ Q with a Q[L] coefficient, which is refused, and one over Q[L] with Q
 coefficients, which are promoted; the series quotient
 ``(2 + p[1]*t)/(2 - p[1]*t)``, which inverts the rational 2; ``adams --k 2``
 of ``(h[0]+h[1]+...+h[6])^2`` at order 24), size caps (the symmetric-function weight of ``*``
-and ``^`` and the work of a series ``^`` and ``/`` among them; ``h[40]*h[40]``,
-``(h[40]+p[1])^2``, ``(1+h[40]*t)^1000`` at order 2, ``(L^1000+h[40])^2``
-and ``schur --f h[40] --order 40``, whose caps are decided before the atom
-is built; a syntax error after an over-cap node, ``h[20]*h[11] +``, and an
-evaluation error before one, ``1/(L-L) + h[20]*h[11]``), the series over Q
-that ``pow``, ``lambda`` and ``config --specialize`` build from polynomials
-over the empty alphabet, and error paths, digits outside 0-9 among them.
-Two captures of the same seed, taken from two source trees, show whether a
-change kept the CLI's output byte-identical.
+and ``^`` and the work of a series ``^`` and ``/`` among them;
+``h[40]*h[40]``, ``(h[40]+p[1])^2``, ``(1+h[40]*t)^1000`` at order 2,
+``(L^1000+h[40])^2`` and ``schur --f h[40] --order 40``, whose caps are
+decided before the atom is built; a syntax error after an over-cap node,
+``h[20]*h[11] +``, and an evaluation error before one,
+``1/(L-L) + h[20]*h[11]``; an exponent with leading zeros,
+``(1+L)^05000``; exact quotients by two terms, ``(L^5-1)/(L-1)`` and
+``1/(1-(u^k-v^k)/(u-v)*t)`` for k = 30 at orders 1 and 4 and k = 1000 at
+order 40), the series over Q that ``pow``, ``lambda`` and
+``config --specialize`` build from polynomials over the empty alphabet,
+and error paths, digits outside 0-9 among them.  Two captures of the same
+seed, taken from two source trees, show whether a change kept the CLI's
+output byte-identical.
 
 Usage:
   python scripts/cli_capture.py --src SRC_DIR --out FILE [--seed N] [--limit N]
@@ -346,6 +350,15 @@ ERRORS = [
     # before one.
     ["adams", "--element", "h[20]*h[11] +", "--k", "1", "--order", "31"],
     ["adams", "--element", "1/(L-L) + h[20]*h[11]", "--k", "1", "--order", "31"],
+    # An exponent past its cap as written, with leading zeros.
+    ["lambda", "--element", "(1+L)^05000"],
+    # Exact quotients by two terms, which hold more terms than the
+    # product of their operands' counts, in series whose inverse the work
+    # cap checks.
+    ["lambda", "--element", "(L^5-1)/(L-1)", "--order", "3"],
+    ["pow", "--base", "1/(1-(u^30-v^30)/(u-v)*t)", "--exponent", "1", "--order", "1"],
+    ["pow", "--base", "1/(1-(u^30-v^30)/(u-v)*t)", "--exponent", "1", "--order", "4"],
+    ["pow", "--base", "1/(1-(u^1000-v^1000)/(u-v)*t)", "--exponent", "1", "--order", "40"],
     # Series over Q read from polynomials over the empty alphabet.
     ["pow", "--base", "@empty_alphabet_series.json", "--exponent", "1", "--order", "2", "--output-format", "json"],
     ["lambda", "--element", "@empty_alphabet_poly.json", "--order", "2", "--output-format", "json"],

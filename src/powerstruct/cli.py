@@ -153,13 +153,17 @@ def _load_at_value(raw):
     return raw
 
 
-def _load_or_parse(raw, bound: int | None = None, vars: tuple[str, ...] | None = None, check_weight=None):
+def _load_or_parse(
+    raw, bound: int | None = None, vars: tuple[str, ...] | None = None, check_weight=None
+):
     """An @file value as loaded, or text (or its tree) parsed without the
     series variable."""
     loaded = _load_at_value(raw)
     if not isinstance(loaded, (str, tuple)):
         return loaded
-    return parsing.parse_expression(loaded, order=None, bound=bound, vars=vars, check_weight=check_weight)
+    return parsing.parse_expression(
+        loaded, order=None, bound=bound, vars=vars, check_weight=check_weight
+    )
 
 
 def _parse_element(raw, order: int, vars: tuple[str, ...] | None = None):
@@ -258,7 +262,8 @@ def _check_schur_weight(weight: int) -> None:
 
 def _cmd_schur(params, order, fmt):
     # A text is checked on its size, before it is built; a JSON value as it is.
-    f = parsing.as_symfunc(_load_or_parse(params["f"], order, check_weight=_check_schur_weight), order)
+    loaded = _load_or_parse(params["f"], order, check_weight=_check_schur_weight)
+    f = parsing.as_symfunc(loaded, order)
     _check_schur_weight(max(map(sum, f.terms), default=0))
     expansion = p_to_schur(f)
     if fmt == "json":

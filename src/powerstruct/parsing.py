@@ -1,21 +1,39 @@
 """Text grammar for ring elements and series.
 
-One grammar covers every value the command line accepts: rationals (``3``,
-``-7/3``), polynomial variables (any identifier; the variables of one
-expression share one alphabet), the atoms ``p[2,1]``, ``h[3]``, ``e[2]``
-and ``s[3,1]``, the series variable ``t`` (given an order), ``+ - * /``,
-parentheses, and ``^`` with an integer exponent.  So ``1/2*p[1,1] +
-1/2*p[2]``, ``L^5 - L^2`` and ``1/(1 - L*t)`` parse; ``t`` is reserved, and
-``p``/``h``/``e``/``s`` are atoms only when directly followed by ``[``.
+One grammar covers every value the command line accepts:
+
+* rationals: ``3``, ``1/2``, ``-7/3``
+* polynomial variables: any identifier (``L``, ``u``, ``v``, ``q``, ...);
+  all variables appearing in one expression share one alphabet
+* power sums and friends: ``p[2]``, ``p[1,1]``, ``h[3]``, ``e[2]``, ``s[3,1]``;
+  an ``h``, ``e`` or ``s`` atom has weight at most :data:`MAX_ATOM_WEIGHT`
+* the series variable ``t`` (meaningful only when an order is supplied)
+* operators ``+ - * / ^`` and parentheses; ``^`` takes an integer exponent
+  of magnitude at most :data:`MAX_EXPONENT`, and no power may build a
+  polynomial exponent beyond it: ``(L^1000)^1000`` and ``(1 + L^2)^501``
+  are refused
+* no ``*`` of two symmetric functions and no ``^`` may build a term of
+  weight beyond :data:`MAX_WEIGHT`, through series coefficients too:
+  ``(p[1]+p[2]+p[3])^11`` and ``h[20]*h[11]`` are refused, while
+  ``2*h[40]`` parses; a series power counts only the coefficients it
+  keeps, so ``(1 + p[1]^11*t)^3`` parses at order 1
+* no series ``^`` may do more work than :data:`MAX_POWER_WORK` term
+  products, estimated from the terms its coefficients can reach:
+  ``(1 + (h[0]+...+h[5])*t)^1000`` at order 5 is refused, while
+  ``(1 + t)^1000`` parses at order 256; a ``/`` by a series is held to the
+  same cap, with the estimate of the divisor's ``^(-1)``:
+  ``1/(1 - (p[1]+p[2]+p[3])*t)`` is refused from order 106 on, while
+  ``1/(1 - p[1]*t)`` parses at order 256
+
+so ``1/2*p[1,1] + 1/2*p[2]``, ``L^5 - L^2``, ``1/(1 - L*t)`` and
+``(1 + t)^3`` all parse.  The name ``t`` is reserved, and ``p``/``h``/``e``/
+``s`` are special only when directly followed by ``[``.
 
 An expression is read into a tree first, which raises every syntax error.
 A size pass then bounds the terms, weights and exponents of each node per
-t-degree and checks every cap on these bounds: exponents and the degrees a
-``^`` builds at :data:`MAX_EXPONENT`, atoms at :data:`MAX_ATOM_WEIGHT`, the
-weight a ``*`` or ``^`` builds at :data:`MAX_WEIGHT` (a series power counts
-only the coefficients it keeps), and the work of a series ``^`` or ``/`` at
-:data:`MAX_POWER_WORK`.  Only then is the tree evaluated, so a value over a
-cap is refused before any part of it is built.
+t-degree and checks every cap on these bounds, in the order evaluation
+meets them.  Only then is the tree evaluated, so a value over a cap is
+refused before any part of it is built.
 """
 
 from __future__ import annotations
@@ -128,8 +146,9 @@ def _partition_counts(weight: int, bound: int) -> list[int]:
 def _multisets(counts: list[int], order: int) -> list[int]:
     """For k <= order, the multisets of terms whose t-degrees add up to k,
     with counts[j] terms of t-degree j >= 1: the t^k coefficients of the
-    product over j of (1 - t^j)^(-counts[j]), each factor folded in one
-    step with its coefficients C(c + m - 1, m) at t^(jm)."""
+    product over j of (1 - t^j)^(-counts[j]).  Each factor is folded in one
+    step with its coefficients C(c + m - 1, m) at t^(jm), so the cost does
+    not grow with the number of terms."""
     multisets = [1] + [0] * order
     for j, c in enumerate(counts[1 : order + 1], start=1):
         if c:
@@ -145,18 +164,24 @@ def _multisets(counts: list[int], order: int) -> list[int]:
 
 
 def _power_work(base: Size, n: int, weight: int, bound: int) -> tuple[int, dict[int, Cell]]:
-    """An upper estimate of the term products that ``base ** n`` makes for
-    a series base (for n < 0, first those of 1 / base, then by binary
-    powering those of coefficients holding every term they can reach), and
-    the cells of ``base ** n``.  With a constant term c, the t^k coefficient
-    of base ** a (or of the inverse's) sums c-multiples of products of f <=
-    k terms of a_1, ..., a_k whose t-degrees add up to k, f <= a for n >= 0:
-    it has no more terms than such multisets, nor than fit in the weights
-    (up to ``weight`` for n >= 0, k times the heaviest for n < 0) and
-    exponents f terms reach.  With any other constant term, f = a (a + k
-    for n < 0), and only the second bound holds for n >= 0.  A product of
-    one-variable polynomials counts the sum of their terms (it packs them
-    into integers), any other the product."""
+    """An upper estimate of the term products that ``base ** n`` makes,
+    and the cells of ``base ** n``, for the size of a series base: for a
+    negative n, first the division recurrence of 1 / base, one product of
+    base and its inverse; then, by binary powering, over its series
+    products, the term products of coefficients holding every term they can
+    reach.
+
+    With a constant term c, the t^k coefficient of base ** a (or of a power
+    of the inverse that a negative n raises) sums c-multiples of products
+    of f <= k terms of a_1, ..., a_k whose t-degrees add up to k, f <= a
+    for n >= 0.  So it has no more terms than there are such multisets,
+    nor than fit in the weights and exponents that f terms reach: weights
+    up to ``weight``, the grammar's bound, for n >= 0, and up to k times
+    the heaviest term of base for n < 0.  With any other constant term,
+    f = a (a + k for n < 0); an inverse needs a unit, one term, so both
+    bounds still hold for n < 0, but only the second for n >= 0.  A
+    product of one-variable polynomials is counted as the sum of their
+    terms (it packs them into integers), any other as the product."""
     order, ring, cells = base
     counts = [cells[k][0] if k in cells else 0 for k in range(order + 1)]
     constant = cells.get(0, ())[:2] == (1, 0) and not any(cells[0][2] + cells[0][3])
@@ -183,15 +208,15 @@ def _power_work(base: Size, n: int, weight: int, bound: int) -> tuple[int, dict[
             out.append(min(terms, multisets[k]) if constant or n < 0 else terms)
         return out
 
-    def product(x: list[int], y: list[int]) -> int:
-        if ring == _POLY and len(lo) == 1:
-            x_count = list(accumulate(1 if c else 0 for c in x))
-            y_count = list(accumulate(1 if c else 0 for c in y))
-            return sum(c * y_count[order - i] for i, c in enumerate(x)) + sum(
-                c * x_count[order - j] for j, c in enumerate(y)
-            )
+    def pairs(x: list[int], y: list[int]) -> int:
         y_sum = list(accumulate(y))
         return sum(c * y_sum[order - i] for i, c in enumerate(x))
+
+    def product(x: list[int], y: list[int]) -> int:
+        if ring == _POLY and len(lo) == 1:
+            # Packed into integers, a term meets whole coefficients of the other.
+            return pairs(x, map(bool, y)) + pairs(map(bool, x), y)
+        return pairs(x, y)
 
     # 1 / base for a negative n, then the steps of arith.binary_power:
     # result = base ** done, power = base ** a.
@@ -222,8 +247,8 @@ def _power_work(base: Size, n: int, weight: int, bound: int) -> tuple[int, dict[
 class _Parser:
     """Builds the tree of an expression, whose nodes are tuples: ("num", n),
     ("t",), ("var", name), ("atom", name, parts, position), ("power", node,
-    n, exponent position, position) and ("sum" or "product", node, [(op,
-    node, position), ...]); -x is read as 0 - x."""
+    n, exponent digits, exponent position, position) and ("sum" or
+    "product", node, [(op, node, position), ...]); -x is read as 0 - x."""
 
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
@@ -279,8 +304,8 @@ class _Parser:
         position = self.next()[2]
         return ("power", base, *self.parse_int_exponent(), position)
 
-    def parse_int_exponent(self) -> tuple[int, int]:
-        """The exponent and the position of its digits."""
+    def parse_int_exponent(self) -> tuple[int, str, int]:
+        """The exponent, its digits and their position."""
         if self.at_op("("):
             self.next()
             value = self.parse_int_exponent()
@@ -292,7 +317,7 @@ class _Parser:
         kind, text, position = self.next()
         if kind != "int":
             raise ParseError(f"expected an integer exponent at position {position}")
-        return sign * int(text), position
+        return sign * int(text), text, position
 
     def parse_int_list(self) -> list[int]:
         self.expect_op("[")
@@ -359,13 +384,11 @@ class _Sizes:
     def t(self, k: int = 1):
         if self.order is None:
             raise ParseError("the series variable t needs a truncation order")
-        size = self.order, _POLY if self.vars else _Q, {k: self.unit} if 0 <= k <= self.order else {}
-        return size, partial(self.t_power, k)
+        cells = {k: self.unit} if 0 <= k <= self.order else {}
+        return (self.order, _POLY if self.vars else _Q, cells), partial(self.t_power, k)
 
     def t_power(self, k: int) -> TruncSeries:
-        """t^k: for k >= 0 one coefficient 1, none past the order."""
-        if k < 0:
-            return self.t_power(1) ** k
+        """t^k for k >= 0: one coefficient 1, none past the order."""
         coeffs = [self.one if j == k else self.zero for j in range(self.order + 1)]
         return TruncSeries._raw(coeffs, self.order, self.zero)
 
@@ -373,7 +396,8 @@ class _Sizes:
         if name not in self.vars:
             raise ParseError(f"unknown variable {name!r}")
         exps = tuple(k * (v == name) for v in self.vars)
-        return (None, _POLY, {0: (1, 0, exps, exps)}), lambda: LaurentPoly._raw(self.vars, {exps: _ONE})
+        size = None, _POLY, {0: (1, 0, exps, exps)}
+        return size, lambda: LaurentPoly._raw(self.vars, {exps: _ONE})
 
     def atom(self, name: str, parts: tuple[int, ...], position: int):
         if self.bound is None:
@@ -383,13 +407,15 @@ class _Sizes:
             _check(weight, MAX_ATOM_WEIGHT, f"weight {{}} of {name}[...]", position)
         # An h, e or s atom of weight k has at most one term per partition of k.
         counts = [0, 1] if name == "p" else _partition_counts(weight, weight)
-        size = None, _SYM, {0: (counts[-1] - (counts[-2] if weight else 0), weight, *self.unit[2:])}
-        return size, partial(basis_in_p, name, parts[0] if name in ("h", "e") else parts, self.bound)
+        count = counts[-1] - (counts[-2] if weight else 0)
+        size = None, _SYM, {0: (count, weight, *self.unit[2:])}
+        index = parts[0] if name in ("h", "e") else parts
+        return size, partial(basis_in_p, name, index, self.bound)
 
-    def power(self, node, n: int, exponent_position: int, position: int):
+    def power(self, node, n: int, digits: str, exponent_position: int, position: int):
         base, build = self.walk(node)
         order, ring, cells = base
-        _check(abs(n), MAX_EXPONENT, "exponent {}", exponent_position)
+        _check(abs(n), MAX_EXPONENT, f"exponent {digits}", exponent_position)
         _check(_widest(base) * abs(n), MAX_EXPONENT, "power of degree {}", position)
         # A kept coefficient of a series power with a weight-0 constant
         # term multiplies at most min(n, order) coefficients of positive
@@ -397,8 +423,8 @@ class _Sizes:
         kept = order is not None and n >= 0 and not cells.get(0, self.unit)[1]
         weight = _heaviest(base) * (min(n, order) if kept else abs(n))
         _check(weight, MAX_WEIGHT, "power of weight {}", position)
-        # t or a variable to a power is one term, built as such.
-        if node[0] in ("t", "var"):
+        # A variable to a power, or t to a power k >= 0, is one term.
+        if node[0] == "var" or node[0] == "t" and n >= 0:
             return getattr(self, node[0])(*node[1:], n)
         if not (cells and n):
             cells = {} if n else {0: self.unit}
@@ -411,16 +437,23 @@ class _Sizes:
 
     def combine(self, op: str, size: Size, rhs: Size, position: int) -> Size:
         order, ring = size[0] if size[0] is not None else rhs[0], max(size[1], rhs[1])
-        cells, other = size[2], rhs[2]
+        cells, other, exact = size[2], rhs[2], False
         if op in ("+", "-"):
-            return order, ring, {k: _add_cells(cells.get(k), other.get(k)) for k in cells.keys() | other.keys()}
+            keys = cells.keys() | other.keys()
+            return order, ring, {k: _add_cells(cells.get(k), other.get(k)) for k in keys}
         if op == "/" and rhs[0] is not None:
             work, other = _power_work(rhs, -1, _heaviest(rhs), self.bound)
             # A divisor without a constant term fails as the division would.
             if 0 in rhs[2]:
                 _check(work, MAX_POWER_WORK, "series division of work {}", position)
         elif op == "/":
-            # An exact quotient, as a product by the inverse of the divisor.
+            # A quotient by a unit c x^e is a product by its inverse.  Only
+            # a polynomial divides by more terms, and its exact quotient
+            # may hold more terms than the product of the counts, as
+            # (u^1000 - v^1000)/(u - v) does; each variable's exponents
+            # span the dividend's less the divisor's, so no more than the
+            # dividend's exponent box.
+            exact = order is None and ring != _SYM and other.get(0, self.unit)[0] > 1
             other = {0: _power_cell(cell, -1, ring) for cell in other.values()}
         elif min(_heaviest(size), _heaviest(rhs)) > 0:
             _check(_heaviest(size) + _heaviest(rhs), MAX_WEIGHT, "product of weight {}", position)
@@ -429,7 +462,8 @@ class _Sizes:
             for j, y in other.items():
                 if i + j <= (order or 0):
                     lo, hi = tuple(map(add, x[2], y[2])), tuple(map(add, x[3], y[3]))
-                    count = x[0] * y[0] if ring == _SYM else min(x[0] * y[0], _box(lo, hi))
+                    box = x[0] * y[0] if ring == _SYM else _box(lo, hi)
+                    count = _box(x[2], x[3]) if exact else min(x[0] * y[0], box)
                     out[i + j] = _add_cells(out.get(i + j), (count, x[1] + y[1], lo, hi))
         return order, ring, out
 

@@ -99,9 +99,12 @@ class TruncSeries(_Value):
         zero = _ring_zero(coeffs, zero)
         coeffs += [zero] * (order + 1 - len(coeffs))
         object.__setattr__(self, "order", order)
-        # Over Q, a polynomial over the empty alphabet is promoted to its rational.
-        promote = (lambda c: _coefficient(c, ())) if isinstance(zero, SCALAR_TYPES) else (lambda c: c + zero)
-        object.__setattr__(self, "coeffs", tuple(c if _in_ring(c, zero) else promote(c) for c in coeffs))
+        # Over Q, a polynomial over the empty alphabet becomes its rational.
+        scalar = isinstance(zero, SCALAR_TYPES)
+        coeffs = tuple(
+            c if _in_ring(c, zero) else _coefficient(c, ()) if scalar else c + zero for c in coeffs
+        )
+        object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "_zero", zero)
 
     # -- constructors --------------------------------------------------------

@@ -543,18 +543,26 @@ class TestCaps:
             (["pow", "--base", "(1+h[40]*t)^1000", "--exponent", "1", "--order", "2"],
              "power of weight 80 at position 11 exceeds the limit 30"),
             (["schur", "--f", "s[7,7,7,7,6,6]", "--order", "40"], "weight 40 of the schur input exceeds the limit 18"),
+            # The digits of an exponent as written.
+            (["lambda", "--element", "(1+L)^05000"], "exponent 05000 at position 6 exceeds the limit 1000"),
+            # An exact quotient by two terms holds 1000 terms: sized by the
+            # dividend's exponent box, not by the product of the counts.
+            (["pow", "--base", "1/(1-(u^1000-v^1000)/(u-v)*t)", "--exponent", "1", "--order", "40"],
+             "series division of work 20623890411817773 at position 1 exceeds the limit 1000000"),
         ],
     )
     def test_refused_before_any_value_is_built(self, monkeypatch, argv, err):
         """Every cap is decided on sizes: no atom is expanded and no
         polynomial, symmetric-function or series product, quotient or power
         starts."""
-        from powerstruct import LaurentPoly, SymFunc, TruncSeries
+        from powerstruct import LaurentPoly, SymFunc, TruncSeries, parsing
 
         def refuse(*args):
             raise AssertionError("a value was built past a cap")
 
-        for cls, names in ((LaurentPoly, ("__mul__", "__rmul__")), (SymFunc, ("__mul__", "__rmul__")),
+        monkeypatch.setattr(parsing, "basis_in_p", refuse)
+        for cls, names in ((LaurentPoly, ("__mul__", "__rmul__", "__truediv__", "__rtruediv__")),
+                           (SymFunc, ("__mul__", "__rmul__")),
                            (TruncSeries, ("__mul__", "__rmul__", "__truediv__", "__rtruediv__", "__pow__"))):
             for name in names:
                 monkeypatch.setattr(cls, name, refuse)
@@ -563,11 +571,12 @@ class TestCaps:
     def test_division_refused_before_its_divisor_is_built(self, monkeypatch):
         """1/(1-h[40]*t) at order 256 is refused on the estimate of its
         divisor's sizes, before h[40] is expanded."""
-        from powerstruct import TruncSeries
+        from powerstruct import TruncSeries, parsing
 
         def refuse(*args):
             raise AssertionError("a value was built past a cap")
 
+        monkeypatch.setattr(parsing, "basis_in_p", refuse)
         monkeypatch.setattr(TruncSeries, "__truediv__", refuse)
         monkeypatch.setattr(TruncSeries, "__rtruediv__", refuse)
         code, out, err = main_streams(["pow", "--base", "1/(1-h[40]*t)", "--exponent", "1", "--order", "256"])

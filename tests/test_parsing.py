@@ -540,10 +540,15 @@ class TestSizes:
 
     @pytest.mark.parametrize(
         "text, order",
-        [("1/(L + t)", 4), ("(L^2 - u*t)^(-2)", 3), ("(u*v^-1 + t - u*t^2)^(-1)*v", 5), ("(1 + p[1]*t^2)^3", 5)],
+        [("1/(L + t)", 4), ("(L^2 - u*t)^(-2)", 3), ("(u*v^-1 + t - u*t^2)^(-1)*v", 5), ("(1 + p[1]*t^2)^3", 5),
+         ("(L^5 - 1)/(L - 1)", 0), ("(u^6 - v^6)/(u - v)", 0), ("(L^2*u - u^3)/(L*u^-1 + 1)", 0),
+         ("1/(1 - (u^4 - v^4)/(u - v)*t)", 3), ("(1 + t)*(L^3 + 1)/(L + 1)", 2), ("(p[1] + p[2])/(1 + 1)", 0)],
     )
     def test_sizes_bound_inverses_of_monomial_units(self, text, order):
-        """A unit c*x^e as constant term puts powers of x^-e in the inverse."""
+        """A unit c*x^e as constant term puts powers of x^-e in the inverse,
+        and an exact quotient by more than one term can hold more terms
+        than its operands together: (L^5 - 1)/(L - 1) has 5.  Random
+        divisors of more than one term are almost never exact."""
         self.check_every_node(text, order)
 
     def check_every_node(self, text, order):
@@ -630,6 +635,18 @@ class TestPowerWork:
         assert size == size_of(value), text
         work = parsing._power_work(size, n, weight, 4)[0]
         assert work == parsing._power_work(size_of(value), n, weight, 4)[0], text
+
+    @pytest.mark.parametrize(
+        "text, order", [("1 - (u^30 - v^30)/(u - v)*t", 4), ("1 - (L^5 - 1)/(L - 1)*t - L*t^2", 16)])
+    @pytest.mark.parametrize("n", [-1, 3])
+    def test_power_work_from_sizes_of_exact_quotients(self, text, order, n):
+        """A quotient's size holds more terms than the built value: the
+        estimate is no lower than the one read off the value."""
+        tree, names = parse_tree(text)
+        size = parsing._Sizes(order, None, tuple(sorted(names))).walk(tree)[0]
+        value = parse_expression(text, order=order)
+        work = parsing._power_work(size, n, 0, None)[0]
+        assert work >= parsing._power_work(size_of(value), n, 0, None)[0], text
 
     def test_many_terms_of_one_degree(self):
         """37338 terms of t-degree 1, as h[40]*t has: C(c + k - 1, k)
