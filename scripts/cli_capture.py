@@ -41,7 +41,14 @@ decided before the atom is built; a syntax error after an over-cap node,
 ``1/(1-(u^k-v^k)/(u-v)*t)`` for k = 30 at orders 1 and 4 and k = 1000 at
 order 40), the series over Q that ``pow``, ``lambda`` and
 ``config --specialize`` build from polynomials over the empty alphabet,
-and error paths, digits outside 0-9 among them.  Two captures of the same
+values nested 150, 220 and 1000 levels deep (parentheses, ``2*(...)``,
+``1-(...)`` and ``-(...)``, in ``adams --element`` and ``pow --exponent``),
+an ``@file`` value for each kind a value is read as (a series through
+``pow --base`` and ``factorize --series``, a ring element through
+``lambda``, ``adams``, ``pow --exponent`` and ``plethysm --x``, a symmetric
+function through ``plethysm --f``, ``specialize --f`` and ``schur --f``,
+within and over the weight cap, and a polynomial through
+``config --x-class``), and error paths, digits outside 0-9 among them.  Two captures of the same
 seed, taken from two source trees, show whether a change kept the CLI's
 output byte-identical.
 
@@ -363,6 +370,26 @@ ERRORS = [
     ["pow", "--base", "@empty_alphabet_series.json", "--exponent", "1", "--order", "2", "--output-format", "json"],
     ["lambda", "--element", "@empty_alphabet_poly.json", "--order", "2", "--output-format", "json"],
     ["config", "--x-class", "3", "--specialize", "invariants", "--order", "2", "--output-format", "json"],
+    # Values nested deeper than the parser's recursion allows exit 1 with
+    # one line; 150 levels still read.
+    *(
+        [*command, opening * depth + "1" + ")" * depth]
+        for command in (["adams", "--k", "1", "--element"], ["pow", "--base", "1+t", "--exponent"])
+        for opening in ("(", "2*(", "1-(", "-(")
+        for depth in (150, 220, 1000)
+    ),
+    # A value read from a file for each kind: a series, a symmetric
+    # function (h[2] for plethysm) within and over the schur weight cap,
+    # and a polynomial.
+    ["factorize", "--series", "@series.json", "--order", "3"],
+    ["plethysm", "--f", "@h2.json", "--x", "L^2 - L", "--order", "3"],
+    *(
+        ["specialize", "--f", "@symfunc.json", "--mode", mode, "--order", "3"]
+        for mode in ("invariants", "sign")
+    ),
+    ["schur", "--f", "@symfunc.json", "--order", "3"],
+    ["schur", "--f", "@schur_over_cap.json", "--order", "19"],
+    ["config", "--x-class", "@x_class.json", "--order", "4"],
 ]
 # Files the requests name, written to the working directory of the run.
 FILES = {
@@ -383,6 +410,31 @@ FILES = {
     "decimal.json": "2.5",
     "empty_alphabet_series.json": {"order": 2, "coeffs": [{"vars": [], "terms": [{"e": [], "c": "1"}]}, "2", "0"]},
     "empty_alphabet_poly.json": {"vars": [], "terms": [{"e": [], "c": "3"}]},
+    "series.json": {
+        "order": 3,
+        "coeffs": ["1", {"vars": ["L"], "terms": [{"e": [1], "c": "1"}]}, "0", "-1/2"],
+    },
+    "symfunc.json": {
+        "bound": 3,
+        "vars": ["L"],
+        "terms": [
+            {"p": p, "c": {"vars": ["L"], "terms": [{"e": [e], "c": c}]}}
+            for p, e, c in (([3], 0, "1/3"), ([2, 1], 1, "-1"), ([1, 1, 1], 2, "1/6"))
+        ],
+    },
+    "h2.json": {
+        "bound": 2,
+        "vars": [],
+        "terms": [
+            {"p": p, "c": {"vars": [], "terms": [{"e": [], "c": "1/2"}]}} for p in ([2], [1, 1])
+        ],
+    },
+    "schur_over_cap.json": {
+        "bound": 19,
+        "vars": [],
+        "terms": [{"p": [10, 9], "c": {"vars": [], "terms": [{"e": [], "c": "1"}]}}],
+    },
+    "x_class.json": {"vars": ["q"], "terms": [{"e": [2], "c": "1"}, {"e": [0], "c": "-1/2"}]},
     "repeated_terms.json": {"vars": ["L"], "terms": [{"e": [1], "c": "1"}, {"e": [1], "c": "2"}]},
     "cancelling_terms.json": {
         "vars": ["L"],

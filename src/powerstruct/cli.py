@@ -17,13 +17,20 @@ series ``^`` or ``/`` would do at :data:`parsing.MAX_POWER_WORK` and the
 weight of the ``schur`` input at :data:`MAX_SCHUR_WEIGHT`; a value out of
 range exits 2 with one line.
 
-Values are written in the grammar of :mod:`powerstruct.parsing`, and a
-series value may keep the ``+ O(t^M)`` tail of printed output.  Any
-value-taking option also accepts ``@file.json`` to load the JSON form, and
-the data-heavy commands take ``--input file.json`` holding a JSON object of
-parameters keyed by option name (explicit flags win).  Values from
-``--input`` or a :class:`CommandRequest` are checked as flags are: the type
-and the choices of the option in the command table.
+Every value an option holds is read by one reader, :func:`_read`, to the
+kind its command needs: a series of the request's order, a ring element, a
+symmetric function with generator bound ``--order``, or a polynomial.  The
+value is a text in the grammar of :mod:`powerstruct.parsing` (a series text
+may keep the ``+ O(t^M)`` tail of printed output and is then known through
+t^(M-1)), the tree :func:`parsing.parse_tree` made of a text (``pow``
+parses both of its texts first, so that they share one alphabet), or
+``@file.json`` naming a file with the JSON form, used as loaded.  The
+``schur`` weight cap runs once: on a text's sizes, before it is built, or
+on a JSON value as loaded.  The data-heavy commands take ``--input
+file.json`` holding a JSON object of parameters keyed by option name
+(explicit flags win).  Values from ``--input`` or a
+:class:`CommandRequest` are checked as flags are: the type and the choices
+of the option in the command table.
 """
 
 from __future__ import annotations
@@ -141,99 +148,82 @@ def _emit(value, fmt: str) -> str:
     return value_to_text(value)
 
 
-# -- parameter plumbing ------------------------------------------------------------
-
-
-def _load_at_value(raw):
-    """Values starting with @ name a JSON file holding the value; any other
-    value stays as it is: text, or the tree of a text."""
-    if isinstance(raw, str) and raw.startswith("@"):
-        data = json.loads(Path(raw[1:]).read_text())
-        return value_from_json(data)
-    return raw
-
-
-def _load_or_parse(
-    raw, bound: int | None = None, vars: tuple[str, ...] | None = None, check_weight=None
-):
-    """An @file value as loaded, or text (or its tree) parsed without the
-    series variable."""
-    loaded = _load_at_value(raw)
-    if not isinstance(loaded, (str, tuple)):
-        return loaded
-    return parsing.parse_expression(
-        loaded, order=None, bound=bound, vars=vars, check_weight=check_weight
-    )
-
-
-def _parse_element(raw, order: int, vars: tuple[str, ...] | None = None):
-    """An exponent-like value: rational, polynomial or symmetric function."""
-    value = _load_or_parse(raw, order, vars)
-    if isinstance(value, TruncSeries):
-        raise PowerStructError(f"{raw[1:]} holds a series, expected a ring element")
-    return value
-
+# -- reading values ----------------------------------------------------------------
 
 # The tail of a printed series, "1 + t + O(t^4)": known through t^(M-1).
 _ORDER_TAIL = re.compile(r"\+\s*O\(\s*t\s*\^\s*([1-9][0-9]*)\s*\)\s*$")
 
 
-def _series_text(text: str, order: int) -> tuple[str, int]:
-    """A series text without its ``+ O(t^M)`` tail, and the order through
-    which it is known."""
-    tail = _ORDER_TAIL.search(text)
+def _tree(raw: str, kind: str, order: int):
+    """An ``@file.json`` value as it is; any other text as what
+    :func:`parsing.parse_tree` makes of it, with the order through which it
+    is known: that of a series text's ``+ O(t^M)`` tail, M - 1, if lower."""
+    if raw.startswith("@"):
+        return raw
+    tail = _ORDER_TAIL.search(raw) if kind == "series" else None
     if tail is None:
-        return text, order
-    return text[: tail.start()], min(int(tail.group(1)) - 1, order)
+        return parsing.parse_tree(raw), order
+    return parsing.parse_tree(raw[: tail.start()]), min(int(tail.group(1)) - 1, order)
 
 
-def _parse_series_arg(raw, order: int, vars: tuple[str, ...] | None = None) -> TruncSeries:
-    loaded = _load_at_value(raw)
-    known = order
-    if isinstance(loaded, str):
-        loaded, known = _series_text(loaded, order)
-    return _as_series(loaded, known, order, vars)
-
-
-def _as_series(value, known: int, order: int, vars: tuple[str, ...] | None) -> TruncSeries:
-    """A series value, or the text or tree of one known through ``known``,
-    as a series of order ``order``."""
-    if isinstance(value, (str, tuple)):
-        value = parsing.parse_series(value, known, bound=order, vars=vars)
-    if not isinstance(value, TruncSeries):
-        return TruncSeries.constant(value, order)
-    if value.order < order:
-        raise PowerStructError(f"input series has order {value.order}, need {order}")
-    return value.truncate(order)
+def _read(raw, kind: str, order: int, vars: tuple[str, ...] | None = None, check_weight=None):
+    """An option's value as the kind its command needs: ``series``, a series
+    of order ``order``; ``element``, a ring element; ``symfunc``, a
+    symmetric function with generator bound ``order``; or ``poly``, a
+    polynomial.  ``raw`` is a text, what :func:`_tree` made of one, or
+    ``@file.json``; a text's variables are ``vars`` or the names it holds.
+    ``check_weight``, given with ``symfunc``, runs once on the largest
+    weight the value may hold: on a text's sizes, before it is built, or on
+    a JSON value as loaded."""
+    if isinstance(raw, str):
+        raw = _tree(raw, kind, order)
+    loaded = isinstance(raw, str)
+    if loaded:
+        value, known = value_from_json(json.loads(Path(raw[1:]).read_text())), order
+    else:
+        parsed, known = raw
+        series_order = known if kind == "series" else None
+        # A polynomial has no generator bound: an atom in it is refused.
+        bound = None if kind == "poly" else order
+        value = parsing.parse_expression(parsed, series_order, bound, vars, check_weight)
+    if kind == "series":
+        if not isinstance(value, TruncSeries):
+            value = TruncSeries.constant(value, known)
+        if value.order < order:
+            raise PowerStructError(f"input series has order {value.order}, need {order}")
+        return value.truncate(order)
+    if kind == "element" and isinstance(value, TruncSeries):
+        raise PowerStructError(f"{raw[1:]} holds a series, expected a ring element")
+    if kind == "poly":
+        return parsing.as_poly(value)
+    if kind == "symfunc":
+        value = parsing.as_symfunc(value, order)
+        if loaded and check_weight is not None:
+            check_weight(max(map(sum, value.terms), default=0))
+    return value
 
 
 # -- command handlers ---------------------------------------------------------------
 
 
 def _cmd_lambda(params, order, fmt):
-    element = _parse_element(params["element"], order)
+    element = _read(params["element"], "element", order)
     return 0, _emit(lambda_t(element, order), fmt)
 
 
 def _cmd_pow(params, order, fmt):
     # Each text is parsed once: the alphabet the two values share comes
-    # from the names their trees hold.
-    base, exponent = params["base"], params["exponent"]
-    known = order
-    if not base.startswith("@"):
-        text, known = _series_text(base, order)
-        base = parsing.parse_tree(text)
-    if not exponent.startswith("@"):
-        exponent = parsing.parse_tree(exponent)
-    vars = tuple(sorted(set().union(*(v[1] for v in (base, exponent) if isinstance(v, tuple)))))
-    base = _as_series(_load_at_value(base), known, order, vars)
-    exponent = _parse_element(exponent, order, vars)
+    # from the names their trees hold (_tree gives ((tree, names), known)).
+    base = _tree(params["base"], "series", order)
+    exponent = _tree(params["exponent"], "element", order)
+    vars = tuple(sorted(set().union(*(v[0][1] for v in (base, exponent) if isinstance(v, tuple)))))
+    base, exponent = _read(base, "series", order, vars), _read(exponent, "element", order, vars)
     result = power_op(base, exponent, params.get("algorithm", "factorize"))
     return 0, _emit(result, fmt)
 
 
 def _cmd_factorize(params, order, fmt):
-    series = _parse_series_arg(params["series"], order)
+    series = _read(params["series"], "series", order)
     result = factorize_op(series, params.get("algorithm", "moebius"))
     if fmt == "json":
         payload = {"order": order, "exponents": [value_to_json(b) for b in result]}
@@ -245,13 +235,13 @@ def _cmd_factorize(params, order, fmt):
 
 
 def _cmd_adams(params, order, fmt):
-    element = _parse_element(params["element"], order)
+    element = _read(params["element"], "element", order)
     return 0, _emit(adams(element, params["k"]), fmt)
 
 
 def _cmd_plethysm(params, order, fmt):
-    f = parsing.as_symfunc(_load_or_parse(params["f"], order), order)
-    x = _parse_element(params["x"], order)
+    f = _read(params["f"], "symfunc", order)
+    x = _read(params["x"], "element", order)
     return 0, _emit(plethysm_apply(f, x), fmt)
 
 
@@ -261,10 +251,7 @@ def _check_schur_weight(weight: int) -> None:
 
 
 def _cmd_schur(params, order, fmt):
-    # A text is checked on its size, before it is built; a JSON value as it is.
-    loaded = _load_or_parse(params["f"], order, check_weight=_check_schur_weight)
-    f = parsing.as_symfunc(loaded, order)
-    _check_schur_weight(max(map(sum, f.terms), default=0))
+    f = _read(params["f"], "symfunc", order, check_weight=_check_schur_weight)
     expansion = p_to_schur(f)
     if fmt == "json":
         payload = [
@@ -276,7 +263,7 @@ def _cmd_schur(params, order, fmt):
 
 
 def _cmd_specialize(params, order, fmt):
-    f = parsing.as_symfunc(_load_or_parse(params["f"], order), order)
+    f = _read(params["f"], "symfunc", order)
     mode = SpecializationMode(params["mode"])
     return 0, _emit(specialize(f, mode), fmt)
 
@@ -291,7 +278,7 @@ def _cmd_irr(params, order, fmt):
 
 
 def _cmd_config(params, order, fmt):
-    x_class = parsing.as_poly(_load_or_parse(params["x_class"]))
+    x_class = _read(params["x_class"], "poly", order)
     mode = params.get("specialize")
     if mode:
         return 0, _emit(applications.config_specialization(x_class, order, mode), fmt)

@@ -29,6 +29,10 @@ so ``1/2*p[1,1] + 1/2*p[2]``, ``L^5 - L^2``, ``1/(1 - L*t)`` and
 ``(1 + t)^3`` all parse.  The name ``t`` is reserved, and ``p``/``h``/``e``/
 ``s`` are special only when directly followed by ``[``.
 
+A value nested deeper than the recursion of the parser, the size pass or
+the evaluation allows, such as about 190 levels of parentheses, is refused
+with a ParseError, ``expression nested too deeply``.
+
 An expression is read into a tree first, which raises every syntax error.
 A size pass then bounds the terms, weights and exponents of each node per
 t-degree and checks every cap on these bounds, in the order evaluation
@@ -259,11 +263,12 @@ class _Parser:
         return self.tokens[self.index] if self.index < len(self.tokens) else None
 
     def next(self) -> Token:
-        token = self.peek()
-        if token is None:
+        # No call to peek: the deepest frame of the recursion is this one,
+        # and each frame less lets a value nest one step deeper.
+        if self.index == len(self.tokens):
             raise ParseError("unexpected end of expression")
         self.index += 1
-        return token
+        return self.tokens[self.index - 1]
 
     def expect_op(self, op: str) -> None:
         kind, text, position = self.next()
@@ -306,17 +311,18 @@ class _Parser:
 
     def parse_int_exponent(self) -> tuple[int, str, int]:
         """The exponent, its digits and their position."""
-        if self.at_op("("):
+        opened = 0
+        while self.at_op("("):
             self.next()
-            value = self.parse_int_exponent()
-            self.expect_op(")")
-            return value
+            opened += 1
         sign = -1 if self.at_op("-") else 1
         if sign < 0:
             self.next()
         kind, text, position = self.next()
         if kind != "int":
             raise ParseError(f"expected an integer exponent at position {position}")
+        for _ in range(opened):
+            self.expect_op(")")
         return sign * int(text), text, position
 
     def parse_int_list(self) -> list[int]:
@@ -491,6 +497,14 @@ def _chain(build: Callable, steps: list) -> object:
     return value
 
 
+# The parser, the size pass and the evaluation recurse once per level of a
+# value's nesting, so a value nested deeper than the interpreter's stack
+# allows is refused with this one error where its recursion overflows:
+# about 190 levels of parentheses, or about 980 signs in a row.  The
+# parentheses round an exponent are counted in a loop and do not recurse.
+_TOO_DEEP = "expression nested too deeply"
+
+
 def parse_tree(text: str) -> tuple[tuple, set[str]]:
     """The tree of an expression and the variable names it holds, once it
     has no syntax error."""
@@ -498,7 +512,10 @@ def parse_tree(text: str) -> tuple[tuple, set[str]]:
     if not tokens:
         raise ParseError("empty expression")
     parser = _Parser(tokens)
-    tree = parser.parse_sum()
+    try:
+        tree = parser.parse_sum()
+    except RecursionError:
+        raise ParseError(_TOO_DEEP) from None
     if parser.peek() is not None:
         _, text, position = parser.peek()
         raise ParseError(f"trailing input {text!r} at position {position}")
@@ -518,10 +535,14 @@ def parse_expression(
     if bound is None:
         bound = order
     tree, names = parse_tree(text) if isinstance(text, str) else text
-    size, build = _Sizes(order, bound, tuple(sorted(names) if vars is None else vars)).walk(tree)
-    if check_weight is not None:
-        check_weight(_heaviest(size))
-    return build()
+    vars = tuple(sorted(names) if vars is None else vars)
+    try:
+        size, build = _Sizes(order, bound, vars).walk(tree)
+        if check_weight is not None:
+            check_weight(_heaviest(size))
+        return build()
+    except RecursionError:
+        raise ParseError(_TOO_DEEP) from None
 
 
 def parse_poly(text: str, vars: tuple[str, ...] | None = None) -> LaurentPoly:
@@ -553,16 +574,3 @@ def as_symfunc(value, bound: int) -> SymFunc:
     if isinstance(value, SymFunc):
         return value
     raise ParseError(f"expected a symmetric function, got {type(value).__name__}")
-
-
-def parse_series(
-    text: str,
-    order: int,
-    bound: int | None = None,
-    vars: tuple[str, ...] | None = None,
-) -> TruncSeries:
-    """Parse a truncated series; non-series values become constant series."""
-    value = parse_expression(text, order=order, bound=bound, vars=vars)
-    if isinstance(value, TruncSeries):
-        return value
-    return TruncSeries.constant(value, order)

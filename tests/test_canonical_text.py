@@ -1,15 +1,16 @@
 """Canonical text reads back: parsing what a value prints, through the parser
 the command line uses, gives the value again and prints the same bytes."""
 
+import json
 import re
 from fractions import Fraction
 
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 import hypothesis.strategies as st
 
 from powerstruct import LaurentPoly, SymFunc, TruncSeries, p_to_schur, partitions_of
-from powerstruct.cli import _load_or_parse, _parse_series_arg
-from powerstruct.parsing import as_symfunc
+from powerstruct.cli import _read, value_to_json
+from powerstruct.parsing import as_poly, as_symfunc
 from powerstruct.symfunc import schur_expansion_str
 
 L = LaurentPoly.var("L")
@@ -78,13 +79,13 @@ def check_text(text, read):
 @given(polys())
 @settings(max_examples=150, deadline=None)
 def test_laurent_poly_round_trip(x):
-    assert check_text(str(x), lambda text: _load_or_parse(text, vars=x.vars)) == x
+    assert check_text(str(x), lambda text: _read(text, "element", 0, x.vars)) == x
 
 
 @given(st.integers(0, 4).flatmap(symfuncs))
 @settings(max_examples=150, deadline=None)
 def test_symfunc_round_trip(f):
-    read = lambda text: as_symfunc(_load_or_parse(text, f.bound, f.vars), f.bound)
+    read = lambda text: _read(text, "symfunc", f.bound, f.vars)
     assert check_text(str(f), read) == f
 
 
@@ -93,7 +94,7 @@ def test_symfunc_round_trip(f):
 @settings(max_examples=150, deadline=None)
 def test_series_round_trip_through_order_tail(x):
     vars = ("L",) if any(getattr(c, "vars", ()) for c in x.coeffs) else ()
-    read = lambda text: _parse_series_arg(text, x.order, vars)
+    read = lambda text: _read(text, "series", x.order, vars)
     value = read(str(x))
     assert value == x
     # Text does not name the coefficient ring: a series over symmetric
@@ -110,8 +111,50 @@ def test_series_round_trip_through_order_tail(x):
 def test_schur_expansion_round_trip(f):
     n = f.weight()
     expansion = p_to_schur(f)
-    read = lambda text: p_to_schur(as_symfunc(_load_or_parse(text, n, f.vars), n))
+    read = lambda text: p_to_schur(_read(text, "symfunc", n, f.vars))
     assert not SPELLED_ONE.search(schur_expansion_str(expansion))
     back = read(schur_expansion_str(expansion))
     assert back == expansion
     assert schur_expansion_str(back) == schur_expansion_str(expansion)
+
+
+@st.composite
+def ring_values(draw, bound):
+    """A value over Q, Q[L] or Q[u,v], or a symmetric function with
+    generator bound ``bound`` over Q or Q[L]."""
+    ring = draw(st.sampled_from(["Q", "Q[L]", "Q[u,v]", "sym"]))
+    if ring == "Q":
+        return draw(st.just(Fraction(0)) | rationals)
+    if ring == "sym":
+        return draw(symfuncs(bound))
+    return draw(polys(("L",) if ring == "Q[L]" else ("u", "v")))
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), ring_values(n))))
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+def test_text_and_file_read_alike(tmp_path, drawn):
+    """For each kind a value is read as, its canonical text (a series text
+    with its + O(t^M) tail) and an @file holding its JSON form read to equal
+    values.  A text's generator bound is the order it is read at, so a
+    series over symmetric functions is read at its own order only, and a
+    polynomial is read from values over Q, Q[L] and Q[u,v] only."""
+    order, x = drawn
+    vars = getattr(x, "vars", ())
+    path = tmp_path / "value.json"
+
+    def read(value, kind, order=order):
+        path.write_text(json.dumps(value_to_json(value)))
+        return [_read(raw, kind, order, vars) for raw in (str(value), f"@{path}")]
+
+    assert read(x, "element") == [x, x]
+    s = TruncSeries([Fraction(1)] + [k * x for k in range(1, order + 1)], order)
+    assert str(s).endswith(f" + O(t^{order + 1})")
+    assert read(s, "series") == [s, s]
+    f = as_symfunc(x, order)
+    assert read(x, "symfunc") == [f, f]
+    if not isinstance(x, SymFunc):
+        low = s.truncate(order - 1)
+        assert read(s, "series", order - 1) == [low, low]
+        assert read(x, "poly") == [as_poly(x)] * 2

@@ -272,6 +272,69 @@ def main_streams(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+class TestErrorOrder:
+    """Of two malformed values, the error of the first option wins.  ``pow``
+    reads both of its texts into trees before it builds either value, so a
+    syntax error of the exponent comes before an error the base meets only
+    when it is built; ``plethysm`` builds f before it reads x."""
+
+    @pytest.mark.parametrize(
+        "argv, code, err",
+        [
+            (["pow", "--base", "1+{t", "--exponent", "1+"], 1,
+             "error: unexpected character '{' at position 2"),
+            (["pow", "--base", "2/(1-1)", "--exponent", "1 + 1/0"], 1,
+             "error: division by zero at position 1"),
+            (["pow", "--base", "1+t+h[41]", "--exponent", "(1+L)^1001"], 2,
+             "weight 41 of h[...] at position 4 exceeds the limit 40"),
+            (["pow", "--base", "1/0", "--exponent", "1+"], 1,
+             "error: unexpected end of expression"),
+            (["plethysm", "--f", "p[1", "--x", "L)"], 1, "error: unexpected end of expression"),
+            (["plethysm", "--f", "1/(1-1)", "--x", "{"], 1,
+             "error: division by zero at position 1"),
+            (["plethysm", "--f", "h[41]", "--x", "L^1001", "--order", "41"], 2,
+             "weight 41 of h[...] at position 0 exceeds the limit 40"),
+            (["plethysm", "--f", "p[1]", "--x", "L^1001 + p[9]", "--order", "3"], 2,
+             "exponent 1001 at position 2 exceeds the limit 1000"),
+        ],
+    )
+    def test_first_error_wins(self, argv, code, err):
+        assert main_streams(argv) == (code, "", err + "\n")
+
+
+class TestNesting:
+    """A value nested deeper than the recursion of the parser, the size
+    pass or the evaluation allows is refused with one line."""
+
+    FORMS = ["(", "2*(", "1-(", "-("]
+
+    @pytest.mark.parametrize("depth", [220, 1000, 10000])
+    @pytest.mark.parametrize("opening", FORMS)
+    @pytest.mark.parametrize(
+        "argv",
+        [["adams", "--k", "1", "--element"], ["pow", "--base", "1+t", "--exponent"],
+         ["pow", "--exponent", "1", "--base"], ["schur", "--order", "1", "--f"]],
+    )
+    def test_too_deep_is_one_line(self, argv, opening, depth):
+        value = opening * depth + "1" + ")" * depth
+        assert main_streams([*argv, value]) == (1, "", "error: expression nested too deeply\n")
+
+    @pytest.mark.parametrize(
+        "opening, value", [("(", "1"), ("2*(", str(2**150)), ("1-(", "1"), ("-(", "1")]
+    )
+    def test_150_levels_read(self, opening, value):
+        text = opening * 150 + "1" + ")" * 150
+        assert main_streams(["adams", "--element", text, "--k", "1"]) == (0, value + "\n", "")
+
+    def test_long_runs_read(self):
+        """600 signs in a row, one recursion step each, and parentheses
+        round an exponent, which the parser counts in a loop, read."""
+        assert main_streams(["adams", "--element=" + "-" * 600 + "L", "--k", "1"]) == (0, "L\n", "")
+        exponent = "(" * 5000 + "-2" + ")" * 5000
+        argv = ["adams", "--element", "L^" + exponent, "--k", "1"]
+        assert main_streams(argv) == (0, "L^-2\n", "")
+
+
 class TestDashValues:
     """A separate word that starts with ``-`` and is no option is the value
     of the value option before it, as in the ``--option=value`` form."""
@@ -890,6 +953,39 @@ class TestFileInputs:
         sym.write_text(json.dumps(symfunc_json(4, [{"p": [2], "c": ONE_TERM[0]["c"]}])))
         assert main(["config", "--x-class", f"@{sym}"]) == 1
         assert capsys.readouterr().err == "error: expected a polynomial, got SymFunc\n"
+
+    @pytest.mark.parametrize(
+        "terms", [[([19], "1")], [([10, 9], "1"), ([1], "2")], [([1] * 19, "-1/3"), ([2] * 9, "1")]]
+    )
+    def test_schur_file_over_cap_refused_before_expansion(self, tmp_path, monkeypatch, terms):
+        """A JSON schur input is checked on its weight once it is loaded,
+        before p_to_schur starts."""
+        from powerstruct import cli
+
+        def refuse(*args):
+            raise AssertionError("p_to_schur ran past the weight cap")
+
+        monkeypatch.setattr(cli, "p_to_schur", refuse)
+        one = lambda c: {"vars": [], "terms": [{"e": [], "c": c}]}
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(symfunc_json(19, [{"p": p, "c": one(c)} for p, c in terms])))
+        assert main_streams(["schur", "--f", f"@{path}", "--order", "19"]) == (
+            2, "", "weight 19 of the schur input exceeds the limit 18\n")
+
+    @pytest.mark.parametrize("source", ["text", "file"])
+    def test_schur_weight_checked_once(self, tmp_path, monkeypatch, source):
+        from powerstruct import cli
+
+        weights = []
+        monkeypatch.setattr(cli, "_check_schur_weight", weights.append)
+        f = "p[1]^3 - 2*p[2]*p[1]"
+        if source == "file":
+            path = tmp_path / "f.json"
+            path.write_text(json.dumps(parse_symfunc(f, 3).to_json_dict()))
+            f = f"@{path}"
+        expansion = "3*s[1,1,1] + 2*s[2,1] - s[3]\n"
+        assert main_streams(["schur", "--f", f, "--order", "3"]) == (0, expansion, "")
+        assert weights == [3]
 
     @pytest.mark.parametrize(
         "command, params",

@@ -13,11 +13,10 @@ from powerstruct import (
     ConstantTermError, LaurentPoly, LimitError, ParseError, PowerStructError, SymFunc, TruncSeries, basis_in_p, partitions_of,
 )
 from powerstruct import parsing
-from powerstruct.cli import main
+from powerstruct.cli import _read, main
 from powerstruct.parsing import (
     parse_expression,
     parse_poly,
-    parse_series,
     parse_symfunc,
     parse_tree,
     tokenize,
@@ -75,22 +74,24 @@ class TestSymFuncGrammar:
 
 
 class TestSeriesGrammar:
+    """Series values, read as the command line reads a series option."""
+
     def test_polynomial_series(self):
-        assert parse_series("1+t", 4) == TruncSeries([1, 1], 4)
+        assert _read("1+t", "series", 4) == TruncSeries([1, 1], 4)
 
     def test_rational_function(self):
-        geom = parse_series("1/(1 - L*t)", 3)
+        geom = _read("1/(1 - L*t)", "series", 3)
         assert geom == TruncSeries([1, L, L**2, L**3], 3)
 
     def test_power(self):
-        assert parse_series("(1+t)^3", 4) == TruncSeries([1, 3, 3, 1, 0], 4)
+        assert _read("(1+t)^3", "series", 4) == TruncSeries([1, 3, 3, 1, 0], 4)
 
     def test_symfunc_coefficients(self):
-        series = parse_series("1 + p[1]*t", 3)
+        series = _read("1 + p[1]*t", "series", 3)
         assert series.coeffs[1] == SymFunc.p(1, 3)
 
     def test_constant_promoted(self):
-        assert parse_series("5", 2) == TruncSeries.constant(Fraction(5), 2)
+        assert _read("5", "series", 2) == TruncSeries.constant(Fraction(5), 2)
 
 
 class TestErrors:
@@ -193,6 +194,39 @@ class TestErrors:
     def test_zero_polynomial_divisor_keeps_its_message(self):
         with pytest.raises(ZeroDivisionError, match="^division by the zero polynomial$"):
             parse_expression("L/(L-L)")
+
+    @pytest.mark.parametrize(
+        "text", ["(" * 2000 + "1" + ")" * 2000, "2*(" * 2000 + "L" + ")" * 2000, "-" * 2000 + "L"]
+    )
+    def test_nesting_past_the_stack(self, text):
+        with pytest.raises(ParseError, match="^expression nested too deeply$"):
+            parse_expression(text)
+
+    def test_tree_past_the_stack(self):
+        """A tree made without the parser overflows in the size pass."""
+        tree = ("var", "L")
+        for _ in range(5000):
+            tree = ("sum", ("num", 0), [("-", tree, None)])
+        with pytest.raises(ParseError, match="^expression nested too deeply$"):
+            parse_expression((tree, {"L"}))
+
+    @pytest.mark.parametrize(
+        "text, n", [("L^((((-3))))", -3), ("L^" + "(" * 3000 + "2" + ")" * 3000, 2)]
+    )
+    def test_parenthesised_exponent(self, text, n):
+        assert parse_expression(text) == L**n
+
+    @pytest.mark.parametrize(
+        "text, err",
+        [
+            ("L^((2)", "unexpected end of expression"),
+            ("L^(-(2))", "expected an integer exponent at position 4"),
+            ("L^((2))))", "trailing input ')' at position 7"),
+        ],
+    )
+    def test_parenthesised_exponent_errors(self, text, err):
+        with pytest.raises(ParseError, match=f"^{re.escape(err)}$"):
+            parse_expression(text)
 
 
 def test_scan_variables():
