@@ -6,7 +6,8 @@ process and writes, per request, its argv, stdout, stderr and exit code to a
 JSON file.  The list covers every subcommand in text and JSON at orders 0-8,
 values over Q, Q[L], Q[u,v] and symmetric functions, zero exponents, both
 algorithms of ``pow`` and ``factorize``, the edges of the dense
-Euler-product route (one Q[L] ``pow`` and one ``factorize`` at order 24, a Q
+Euler-product route (one Q[L] ``pow`` and one ``factorize`` at order 24, a
+Q[L] ``pow`` of the ``pow-large`` benchmark's shape at order 32, a Q
 base with a Q[L] exponent, ``L^-2``, ``1/3`` and zero exponents, a Q[u,v]
 exponent), ``schur`` at weights up to 16 and on tall, wide and
 self-conjugate partitions, the ``h`` and ``e`` atoms at weights 12-20 and a
@@ -48,9 +49,10 @@ an ``@file`` value for each kind a value is read as (a series through
 ``lambda``, ``adams``, ``pow --exponent`` and ``plethysm --x``, a symmetric
 function through ``plethysm --f``, ``specialize --f`` and ``schur --f``,
 within and over the weight cap, and a polynomial through
-``config --x-class``), and error paths, digits outside 0-9 among them.  Two captures of the same
-seed, taken from two source trees, show whether a change kept the CLI's
-output byte-identical.
+``config --x-class``), a symmetric function where ``config --x-class``
+expects a polynomial, as text and as ``@file``, and error paths, digits
+outside 0-9 among them.  Two captures of the same seed, taken from two
+source trees, show whether a change kept the CLI's output byte-identical.
 
 Usage:
   python scripts/cli_capture.py --src SRC_DIR --out FILE [--seed N] [--limit N]
@@ -117,9 +119,17 @@ ACTIONS = [
         ],
     },
 ]
+# The pow-large benchmark's shape at order 32: a base whose coefficients,
+# like the exponent, have degree <= 2 in L and integers in [-2, 2], so that
+# the products of the Euler-product exp read each integer form many times.
+_SHAPE = random.Random("pow-large")
+POW_LARGE_BASE = "1" + "".join(
+    f" + ({' + '.join(f'{_SHAPE.randint(-2, 2)}*L^{e}' for e in (2, 1, 0))})*t^{k}" for k in range(1, 33)
+)
 # Requests run at their own order rather than a seeded one.
 AT_ORDER = [
     (["pow", "--base", "1 + (L + 2)*t - (2*L^2 - 1)*t^2 + L*t^3", "--exponent", "L^2 - 3*L + 1/2"], 24),
+    (["pow", "--base", POW_LARGE_BASE, "--exponent", "2*L^2 - L - 2"], 32),
     # The dense Euler-product route of pow and factorize, and its edges.
     (["factorize", "--series", "1 + (L + 2)*t - (2*L^2 - 1)*t^2 + L*t^3", "--algorithm", "moebius"], 24),
     (["pow", "--base", "1 + 2*t - 1/3*t^3", "--exponent", "L^2 - 1"], 12),
@@ -390,6 +400,10 @@ ERRORS = [
     ["schur", "--f", "@symfunc.json", "--order", "3"],
     ["schur", "--f", "@schur_over_cap.json", "--order", "19"],
     ["config", "--x-class", "@x_class.json", "--order", "4"],
+    # A symmetric function where a polynomial is expected, as text and as
+    # a file: one message.
+    ["config", "--x-class", "p[1]", "--order", "3"],
+    ["config", "--x-class", "@x_class_symfunc.json", "--order", "3"],
 ]
 # Files the requests name, written to the working directory of the run.
 FILES = {
@@ -435,6 +449,11 @@ FILES = {
         "terms": [{"p": [10, 9], "c": {"vars": [], "terms": [{"e": [], "c": "1"}]}}],
     },
     "x_class.json": {"vars": ["q"], "terms": [{"e": [2], "c": "1"}, {"e": [0], "c": "-1/2"}]},
+    "x_class_symfunc.json": {
+        "bound": 3,
+        "vars": [],
+        "terms": [{"p": [1], "c": {"vars": [], "terms": [{"e": [], "c": "1"}]}}],
+    },
     "repeated_terms.json": {"vars": ["L"], "terms": [{"e": [1], "c": "1"}, {"e": [1], "c": "2"}]},
     "cancelling_terms.json": {
         "vars": ["L"],

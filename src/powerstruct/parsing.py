@@ -407,7 +407,8 @@ class _Sizes:
 
     def atom(self, name: str, parts: tuple[int, ...], position: int):
         if self.bound is None:
-            raise ParseError(f"symmetric-function atom {name}[...] needs a generator bound")
+            # With no order and no bound, the value read is a polynomial.
+            raise ParseError("expected a polynomial, got SymFunc")
         weight = sum(parts)
         if name != "p":
             _check(weight, MAX_ATOM_WEIGHT, f"weight {{}} of {name}[...]", position)

@@ -30,6 +30,9 @@ prints as a signed sum through :func:`format_sum` and :func:`format_term`.
 The JSON form is
 ``{"vars": ["L"], "terms": [{"e": [5], "c": "1"}, {"e": [2], "c": "-1"}]}``
 with coefficients rendered as ``num/den`` strings (``den`` omitted when 1).
+A one-variable value computes its integer form for the Kronecker kernels
+(:func:`_dense_integers`) once, on first use, and keeps it beside its term
+map; the form takes no part in equality, hash, text or JSON.
 """
 
 from __future__ import annotations
@@ -176,7 +179,7 @@ class LaurentPoly(_Value):
     ``Fraction`` on either side.
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "terms", "_form")
 
     def __init__(self, vars: Iterable[str], terms: Mapping[Exponents, Scalar]):
         vars = tuple(vars)
@@ -250,7 +253,7 @@ class LaurentPoly(_Value):
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, SCALAR_TYPES):
+        if not isinstance(other, LaurentPoly) and isinstance(other, SCALAR_TYPES):
             # A scalar lands on the constant term, which drops if it cancels.
             if not other:
                 return self
@@ -268,7 +271,7 @@ class LaurentPoly(_Value):
         return LaurentPoly._raw(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, SCALAR_TYPES):
+        if not isinstance(other, LaurentPoly) and isinstance(other, SCALAR_TYPES):
             if not other:
                 return LaurentPoly._raw(self.vars, {})
             return LaurentPoly._raw(self.vars, {e: c * other for e, c in self.terms.items()})
@@ -277,7 +280,8 @@ class LaurentPoly(_Value):
             return NotImplemented
         a, b = pair
         if len(a.vars) == 1 and _kronecker_applies(a.terms, b.terms):
-            return LaurentPoly._raw(a.vars, _mul_kronecker(a.terms, b.terms))
+            product = _dense_product(a._integer_form(), b._integer_form())
+            return LaurentPoly._raw(a.vars, _dense_terms(*product))
         return LaurentPoly._raw(a.vars, _mul_dict(a.terms, b.terms))
 
     __rmul__ = __mul__
@@ -333,6 +337,15 @@ class LaurentPoly(_Value):
             raise InexactDivisionError(f"{self} is not an invertible monomial")
         ((exps, coeff),) = self.terms.items()
         return LaurentPoly(self.vars, {tuple(-e for e in exps): _ONE / coeff})
+
+    def _integer_form(self) -> tuple[int, int, tuple[int, ...]]:
+        """The integer form :func:`_dense_integers` of a nonzero one-variable
+        value, computed on first use and kept: the value is immutable."""
+        form = getattr(self, "_form", None)
+        if form is None:
+            form = _dense_integers(self.terms)
+            object.__setattr__(self, "_form", form)
+        return form
 
     def is_integral(self) -> bool:
         """True when all exponents are >= 0 and all coefficients are integers."""
@@ -501,7 +514,7 @@ _KRONECKER_MAX_SPAN = 4
 
 def _kronecker_applies(a_terms: Mapping, b_terms: Mapping) -> bool:
     """Whether a product of two univariate term maps takes
-    :func:`_mul_kronecker`: both operands long enough and dense enough."""
+    :func:`_dense_product`: both operands long enough and dense enough."""
     for terms in (a_terms, b_terms):
         if len(terms) < _KRONECKER_MIN_TERMS:
             return False
@@ -523,7 +536,7 @@ def _mul_dict(a_terms: Mapping, b_terms: Mapping) -> dict[Exponents, Fraction]:
                            for ea, ca in a_terms.items() for eb, cb in b_terms.items()))
 
 
-def _dense_integers(terms: Mapping) -> tuple[int, int, list[int]]:
+def _dense_integers(terms: Mapping) -> tuple[int, int, tuple[int, ...]]:
     """(lowest exponent, common denominator, integer coefficients from the
     lowest exponent up) of a univariate term map: terms = ints / den."""
     lo = min(terms)[0]
@@ -534,17 +547,17 @@ def _dense_integers(terms: Mapping) -> tuple[int, int, list[int]]:
     ints = [0] * (max(terms)[0] - lo + 1)
     for (e,), c in terms.items():
         ints[e - lo] = int(c.numerator) * (den // int(c.denominator))
-    return lo, den, ints
+    return lo, den, tuple(ints)
 
 
-def _dense(value) -> tuple[int, int, list[int]]:
+def _dense(value) -> tuple[int, int, tuple[int, ...]]:
     """The dense form (lowest exponent, denominator, integer coefficients) of
     a nonzero rational or one-variable Laurent polynomial."""
     if isinstance(value, LaurentPoly):
         if value.vars:
-            return _dense_integers(value.terms)
+            return value._integer_form()
         value = value.constant_term()
-    return 0, int(value.denominator), [int(value.numerator)]
+    return 0, int(value.denominator), (int(value.numerator),)
 
 
 def _dense_terms(lo: int, den: int, ints: list[int]) -> dict[Exponents, Fraction]:
@@ -553,11 +566,6 @@ def _dense_terms(lo: int, den: int, ints: list[int]) -> dict[Exponents, Fraction
     if den == 1:
         return {(lo + i,): Rational(c) for i, c in enumerate(ints) if c}
     return {(lo + i,): Rational(c, den) for i, c in enumerate(ints) if c}
-
-
-def _mul_kronecker(a_terms: Mapping, b_terms: Mapping) -> dict[Exponents, Fraction]:
-    """Product of two univariate term maps by :func:`_dense_product`."""
-    return _dense_terms(*_dense_product(_dense_integers(a_terms), _dense_integers(b_terms)))
 
 
 def _dense_product(a, b) -> tuple[int, int, list[int]]:

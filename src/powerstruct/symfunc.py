@@ -182,10 +182,10 @@ class SymFunc(_Value):
     # -- coercion ------------------------------------------------------------
 
     def _align(self, other) -> tuple["SymFunc", "SymFunc"] | None:
-        if isinstance(other, SCALAR_TYPES) or isinstance(other, LaurentPoly):
-            other = SymFunc.constant(other, self.bound, getattr(other, "vars", ()))
         if not isinstance(other, SymFunc):
-            return None
+            if not (isinstance(other, LaurentPoly) or isinstance(other, SCALAR_TYPES)):
+                return None
+            other = SymFunc.constant(other, self.bound, getattr(other, "vars", ()))
         a, b = self, other
         if a.vars and b.vars and a.vars != b.vars:
             return None

@@ -5,10 +5,11 @@ import json
 import re
 from fractions import Fraction
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 import hypothesis.strategies as st
 
-from powerstruct import LaurentPoly, SymFunc, TruncSeries, p_to_schur, partitions_of
+from powerstruct import LaurentPoly, ParseError, SymFunc, TruncSeries, p_to_schur, partitions_of
 from powerstruct.cli import _read, value_to_json
 from powerstruct.parsing import as_poly, as_symfunc
 from powerstruct.symfunc import schur_expansion_str
@@ -138,8 +139,10 @@ def test_text_and_file_read_alike(tmp_path, drawn):
     """For each kind a value is read as, its canonical text (a series text
     with its + O(t^M) tail) and an @file holding its JSON form read to equal
     values.  A text's generator bound is the order it is read at, so a
-    series over symmetric functions is read at its own order only, and a
-    polynomial is read from values over Q, Q[L] and Q[u,v] only."""
+    series over symmetric functions is read at its own order only.  Read as
+    a polynomial, a symmetric function is refused with one message, as a
+    file and as a text that holds an atom; a constant one's text is its
+    coefficient."""
     order, x = drawn
     vars = getattr(x, "vars", ())
     path = tmp_path / "value.json"
@@ -158,3 +161,11 @@ def test_text_and_file_read_alike(tmp_path, drawn):
         low = s.truncate(order - 1)
         assert read(s, "series", order - 1) == [low, low]
         assert read(x, "poly") == [as_poly(x)] * 2
+    else:
+        path.write_text(json.dumps(value_to_json(x)))
+        refused = [f"@{path}"] + ([str(x)] if set(x.terms) - {()} else [])
+        for raw in refused:
+            with pytest.raises(ParseError, match=r"^expected a polynomial, got SymFunc$"):
+                _read(raw, "poly", order, vars)
+        if len(refused) == 1:
+            assert _read(str(x), "poly", order, vars) == as_poly(x.terms.get((), Fraction(0)))

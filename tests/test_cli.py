@@ -954,6 +954,15 @@ class TestFileInputs:
         assert main(["config", "--x-class", f"@{sym}"]) == 1
         assert capsys.readouterr().err == "error: expected a polynomial, got SymFunc\n"
 
+    @pytest.mark.parametrize("raw", ["p[1]", "@{}"])
+    def test_config_class_symfunc_refused_alike(self, tmp_path, capsys, raw):
+        """A symmetric function where a polynomial is expected gets one
+        message, whether it is given as text or as a file."""
+        sym = tmp_path / "sym.json"
+        sym.write_text(json.dumps(symfunc_json(3, [{"p": [1], "c": ONE_TERM[0]["c"]}])))
+        assert main(["config", "--x-class", raw.format(sym), "--order", "3"]) == 1
+        assert capsys.readouterr().err == "error: expected a polynomial, got SymFunc\n"
+
     @pytest.mark.parametrize(
         "terms", [[([19], "1")], [([10, 9], "1"), ([1], "2")], [([1] * 19, "-1/3"), ([2] * 9, "1")]]
     )

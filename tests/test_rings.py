@@ -21,9 +21,9 @@ from powerstruct.rings import (
     _KRONECKER_MIN_TERMS,
     Rational,
     _add_terms,
+    _dense_integers,
     _kronecker_applies,
     _mul_dict,
-    _mul_kronecker,
 )
 
 L = LaurentPoly.var("L")
@@ -218,12 +218,18 @@ def kronecker_operands(draw, sizes=st.integers(_KRONECKER_MIN_TERMS, _KRONECKER_
     return {(e,): Rational(draw(_NUMERATORS), draw(dens)) for e in exps}
 
 
+def kronecker_product(a, b):
+    """The terms of the product of two univariate term maps that the
+    Kronecker path of ``LaurentPoly.__mul__`` takes."""
+    assert _kronecker_applies(a, b)
+    return (LaurentPoly(("L",), a) * LaurentPoly(("L",), b)).terms
+
+
 class TestMulKernels:
     """The Kronecker kernel against the term-by-term loop it bypasses."""
 
     def check(self, a, b):
-        assert _kronecker_applies(a, b)
-        product = _mul_kronecker(a, b)
+        product = kronecker_product(a, b)
         assert product == _mul_dict(a, b)
         assert all(c != 0 for c in product.values())
         assert all(type(c) is type(Rational(1)) for c in product.values())
@@ -251,7 +257,7 @@ class TestMulKernels:
         # a(L) * a(-L) is even in L: every odd coefficient cancels
         b = {(e,): c if e % 2 == 0 else -c for (e,), c in a.items()}
         self.check(a, b)
-        assert all(e % 2 == 0 for (e,) in _mul_kronecker(a, b))
+        assert all(e % 2 == 0 for (e,) in kronecker_product(a, b))
 
     def test_path_choice(self):
         dense = L**4 + 2 * L**3 - L + 5
@@ -263,6 +269,93 @@ class TestMulKernels:
         assert (dense * sparse).terms == _mul_dict(dense.terms, sparse.terms)
         # a monomial takes the term-by-term loop
         assert not _kronecker_applies((L**2).terms, dense.terms)
+
+
+# -- the integer form a one-variable value computes once ----------------------
+
+
+@st.composite
+def univariate_polys(draw):
+    """One-variable polynomials with denominators, negative exponents and a
+    content other than 1, single terms among them, and sums and products
+    whose terms cancel, some down to zero."""
+    coeffs = st.fractions(-9, 9, max_denominator=12).filter(bool)
+    terms = draw(st.dictionaries(st.integers(-6, 6), coeffs, min_size=1, max_size=7))
+    p = LaurentPoly(("L",), {(e,): c for e, c in terms.items()})
+    p = p * draw(st.sampled_from([1, 6, Fraction(-5, 4), Fraction(1, 30)]))
+    shape = draw(st.sampled_from(["plain", "sum", "product"]))
+    if shape == "sum":
+        # less some of its own terms: down to one term, or to zero
+        kept = draw(st.integers(0, len(p.terms)))
+        p = p - LaurentPoly(("L",), dict(list(p.terms.items())[kept:]))
+    elif shape == "product":
+        # p(L) p(-L) loses every term of odd degree; p (p - p) is zero
+        reflected = LaurentPoly(("L",), {(e,): c if e % 2 == 0 else -c for (e,), c in p.terms.items()})
+        p = p * draw(st.sampled_from([reflected, p - p]))
+    return p
+
+
+def cached_forms(values):
+    """The integer form each polynomial of ``values`` holds, None if none."""
+    return [getattr(x, "_form", None) for x in values]
+
+
+class TestIntegerForm:
+    """The integer form a one-variable polynomial computes on first use and
+    keeps, against a fresh conversion and the term-by-term loop."""
+
+    @given(univariate_polys())
+    @settings(max_examples=200)
+    @example(LaurentPoly(("L",), {(-3,): Fraction(6, 5), (2,): Fraction(-4, 15)}))
+    @example(Fraction(1, 7) * L**-2)
+    def test_cached_form_is_the_fresh_form(self, p):
+        if not p:
+            return
+        form = p._integer_form()
+        assert form == _dense_integers(p.terms) and type(form[2]) is tuple
+        assert p._integer_form() is form
+        # the form takes no part in equality, hash, text or JSON
+        fresh = LaurentPoly(p.vars, p.terms)
+        assert cached_forms([fresh]) == [None]
+        assert fresh == p and hash(fresh) == hash(p)
+        assert str(fresh) == str(p) and fresh.to_json_dict() == p.to_json_dict()
+
+    @given(univariate_polys(), univariate_polys())
+    @settings(max_examples=200)
+    @example(1 + L + L**2, 1 - L)
+    @example(L**-3 - L**-1, L**-3 + L**-1)
+    def test_products_match_the_dict_loop(self, p, q):
+        for a, b in ((p, q), (q, p), (p, p)):
+            assert (a * b).terms == _mul_dict(a.terms, b.terms)
+            if _kronecker_applies(a.terms, b.terms):
+                assert cached_forms([a, b]) == [_dense_integers(a.terms), _dense_integers(b.terms)]
+
+    @given(
+        st.lists(univariate_polys(), min_size=1, max_size=6),
+        st.sampled_from([Fraction(1), Fraction(-2, 3), 3 * L**-1]),
+        st.lists(univariate_polys(), max_size=5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_repeated_runs_agree_and_keep_forms(self, xs, lead, ys):
+        """A product, a Q[L] series quotient (by a series whose leading
+        coefficient is a unit) and a Q[L] exp run twice from the same
+        values: the second run gives the same values and bytes and changes
+        no form that the first run cached."""
+        order = len(xs) - 1
+        zero = LaurentPoly.zero(("L",))
+
+        def run():
+            quotient = TruncSeries(xs, order) / TruncSeries([lead] + ys, order)
+            exp = TruncSeries([zero] + xs[1:], order).exp()
+            return xs[0] * xs[-1], quotient, exp
+
+        first = run()
+        held = xs + ys + [first[0], *first[1].coeffs, *first[2].coeffs]
+        forms = cached_forms(held)
+        second = run()
+        assert first == second and list(map(str, first)) == list(map(str, second))
+        assert cached_forms(held) == forms
+        assert all(f is None or f == _dense_integers(x.terms) for x, f in zip(held, forms))
 
 
 # -- scalar and one-term operands against the schoolbook term loop -------------
