@@ -10,7 +10,9 @@ Euler-product route (one Q[L] ``pow`` and one ``factorize`` at order 24, a
 Q[L] ``pow`` of the ``pow-large`` benchmark's shape at order 32, a Q
 base with a Q[L] exponent, ``L^-2``, ``1/3`` and zero exponents, a Q[u,v]
 exponent), ``schur`` at weights up to 16 and on tall, wide and
-self-conjugate partitions, the ``h`` and ``e`` atoms at weights 12-20 and a
+self-conjugate partitions, ``schur`` on sparse supports with large parts
+(``p[18]``, ``p[9,5]`` and rational and Q[L] combinations at weights 14
+and 16), the ``h`` and ``e`` atoms at weights 12-20 and a
 tall ``s`` atom, ``specialize --mode sign`` on Q[L] and non-homogeneous
 values, ``adams`` on Q[L] symmetric functions at and past the bound,
 ``config``, ``quotient`` and ``moduli-g2`` at orders 12 and 24, the three
@@ -50,9 +52,11 @@ an ``@file`` value for each kind a value is read as (a series through
 function through ``plethysm --f``, ``specialize --f`` and ``schur --f``,
 within and over the weight cap, and a polynomial through
 ``config --x-class``), a symmetric function where ``config --x-class``
-expects a polynomial, as text and as ``@file``, and error paths, digits
-outside 0-9 among them.  Two captures of the same seed, taken from two
-source trees, show whether a change kept the CLI's output byte-identical.
+expects a polynomial, as text and as ``@file``, a series there (a text
+in ``t``, a file written by ``lambda`` and texts with an ``O(t^M)``
+tail), and error paths, digits outside 0-9 among them.  Two captures of
+the same seed, taken from two source trees, show whether a change kept the
+CLI's output byte-identical.
 
 Usage:
   python scripts/cli_capture.py --src SRC_DIR --out FILE [--seed N] [--limit N]
@@ -160,6 +164,13 @@ AT_ORDER = [
     (["schur", "--f", "s[4,2,1,1]"], 8),
     (["schur", "--f", "s[2,1,1,1,1,1,1,1,1,1,1,1,1,1,1]"], 16),
     (["schur", "--f", "2*p[1]^10 - 1/3*p[4]*p[2]^3 + L*p[3,3,2,2] - p[5,5]"], 10),
+    # Sparse supports, where p_to_schur skips every partition without the
+    # parts of some mu among its hook lengths: one and two parts, and a
+    # rational and a Q[L] combination.
+    (["schur", "--f", "p[18]"], 18),
+    (["schur", "--f", "p[9,5]"], 14),
+    (["schur", "--f", "3*p[5,4,3,2,1,1]-p[8,8]"], 16),
+    (["schur", "--f", "L*p[7,7] - p[10,4]"], 14),
     # The cycle-index closed form of config, quotient and moduli-g2 past
     # the seeded orders.
     (["config", "--x-class", "L^2 - 3*L + 1/2"], 12),
@@ -404,6 +415,12 @@ ERRORS = [
     # a file: one message.
     ["config", "--x-class", "p[1]", "--order", "3"],
     ["config", "--x-class", "@x_class_symfunc.json", "--order", "3"],
+    # A series where a polynomial is expected, as a text in t, as a file
+    # written by lambda and as texts with an O(t^M) tail: one message.
+    ["config", "--x-class", "1+t", "--order", "3"],
+    ["config", "--x-class", "@lambda.json", "--order", "3"],
+    ["config", "--x-class", "1+t+O(t^3)", "--order", "3"],
+    ["config", "--x-class", "L+O(t^3)", "--order", "3"],
 ]
 # Files the requests name, written to the working directory of the run.
 FILES = {

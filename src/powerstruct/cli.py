@@ -53,7 +53,7 @@ from .power import (
     power as power_op,
     verify_identity,
 )
-from .errors import LimitError, PowerStructError, json_field
+from .errors import LimitError, ParseError, PowerStructError, json_field
 from .rings import SCALAR_TYPES, LaurentPoly, adams, format_rational, parse_rational
 from .series import TruncSeries
 from .symfunc import (
@@ -86,9 +86,11 @@ MAX_POINTS = 1000
 # than one case would check nothing.
 MAX_AXIOM_CASES = 1000
 # schur expands one Jacobi-Trudi determinant per conjugate pair of
-# partitions of its input's weight n, whatever the input's support.  On a
-# 2-core machine p[1]^16 takes ~0.9 s and p[18] and p[1]^18 ~4.5 s; 18
-# stays below the ~9 s of the slowest atom under parsing.MAX_ATOM_WEIGHT.
+# partitions of its input's weight n that has, for some mu in the support,
+# every part of mu among its hook lengths.  On a 2-core machine p[18] takes
+# ~0.2 s and p[9,5] ~0.1 s, but a full support gains nothing: p[1]^16
+# takes ~0.9 s and p[1]^18 3-4.5 s; 18 stays below the ~9 s of the slowest
+# atom under parsing.MAX_ATOM_WEIGHT.
 MAX_SCHUR_WEIGHT = 18
 
 
@@ -160,9 +162,12 @@ def _tree(raw: str, kind: str, order: int):
     is known: that of a series text's ``+ O(t^M)`` tail, M - 1, if lower."""
     if raw.startswith("@"):
         return raw
-    tail = _ORDER_TAIL.search(raw) if kind == "series" else None
+    tail = _ORDER_TAIL.search(raw) if kind in ("series", "poly") else None
     if tail is None:
         return parsing.parse_tree(raw), order
+    # A polynomial takes no tail: with one, the text is a series.
+    if kind == "poly":
+        raise ParseError("expected a polynomial, got TruncSeries")
     return parsing.parse_tree(raw[: tail.start()]), min(int(tail.group(1)) - 1, order)
 
 

@@ -389,7 +389,9 @@ class _Sizes:
 
     def t(self, k: int = 1):
         if self.order is None:
-            raise ParseError("the series variable t needs a truncation order")
+            # With no order and no bound, the value read is a polynomial.
+            raise ParseError("expected a polynomial, got TruncSeries" if self.bound is None
+                             else "the series variable t needs a truncation order")
         cells = {k: self.unit} if 0 <= k <= self.order else {}
         return (self.order, _POLY if self.vars else _Q, cells), partial(self.t_power, k)
 

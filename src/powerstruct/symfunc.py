@@ -361,6 +361,12 @@ def _conjugate(partition: Partition) -> Partition:
     return tuple(sum(1 for part in partition if part >= i) for i in range(1, top + 1))
 
 
+def _hook_lengths(partition: Partition) -> set[int]:
+    """The hook lengths lambda_i - j + lambda'_j - i + 1 of the cells (i, j) of lambda."""
+    conjugate = _conjugate(partition)
+    return {part - j + conjugate[j] - i - 1 for i, part in enumerate(partition) for j in range(part)}
+
+
 def _schur_rational(
     partition: Partition, expansions: dict[int, tuple]
 ) -> dict[Partition, Fraction]:
@@ -387,8 +393,9 @@ def _schur_rational(
     matrix = [[expand(partition[i] - i + j) for j in range(size)] for i in range(size)]
 
     # Laplace expansion along the first remaining row, memoized on the
-    # surviving column set; each entry times its minor is added, signed,
-    # straight into the running sum.
+    # surviving column set; each entry times its minor is added straight
+    # into the running sum: stored as it is under a new key, else added or
+    # subtracted by the column's sign.
     memo: dict[tuple[int, ...], dict[Partition, Fraction]] = {}
 
     def minor(columns: tuple[int, ...]) -> dict[Partition, Fraction]:
@@ -403,12 +410,15 @@ def _schur_rational(
             if not entry:
                 continue
             rest = minor(columns[:position] + columns[position + 1 :]).items()
+            odd = position % 2
             for part, coeff in entry:
-                if position % 2:
-                    coeff = -coeff
                 for rest_part, rest_coeff in rest:
                     key = tuple(sorted(part + rest_part, reverse=True))
-                    total[key] = total.get(key, 0) + coeff * rest_coeff
+                    term = coeff * rest_coeff
+                    if key in total:
+                        total[key] = total[key] - term if odd else total[key] + term
+                    else:
+                        total[key] = -term if odd else term
         memo[columns] = total = {key: coeff for key, coeff in total.items() if coeff}
         return total
 
@@ -457,13 +467,20 @@ def p_to_schur(f: SymFunc) -> dict[Partition, Coefficient]:
     gives chi^lambda'(mu) = eps_mu chi^lambda(mu), so one map yields
     c_lambda and c_lambda' (one entry for a self-conjugate lambda).  Zero
     coefficients are omitted from the result.
+
+    A lambda is skipped unless some mu in the support has all its parts
+    among lambda's hook lengths: taking a part r of mu first in the
+    Murnaghan-Nakayama rule (Macdonald I.7) sums over the border strips of
+    size r, one per cell of hook length r, so chi^lambda(mu) = 0 without
+    one; lambda' has the same hook lengths, so c_lambda = c_lambda' = 0.
     """
     support = [(mu, z_value(mu) * f_mu) for mu, f_mu in f.terms.items()]
     odd = {mu for mu, sign in _omega((mu, 1) for mu in f.terms) if sign < 0}
     expansion: dict[Partition, Coefficient] = {}
     expansions: dict[int, tuple] = {}
     for lam in partitions_of(f.weight()):
-        if lam and len(lam) > lam[0]:
+        hooks = _hook_lengths(lam)
+        if lam and len(lam) > lam[0] or not any(set(mu) <= hooks for mu in f.terms):
             continue
         s_lam = _schur_rational(lam, expansions)
         c = c_conjugate = _coefficient(0, f.vars)

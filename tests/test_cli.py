@@ -963,6 +963,19 @@ class TestFileInputs:
         assert main(["config", "--x-class", raw.format(sym), "--order", "3"]) == 1
         assert capsys.readouterr().err == "error: expected a polynomial, got SymFunc\n"
 
+    @pytest.mark.parametrize("raw", ["1+t", "@{}", "1+t+O(t^3)", "L+O(t^3)"])
+    def test_config_class_series_refused_alike(self, tmp_path, capsys, raw):
+        """A series where a polynomial is expected gets one message, whether
+        it is a text in t, a file, or a text with an O(t^M) tail."""
+        series = tmp_path / "series.json"
+        series.write_text(main_capture(["lambda", "--element", "L", "--order", "2", "--output-format", "json"])[1])
+        assert main(["config", "--x-class", raw.format(series), "--order", "3"]) == 1
+        assert capsys.readouterr().err == "error: expected a polynomial, got TruncSeries\n"
+
+    def test_element_in_t_keeps_its_message(self, capsys):
+        assert main(["lambda", "--element", "1+t"]) == 1
+        assert capsys.readouterr().err == "error: the series variable t needs a truncation order\n"
+
     @pytest.mark.parametrize(
         "terms", [[([19], "1")], [([10, 9], "1"), ([1], "2")], [([1] * 19, "-1/3"), ([2] * 9, "1")]]
     )

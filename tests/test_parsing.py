@@ -107,6 +107,12 @@ class TestErrors:
         with pytest.raises(ParseError):
             parse_expression("1+t")
 
+    def test_t_with_a_bound_needs_order(self):
+        """With a generator bound the value read is no polynomial, so t asks
+        for the order instead of naming the kind."""
+        with pytest.raises(ParseError, match="^the series variable t needs a truncation order$"):
+            parse_expression("1+t", bound=3)
+
     def test_basis_needs_bound(self):
         with pytest.raises(ParseError):
             parse_expression("p[1]")
@@ -391,7 +397,7 @@ class TestOnePass:
             ("p [2", 3, ParseError, "unexpected end of expression"),
             ("L^", None, ParseError, "unexpected end of expression"),
             ("t ^ 1001", 3, LimitError, "exponent 1001 at position 4 exceeds the limit 1000"),
-            ("t^2", None, ParseError, "the series variable t needs a truncation order"),
+            ("t^2", None, ParseError, "expected a polynomial, got TruncSeries"),
             ("1 $ 2", None, ParseError, "unexpected character '$' at position 2"),
             ("1 2", None, ParseError, "trailing input '2' at position 2"),
             (")", None, ParseError, "unexpected token ')' at position 0"),

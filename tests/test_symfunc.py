@@ -32,6 +32,7 @@ from powerstruct.reproduce import character_table
 from powerstruct.rings import Rational, format_sum, format_term
 from powerstruct.symfunc import (
     _conjugate,
+    _hook_lengths,
     _omega,
     _schur_rational,
     by_weight,
@@ -485,6 +486,9 @@ class TestRationalJacobiTrudi:
 
     @pytest.mark.parametrize("weight", range(12))
     def test_every_schur_function_on_both_sides(self, weight):
+        """basis_in_p('s', lambda), which builds full maps and so takes the
+        Laplace loop without the hook-length skip, equals both reference
+        determinants."""
         expansions = {}
         for lam in partitions_of(weight):
             s_lam = basis_in_p("s", lam, weight)
@@ -523,6 +527,73 @@ class TestRationalJacobiTrudi:
         n = sum(lam)
         assert lam == _conjugate(lam)
         assert p_to_schur(basis_in_p("s", lam, n)) == {lam: LaurentPoly.constant(1)}
+
+
+@st.composite
+def large_part_partitions(draw, n):
+    """A partition of n drawn part by part, each part about half the time
+    all that is left or nearly so: sparse supports with large parts, which
+    the hook-length test acts on."""
+    parts, rest = [], n
+    while rest:
+        parts.append(draw(st.integers(max(1, rest - 2), rest) | st.integers(1, rest)))
+        rest -= parts[-1]
+    return normalize_partition(parts)
+
+
+@st.composite
+def sparse_sym_funcs(draw):
+    """A homogeneous f of weight 1-12 with 1-4 p-monomials of large parts
+    over Q or Q[L]; its coefficients are often +-1 or +-L, so that the sums
+    c_lambda = sum_mu chi^lambda(mu) f_mu often cancel."""
+    n = draw(st.integers(1, 12))
+    vars = draw(st.sampled_from([(), ("L",)]))
+    scalar = st.sampled_from([1, -1]) | st.fractions(-5, 5, max_denominator=6).filter(bool)
+    coeff = scalar.map(Fraction) if not vars else st.tuples(scalar, st.integers(0, 1)).map(lambda ce: ce[0] * L ** ce[1])
+    partitions = draw(st.lists(large_part_partitions(n), min_size=1, max_size=4, unique=True))
+    return SymFunc({mu: draw(coeff) for mu in partitions}, n, vars)
+
+
+class TestHookLengthSkip:
+    """p_to_schur expands only the lambda with every part of some mu in the
+    support among their hook lengths (the first step of the
+    Murnaghan-Nakayama rule)."""
+
+    @staticmethod
+    def cell_hooks(lam):
+        """Hook lengths by counting the cells right of and below each cell."""
+        cells = {(i, j) for i, part in enumerate(lam) for j in range(part)}
+        return {
+            1 + sum((i, k) in cells for k in range(j + 1, lam[0])) + sum((k, j) in cells for k in range(i + 1, len(lam)))
+            for i, j in cells
+        }
+
+    def test_nonzero_characters_pass_the_hook_test(self):
+        """Every nonzero chi^lambda(mu) of weight <= 10 has all parts of mu
+        among lambda's hook lengths; the test also catches zero characters."""
+        caught = 0
+        for n in range(1, 11):
+            for lam in partitions_of(n):
+                hooks = _hook_lengths(lam)
+                assert hooks == self.cell_hooks(lam) == _hook_lengths(_conjugate(lam)), lam
+                chi = reference_characters(lam)
+                for mu in partitions_of(n):
+                    if mu in chi:
+                        assert chi[mu] and set(mu) <= hooks, (lam, mu)
+                    elif not set(mu) <= hooks:
+                        caught += 1
+        assert caught > 0
+
+    @given(sparse_sym_funcs())
+    @example(SymFunc({(2,): 1, (1, 1): 1}, 2))
+    @example(SymFunc({(12,): 1, (11, 1): 1, (10, 2): -1}, 12))
+    @example(SymFunc({(6, 6): L, (12,): -L, (5, 5, 1, 1): 1}, 12, ("L",)))
+    @settings(max_examples=80, deadline=None)
+    def test_p_to_schur_on_sparse_supports(self, f):
+        expansion = p_to_schur(f)
+        assert expansion == reference_p_to_schur(f)
+        for c in expansion.values():
+            assert_coefficient_ring(c, f.vars)
 
 
 class TestPlethysm:
