@@ -52,11 +52,16 @@ an ``@file`` value for each kind a value is read as (a series through
 function through ``plethysm --f``, ``specialize --f`` and ``schur --f``,
 within and over the weight cap, and a polynomial through
 ``config --x-class``), a symmetric function where ``config --x-class``
-expects a polynomial, as text and as ``@file``, a series there (a text
-in ``t``, a file written by ``lambda`` and texts with an ``O(t^M)``
-tail), and error paths, digits outside 0-9 among them.  Two captures of
-the same seed, taken from two source trees, show whether a change kept the
-CLI's output byte-identical.
+expects a polynomial, as text and as ``@file``, a series there and in
+every other option that takes no series (``lambda``, ``adams`` and
+``pow --exponent``, ``plethysm --x`` and ``--f``, ``specialize --f`` and
+``schur --f``), each as a text in ``t``, a file written by ``lambda`` and
+texts with an ``O(t^M)`` tail, a text both over a cap and of the wrong
+kind (``adams --element "(1+h[5]*t)^1000"``), JSON nested 100000 levels
+deep as an ``@file`` value, an ``--input`` file and a ``quotient
+--action`` file, and error paths, digits outside 0-9 among them.  Two
+captures of the same seed, taken from two source trees, show whether a
+change kept the CLI's output byte-identical.
 
 Usage:
   python scripts/cli_capture.py --src SRC_DIR --out FILE [--seed N] [--limit N]
@@ -421,6 +426,28 @@ ERRORS = [
     ["config", "--x-class", "@lambda.json", "--order", "3"],
     ["config", "--x-class", "1+t+O(t^3)", "--order", "3"],
     ["config", "--x-class", "L+O(t^3)", "--order", "3"],
+    # The same series routes into every other option that takes no series:
+    # one message per kind.
+    *(
+        [*argv, raw, "--order", "3"]
+        for argv in (
+            ["lambda", "--element"],
+            ["adams", "--k", "2", "--element"],
+            ["pow", "--base", "1+t", "--exponent"],
+            ["plethysm", "--f", "p[1]", "--x"],
+            ["plethysm", "--x", "L", "--f"],
+            ["specialize", "--mode", "sign", "--f"],
+            ["schur", "--f"],
+        )
+        for raw in ("1+t", "@lambda.json", "1+t+O(t^3)", "L+O(t^3)")
+    ),
+    # A text over a cap and of the wrong kind: the cap is checked first.
+    ["adams", "--element", "(1+h[5]*t)^1000", "--k", "1"],
+    # JSON nested deeper than its reader can recurse, by each route that
+    # reads JSON.
+    ["adams", "--element", "@deep_list.json", "--k", "1"],
+    ["lambda", "--input", "deep_object.json"],
+    ["quotient", "--action", "deep_object.json"],
 ]
 # Files the requests name, written to the working directory of the run.
 FILES = {
@@ -511,6 +538,9 @@ FILES = {
         ],
     },
 }
+
+# Files written as their text is, too deep for json.dump to write.
+RAW_FILES = {"deep_list.json": "[" * 100000 + "]" * 100000, "deep_object.json": '{"a":' * 50000 + "1" + "}" * 50000}
 
 
 def _all_elements() -> list[str]:
@@ -613,6 +643,9 @@ def capture(src: str, seed: int, limit: int | None) -> list[dict]:
             for name, data in FILES.items():
                 with open(name, "w") as fh:
                     json.dump(data, fh)
+            for name, text in RAW_FILES.items():
+                with open(name, "w") as fh:
+                    fh.write(text)
             with open("lambda.json", "w") as fh:
                 fh.write(_run(cli.main, ["lambda", "--element", "L", "--order", "2", "--output-format", "json"])["stdout"])
             return [_run(cli.main, argv) for argv in todo]

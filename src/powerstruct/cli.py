@@ -20,13 +20,16 @@ range exits 2 with one line.
 Every value an option holds is read by one reader, :func:`_read`, to the
 kind its command needs: a series of the request's order, a ring element, a
 symmetric function with generator bound ``--order``, or a polynomial.  The
-value is a text in the grammar of :mod:`powerstruct.parsing` (a series text
-may keep the ``+ O(t^M)`` tail of printed output and is then known through
-t^(M-1)), the tree :func:`parsing.parse_tree` made of a text (``pow``
-parses both of its texts first, so that they share one alphabet), or
-``@file.json`` naming a file with the JSON form, used as loaded.  The
-``schur`` weight cap runs once: on a text's sizes, before it is built, or
-on a JSON value as loaded.  The data-heavy commands take ``--input
+value is a text in the grammar of :mod:`powerstruct.parsing` (it may keep
+the ``+ O(t^M)`` tail of printed output, which makes it a series known
+through t^(M-1)), the tree :func:`parsing.parse_tree` made of a text
+(``pow`` parses both of its texts first, so that they share one alphabet),
+or ``@file.json`` naming a file with the JSON form, used as loaded.  One
+rule, :func:`_judge`, decides whether a value fits its kind: on a text's
+sizes, before any part of it is built, or on a JSON value as loaded; the
+``schur`` weight cap runs there too.  Every route checks syntax, then the
+grammar's caps, then the kind, then the ``schur`` weight, and only then
+builds the value.  The data-heavy commands take ``--input
 file.json`` holding a JSON object of parameters keyed by option name
 (explicit flags win).  Values from ``--input`` or a
 :class:`CommandRequest` are checked as flags are: the type and the choices
@@ -155,20 +158,42 @@ def _emit(value, fmt: str) -> str:
 # The tail of a printed series, "1 + t + O(t^4)": known through t^(M-1).
 _ORDER_TAIL = re.compile(r"\+\s*O\(\s*t\s*\^\s*([1-9][0-9]*)\s*\)\s*$")
 
+# The one rule on kinds: what an option of each kind is called, and the
+# values it refuses.  A series option takes anything.
+_KINDS = {"series": ("a series", ()), "element": ("a ring element", (TruncSeries,)),
+          "symfunc": ("a symmetric function", (TruncSeries,)), "poly": ("a polynomial", (TruncSeries, SymFunc))}
 
-def _tree(raw: str, kind: str, order: int):
+
+def _load_json(text: str, convert: Callable = lambda data: data):
+    """What ``convert`` makes of the JSON value in ``text``; one nested deeper
+    than the reader or ``convert`` can recurse is refused as a text is."""
+    try:
+        return convert(json.loads(text))
+    except RecursionError:
+        raise ParseError("JSON value nested too deeply") from None
+
+
+def _tree(raw: str, order: int):
     """An ``@file.json`` value as it is; any other text as what
-    :func:`parsing.parse_tree` makes of it, with the order through which it
-    is known: that of a series text's ``+ O(t^M)`` tail, M - 1, if lower."""
+    :func:`parsing.parse_tree` makes of it, with the order through which
+    its ``+ O(t^M)`` tail knows it, M - 1 if lower than ``order``, or None
+    for a text without a tail."""
     if raw.startswith("@"):
         return raw
-    tail = _ORDER_TAIL.search(raw) if kind in ("series", "poly") else None
+    tail = _ORDER_TAIL.search(raw)
     if tail is None:
-        return parsing.parse_tree(raw), order
-    # A polynomial takes no tail: with one, the text is a series.
-    if kind == "poly":
-        raise ParseError("expected a polynomial, got TruncSeries")
+        return parsing.parse_tree(raw), None
     return parsing.parse_tree(raw[: tail.start()]), min(int(tail.group(1)) - 1, order)
+
+
+def _judge(kind: str, got: type, weight: int, check_weight) -> None:
+    """Refuse a value of type ``got`` that an option of ``kind`` does not take,
+    then run ``check_weight`` on ``weight``, the largest it may hold."""
+    name, refused = _KINDS[kind]
+    if got in refused:
+        raise ParseError(f"expected {name}, got {got.__name__}")
+    if check_weight is not None:
+        check_weight(weight)
 
 
 def _read(raw, kind: str, order: int, vars: tuple[str, ...] | None = None, check_weight=None):
@@ -177,34 +202,35 @@ def _read(raw, kind: str, order: int, vars: tuple[str, ...] | None = None, check
     symmetric function with generator bound ``order``; or ``poly``, a
     polynomial.  ``raw`` is a text, what :func:`_tree` made of one, or
     ``@file.json``; a text's variables are ``vars`` or the names it holds.
-    ``check_weight``, given with ``symfunc``, runs once on the largest
-    weight the value may hold: on a text's sizes, before it is built, or on
-    a JSON value as loaded."""
+    :func:`_judge` decides whether the value fits, with ``check_weight``:
+    on a text's sizes, before it is built, or on a JSON value as loaded."""
     if isinstance(raw, str):
-        raw = _tree(raw, kind, order)
-    loaded = isinstance(raw, str)
-    if loaded:
-        value, known = value_from_json(json.loads(Path(raw[1:]).read_text())), order
+        raw = _tree(raw, order)
+    if isinstance(raw, str):
+        value, known = _load_json(Path(raw[1:]).read_text(), value_from_json), order
+        weight = max(map(sum, value.terms), default=0) if isinstance(value, SymFunc) else 0
+        _judge(kind, type(value), weight, check_weight)
     else:
-        parsed, known = raw
-        series_order = known if kind == "series" else None
-        # A polynomial has no generator bound: an atom in it is refused.
-        bound = None if kind == "poly" else order
-        value = parsing.parse_expression(parsed, series_order, bound, vars, check_weight)
+        parsed, tail = raw
+        known = order if tail is None else tail
+
+        def check(size):
+            # A text is a series if it has a tail or holds t.
+            series = tail is not None or size[0] is not None
+            got = TruncSeries if series else SymFunc if size[1] == parsing._SYM else object
+            _judge(kind, got, parsing._heaviest(size), check_weight)
+
+        value = parsing.parse_expression(parsed, known, order, vars, check)
     if kind == "series":
         if not isinstance(value, TruncSeries):
             value = TruncSeries.constant(value, known)
         if value.order < order:
             raise PowerStructError(f"input series has order {value.order}, need {order}")
         return value.truncate(order)
-    if kind == "element" and isinstance(value, TruncSeries):
-        raise PowerStructError(f"{raw[1:]} holds a series, expected a ring element")
-    if kind == "poly":
-        return parsing.as_poly(value)
-    if kind == "symfunc":
-        value = parsing.as_symfunc(value, order)
-        if loaded and check_weight is not None:
-            check_weight(max(map(sum, value.terms), default=0))
+    if kind == "poly" and isinstance(value, SCALAR_TYPES):
+        return LaurentPoly.constant(value, ())
+    if kind == "symfunc" and not isinstance(value, SymFunc):
+        return SymFunc.constant(value, order, getattr(value, "vars", ()))
     return value
 
 
@@ -218,9 +244,9 @@ def _cmd_lambda(params, order, fmt):
 
 def _cmd_pow(params, order, fmt):
     # Each text is parsed once: the alphabet the two values share comes
-    # from the names their trees hold (_tree gives ((tree, names), known)).
-    base = _tree(params["base"], "series", order)
-    exponent = _tree(params["exponent"], "element", order)
+    # from the names their trees hold (_tree gives ((tree, names), tail)).
+    base = _tree(params["base"], order)
+    exponent = _tree(params["exponent"], order)
     vars = tuple(sorted(set().union(*(v[0][1] for v in (base, exponent) if isinstance(v, tuple)))))
     base, exponent = _read(base, "series", order, vars), _read(exponent, "element", order, vars)
     result = power_op(base, exponent, params.get("algorithm", "factorize"))
@@ -294,7 +320,7 @@ def _cmd_quotient(params, order, fmt):
     text = params["action"]
     if not text.lstrip().startswith("{"):
         text = Path(text).read_text()
-    action = applications.GroupActionData.from_json_dict(json.loads(text))
+    action = applications.GroupActionData.from_json_dict(_load_json(text))
     if params.get("egf"):
         result = applications.quotient_euler_egf(action, order)
     else:
@@ -506,7 +532,7 @@ def _request_from_args(args: argparse.Namespace) -> CommandRequest:
     output_format = params.pop("output_format")
     input_file = params.pop("input", None)
     if input_file:
-        loaded = json.loads(Path(input_file).read_text())
+        loaded = _load_json(Path(input_file).read_text())
         if not isinstance(loaded, dict):
             raise _UsageError(f"argument --input: {input_file} does not hold a JSON object")
         for key, value in loaded.items():

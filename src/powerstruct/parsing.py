@@ -52,7 +52,7 @@ from typing import Callable
 from .errors import LimitError, ParseError
 from .rings import _ONE, _ZERO, MAX_EXPONENT, SCALAR_TYPES, LaurentPoly, Rational, _coefficient
 from .series import TruncSeries
-from .symfunc import SymFunc, basis_in_p
+from .symfunc import basis_in_p
 
 # One token after any whitespace; a character no token starts with is
 # matched alone as "bad", so the scan never skips one.
@@ -389,9 +389,7 @@ class _Sizes:
 
     def t(self, k: int = 1):
         if self.order is None:
-            # With no order and no bound, the value read is a polynomial.
-            raise ParseError("expected a polynomial, got TruncSeries" if self.bound is None
-                             else "the series variable t needs a truncation order")
+            raise ParseError("the series variable t needs a truncation order")
         cells = {k: self.unit} if 0 <= k <= self.order else {}
         return (self.order, _POLY if self.vars else _Q, cells), partial(self.t_power, k)
 
@@ -409,8 +407,7 @@ class _Sizes:
 
     def atom(self, name: str, parts: tuple[int, ...], position: int):
         if self.bound is None:
-            # With no order and no bound, the value read is a polynomial.
-            raise ParseError("expected a polynomial, got SymFunc")
+            raise ParseError(f"symmetric-function atom {name}[...] needs a generator bound")
         weight = sum(parts)
         if name != "p":
             _check(weight, MAX_ATOM_WEIGHT, f"weight {{}} of {name}[...]", position)
@@ -530,50 +527,20 @@ def parse_expression(
     order: int | None = None,
     bound: int | None = None,
     vars: tuple[str, ...] | None = None,
-    check_weight: Callable[[int], None] | None = None,
+    check: Callable[[Size], None] | None = None,
 ):
     """Parse an expression, given as text or as what :func:`parse_tree` made
     of it, and build its Fraction, LaurentPoly, SymFunc or TruncSeries once
-    every cap holds, and ``check_weight`` on the largest weight it may hold."""
+    every cap holds and ``check``, if given, has passed the size of the
+    whole value."""
     if bound is None:
         bound = order
     tree, names = parse_tree(text) if isinstance(text, str) else text
     vars = tuple(sorted(names) if vars is None else vars)
     try:
         size, build = _Sizes(order, bound, vars).walk(tree)
-        if check_weight is not None:
-            check_weight(_heaviest(size))
+        if check is not None:
+            check(size)
         return build()
     except RecursionError:
         raise ParseError(_TOO_DEEP) from None
-
-
-def parse_poly(text: str, vars: tuple[str, ...] | None = None) -> LaurentPoly:
-    """Parse a Laurent polynomial (a bare rational becomes a constant)."""
-    return as_poly(parse_expression(text, vars=vars), vars)
-
-
-def as_poly(value, vars: tuple[str, ...] | None = None) -> LaurentPoly:
-    """A parsed or loaded value as a Laurent polynomial."""
-    if isinstance(value, SCALAR_TYPES):
-        return LaurentPoly.constant(value, vars or ())
-    if isinstance(value, LaurentPoly):
-        return value
-    raise ParseError(f"expected a polynomial, got {type(value).__name__}")
-
-
-def parse_symfunc(
-    text: str, bound: int, vars: tuple[str, ...] | None = None
-) -> SymFunc:
-    """Parse a symmetric function with the given generator bound."""
-    return as_symfunc(parse_expression(text, bound=bound, vars=vars), bound)
-
-
-def as_symfunc(value, bound: int) -> SymFunc:
-    """A parsed or loaded value as a symmetric function; a rational or a
-    polynomial becomes a constant with generator bound ``bound``."""
-    if isinstance(value, SCALAR_TYPES) or isinstance(value, LaurentPoly):
-        return SymFunc.constant(value, bound, getattr(value, "vars", ()))
-    if isinstance(value, SymFunc):
-        return value
-    raise ParseError(f"expected a symmetric function, got {type(value).__name__}")

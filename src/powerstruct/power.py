@@ -179,8 +179,11 @@ def power(base: TruncSeries, exponent, algorithm: str = "factorize") -> TruncSer
     ``factorize`` (default) scales the Euler-product exponents of the base
     by the exponent and multiplies them out with :func:`recompose`;
     ``product`` evaluates the termwise Moebius-exponent product with plain
-    exp/log powers.  Both give identical results, ring included, on every
-    input: a series over the join of the base's and the exponent's rings.
+    exp/log powers.  Both give identical results, ring included, a series
+    over the join of the base's and the exponent's rings, except over
+    symmetric functions with a p_k at a power of t below k: there
+    ``factorize`` may raise GeneratorBoundError, as on 1 + p_3 t at order 3,
+    where ``product`` answers.
     Over Q and one-variable Q[L] the ``factorize`` route keeps every
     exponent in dense integer form from the division kernel to the
     exponential.

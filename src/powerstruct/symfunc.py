@@ -12,8 +12,9 @@ Complete homogeneous, elementary and Schur functions exist as conversions.
 Every value carries a generator bound K: the largest power-sum index that may
 appear.  Operations that would need an index beyond K raise
 :class:`GeneratorBoundError` instead of silently truncating.  In practice K
-equals the truncation order of the ambient t-series, because p_k only ever
-rides along with t^k.
+equals the truncation order of the ambient t-series, enough while p_k rides
+along with t^k or higher; a p_k at a lower power of t, as in 1 + p_3 t at
+order 3, can need an index beyond K.
 
 Conventions: h_0 = e_0 = s_() = 1.
 """

@@ -12,9 +12,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 import hypothesis.strategies as st
 
-from powerstruct import LimitError
+from powerstruct import LimitError, parsing
 from powerstruct.cli import _COMMANDS, CommandRequest, main, run_command
-from powerstruct.parsing import parse_symfunc
 
 
 def run(command, params=None, order=10, fmt="text"):
@@ -930,21 +929,6 @@ class TestFileInputs:
         code, text = run("adams", {"element": f"@{path}", "k": 3})
         assert code == 0 and text == "L^3"
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["lambda", "--element", "@{}"],
-            ["pow", "--base", "1+t", "--exponent", "@{}"],
-            ["adams", "--element", "@{}", "--k", "2"],
-            ["plethysm", "--f", "p[1]", "--x", "@{}"],
-        ],
-    )
-    def test_series_file_is_not_an_element(self, tmp_path, capsys, argv):
-        path = tmp_path / "series.json"
-        path.write_text(main_capture(["lambda", "--element", "L", "--order", "2", "--output-format", "json"])[1])
-        assert main([arg.format(path) for arg in argv]) == 1
-        assert capsys.readouterr().err == f"error: {path} holds a series, expected a ring element\n"
-
     def test_config_class_file(self, tmp_path, capsys):
         poly = tmp_path / "poly.json"
         poly.write_text(json.dumps({"vars": ["q"], "terms": [{"e": [0], "c": "1"}, {"e": [1], "c": "1"}]}))
@@ -972,9 +956,87 @@ class TestFileInputs:
         assert main(["config", "--x-class", raw.format(series), "--order", "3"]) == 1
         assert capsys.readouterr().err == "error: expected a polynomial, got TruncSeries\n"
 
-    def test_element_in_t_keeps_its_message(self, capsys):
-        assert main(["lambda", "--element", "1+t"]) == 1
-        assert capsys.readouterr().err == "error: the series variable t needs a truncation order\n"
+    @pytest.mark.parametrize("raw", ["1+t", "1+t+O(t^3)", "L+O(t^3)", "@{}"], ids=["t", "t-tail", "tail", "file"])
+    @pytest.mark.parametrize(
+        "argv, kind",
+        [
+            (["lambda", "--element"], "a ring element"),
+            (["adams", "--k", "2", "--element"], "a ring element"),
+            (["pow", "--base", "1+t", "--exponent"], "a ring element"),
+            (["plethysm", "--f", "p[1]", "--x"], "a ring element"),
+            (["plethysm", "--x", "L", "--f"], "a symmetric function"),
+            (["specialize", "--mode", "sign", "--f"], "a symmetric function"),
+            (["schur", "--f"], "a symmetric function"),
+        ],
+        ids=["lambda-element", "adams-element", "pow-exponent", "plethysm-x", "plethysm-f", "specialize-f", "schur-f"],
+    )
+    def test_series_refused_alike(self, tmp_path, argv, kind, raw):
+        """A series where an option needs no series gets one message, the
+        same for every option of a kind, whether it is a text in t, a text
+        with an O(t^M) tail, which makes any text a series, or a file.  The
+        polynomial option --x-class has the same routes in
+        test_config_class_series_refused_alike, and a symmetric function
+        in its place in test_config_class_symfunc_refused_alike."""
+        series = tmp_path / "series.json"
+        series.write_text(main_capture(["lambda", "--element", "L", "--order", "2", "--output-format", "json"])[1])
+        argv = [*argv, raw.format(series), "--order", "3"]
+        assert main_streams(argv) == (1, "", f"error: expected {kind}, got TruncSeries\n")
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["schur", "--f", "h[2]*t"], "a symmetric function, got TruncSeries"),
+            (["adams", "--k", "1", "--element", "(1 + s[2,1]*t)^2"], "a ring element, got TruncSeries"),
+            (["plethysm", "--x", "L", "--f", "e[3] + O(t^2)"], "a symmetric function, got TruncSeries"),
+            (["config", "--x-class", "1 + h[3]"], "a polynomial, got SymFunc"),
+            (["config", "--x-class", "(1 + p[1]*t)^3"], "a polynomial, got TruncSeries"),
+        ],
+    )
+    def test_wrong_kind_refused_before_it_is_built(self, monkeypatch, argv, err):
+        """A text of the wrong kind is refused on its sizes: no atom and no
+        power of t in it is built."""
+
+        def refuse(*args):
+            raise AssertionError("a part of a refused value was built")
+
+        monkeypatch.setattr(parsing, "basis_in_p", refuse)
+        monkeypatch.setattr(parsing._Sizes, "t_power", refuse)
+        with pytest.raises(AssertionError):
+            main(["pow", "--base", "1 + h[2]*t", "--exponent", "1", "--order", "3"])
+        assert main_streams([*argv, "--order", "3"]) == (1, "", f"error: expected {err}\n")
+
+    @pytest.mark.parametrize(
+        "argv, code, err",
+        [
+            (["adams", "--k", "1", "--element", "(1+h[5]*t)^1000"], 2,
+             "power of weight 95 at position 10 exceeds the limit 30"),
+            (["config", "--x-class", "h[41] + O(t^2)"], 2, "weight 41 of h[...] at position 0 exceeds the limit 40"),
+            (["schur", "--f", "p[1]^19*t"], 1, "error: expected a symmetric function, got TruncSeries"),
+            (["schur", "--f", "p[1]^19 + O(t^2)"], 1, "error: expected a symmetric function, got TruncSeries"),
+            (["schur", "--f", "p[1]^19"], 2, "weight 19 of the schur input exceeds the limit 18"),
+        ],
+    )
+    def test_caps_then_kind_then_schur_weight(self, argv, code, err):
+        """A value's size caps are checked before its kind, and its kind
+        before the schur weight cap."""
+        assert main_streams([*argv, "--order", "19"]) == (code, "", err + "\n")
+
+    @pytest.mark.parametrize(
+        "argv, data",
+        [
+            (["adams", "--k", "1", "--element", "@{}"], "[" * 100000 + "]" * 100000),
+            (["lambda", "--input", "{}"], '{"a":' * 50000 + "1" + "}" * 50000),
+            (["quotient", "--action", "{}"], '{"a":' * 50000 + "1" + "}" * 50000),
+        ],
+        ids=["at-file", "input", "action"],
+    )
+    def test_json_nested_too_deeply(self, tmp_path, argv, data):
+        """JSON nested deeper than its reader can recurse is refused with
+        one line, as a text nested too deeply is."""
+        path = tmp_path / "deep.json"
+        path.write_text(data)
+        argv = [arg.format(path) for arg in argv]
+        assert main_streams(argv) == (1, "", "error: JSON value nested too deeply\n")
 
     @pytest.mark.parametrize(
         "terms", [[([19], "1")], [([10, 9], "1"), ([1], "2")], [([1] * 19, "-1/3"), ([2] * 9, "1")]]
@@ -1003,7 +1065,7 @@ class TestFileInputs:
         f = "p[1]^3 - 2*p[2]*p[1]"
         if source == "file":
             path = tmp_path / "f.json"
-            path.write_text(json.dumps(parse_symfunc(f, 3).to_json_dict()))
+            path.write_text(json.dumps(parsing.parse_expression(f, bound=3).to_json_dict()))
             f = f"@{path}"
         expansion = "3*s[1,1,1] + 2*s[2,1] - s[3]\n"
         assert main_streams(["schur", "--f", f, "--order", "3"]) == (0, expansion, "")
@@ -1016,7 +1078,7 @@ class TestFileInputs:
     def test_symfunc_file(self, tmp_path, command, params):
         text = "1/2*p[1,1] - 3*p[2] + e[2]"
         path = tmp_path / "f.json"
-        path.write_text(json.dumps(parse_symfunc(text, 10).to_json_dict()))
+        path.write_text(json.dumps(parsing.parse_expression(text, bound=10).to_json_dict()))
         expected = run(command, {"f": text, **params})
         assert expected[0] == 0
         assert run(command, {"f": f"@{path}", **params}) == expected

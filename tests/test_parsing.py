@@ -14,63 +14,57 @@ from powerstruct import (
 )
 from powerstruct import parsing
 from powerstruct.cli import _read, main
-from powerstruct.parsing import (
-    parse_expression,
-    parse_poly,
-    parse_symfunc,
-    parse_tree,
-    tokenize,
-)
+from powerstruct.parsing import parse_expression, parse_tree, tokenize
 
 L = LaurentPoly.var("L")
 
 
 class TestPolyGrammar:
     def test_simple(self):
-        assert parse_poly("L^5 - L^2") == L**5 - L**2
-        assert parse_poly("1+L") == 1 + L
+        assert parse_expression("L^5 - L^2") == L**5 - L**2
+        assert parse_expression("1+L") == 1 + L
 
     def test_rational_coefficients(self):
-        assert parse_poly("1/2*L + 1") == Fraction(1, 2) * L + 1
+        assert parse_expression("1/2*L + 1") == Fraction(1, 2) * L + 1
 
     def test_negative_exponents(self):
-        assert parse_poly("L^-1 + L^(-2)") == L**-1 + L**-2
+        assert parse_expression("L^-1 + L^(-2)") == L**-1 + L**-2
 
     def test_multivariate(self):
-        p = parse_poly("u^2*v - 3")
+        p = parse_expression("u^2*v - 3")
         u = LaurentPoly.var("u", ("u", "v"))
         v = LaurentPoly.var("v", ("u", "v"))
         assert p == u**2 * v - 3
 
     def test_parentheses_and_unary(self):
-        assert parse_poly("-(L - 1)^2") == -(L**2) + 2 * L - 1
+        assert parse_expression("-(L - 1)^2") == -(L**2) + 2 * L - 1
 
     def test_poly_division(self):
-        assert parse_poly("(L^2 - L)/(L - 1)") == L
+        assert parse_expression("(L^2 - L)/(L - 1)") == L
 
     def test_round_trip_canonical_text(self):
         for p in (L**5 - L**2, Fraction(1, 2) * L + 1, L**-1, LaurentPoly.zero(("L",))):
-            assert parse_poly(str(p)) == p
+            assert parse_expression(str(p)) == p
 
 
 class TestSymFuncGrammar:
     def test_power_sums(self):
-        f = parse_symfunc("1/2*p[1,1] + 1/2*p[2]", bound=4)
+        f = parse_expression("1/2*p[1,1] + 1/2*p[2]", bound=4)
         assert f == basis_in_p("h", 2, 4)
 
     def test_basis_atoms(self):
-        assert parse_symfunc("h[2]", bound=4) == basis_in_p("h", 2, 4)
-        assert parse_symfunc("e[2]", bound=4) == basis_in_p("e", 2, 4)
-        assert parse_symfunc("s[2,1]", bound=4) == basis_in_p("s", (2, 1), 4)
+        assert parse_expression("h[2]", bound=4) == basis_in_p("h", 2, 4)
+        assert parse_expression("e[2]", bound=4) == basis_in_p("e", 2, 4)
+        assert parse_expression("s[2,1]", bound=4) == basis_in_p("s", (2, 1), 4)
 
     def test_polynomial_coefficients(self):
-        f = parse_symfunc("u*p[1]", bound=3)
+        f = parse_expression("u*p[1]", bound=3)
         u = LaurentPoly.var("u")
         assert f == u * SymFunc.p(1, 3, ("u",))
 
     def test_round_trip_canonical_text(self):
         f = basis_in_p("h", 3, 6) - 2 * SymFunc.p(1, 6)
-        assert parse_symfunc(str(f), bound=6) == f
+        assert parse_expression(str(f), bound=6) == f
 
 
 class TestSeriesGrammar:
@@ -108,14 +102,13 @@ class TestErrors:
             parse_expression("1+t")
 
     def test_t_with_a_bound_needs_order(self):
-        """With a generator bound the value read is no polynomial, so t asks
-        for the order instead of naming the kind."""
+        """t asks for the order with a generator bound as without one."""
         with pytest.raises(ParseError, match="^the series variable t needs a truncation order$"):
             parse_expression("1+t", bound=3)
 
     def test_basis_needs_bound(self):
-        with pytest.raises(ParseError):
-            parse_expression("p[1]")
+        with pytest.raises(ParseError, match=r"^symmetric-function atom h\[\.\.\.\] needs a generator bound$"):
+            parse_expression("L + h[2]")
 
     def test_non_integer_exponent(self):
         with pytest.raises(ParseError):
@@ -130,8 +123,8 @@ class TestErrors:
             parse_expression("   ")
 
     def test_expected_type(self):
-        with pytest.raises(ParseError):
-            parse_poly("p[1]")
+        with pytest.raises(ParseError, match="^expected a polynomial, got SymFunc$"):
+            _read("p[1]", "poly", 3)
 
     @pytest.mark.parametrize(
         "text, position",
@@ -150,7 +143,7 @@ class TestErrors:
             parse_expression(text)
 
     def test_power_at_the_exponent_cap(self):
-        assert parse_poly("(L^2)^500") == L**1000
+        assert parse_expression("(L^2)^500") == L**1000
 
     @pytest.mark.parametrize(
         "text, what, weight, position",
@@ -397,7 +390,7 @@ class TestOnePass:
             ("p [2", 3, ParseError, "unexpected end of expression"),
             ("L^", None, ParseError, "unexpected end of expression"),
             ("t ^ 1001", 3, LimitError, "exponent 1001 at position 4 exceeds the limit 1000"),
-            ("t^2", None, ParseError, "expected a polynomial, got TruncSeries"),
+            ("t^2", None, ParseError, "the series variable t needs a truncation order"),
             ("1 $ 2", None, ParseError, "unexpected character '$' at position 2"),
             ("1 2", None, ParseError, "trailing input '2' at position 2"),
             (")", None, ParseError, "unexpected token ')' at position 0"),
