@@ -9,7 +9,8 @@ algorithms of ``pow`` and ``factorize``, the edges of the dense
 Euler-product route (one Q[L] ``pow`` and one ``factorize`` at order 24, a
 Q[L] ``pow`` of the ``pow-large`` benchmark's shape at order 32, a Q
 base with a Q[L] exponent, ``L^-2``, ``1/3`` and zero exponents, a Q[u,v]
-exponent), ``schur`` at weights up to 16 and on tall, wide and
+exponent), the ``product`` route of ``pow`` on the ``pow-large`` shape at
+orders 16 and 24 and on a Q[u,v] base at order 8, ``schur`` at weights up to 16 and on tall, wide and
 self-conjugate partitions, ``schur`` on sparse supports with large parts
 (``p[18]``, ``p[9,5]`` and rational and Q[L] combinations at weights 14
 and 16), the ``h`` and ``e`` atoms at weights 12-20 and a
@@ -43,7 +44,9 @@ decided before the atom is built; a syntax error after an over-cap node,
 ``(1+L)^05000``; exact quotients by two terms, ``(L^5-1)/(L-1)`` and
 ``1/(1-(u^k-v^k)/(u-v)*t)`` for k = 30 at orders 1 and 4 and k = 1000 at
 order 40), the series over Q that ``pow``, ``lambda`` and
-``config --specialize`` build from polynomials over the empty alphabet,
+``config --specialize`` build from polynomials over the empty alphabet
+(among them ``pow --algorithm product`` and ``config --specialize
+ordered`` with such a polynomial as the exponent or class),
 values nested 150, 220 and 1000 levels deep (parentheses, ``2*(...)``,
 ``1-(...)`` and ``-(...)``, in ``adams --element`` and ``pow --exponent``),
 an ``@file`` value for each kind a value is read as (a series through
@@ -148,6 +151,11 @@ AT_ORDER = [
     (["pow", "--base", "1 + L*t + 1/2*t^2", "--exponent", "1/3"], 10),
     (["pow", "--base", "1 + t - 1/2*t^2", "--exponent", "u*v - 1"], 6),
     (["pow", "--base", "1 + u*t", "--exponent", "1/3"], 6),
+    # The product route, whose factors are powers by the recurrence of
+    # usual_power: the pow-large shape and a Q[u,v] base.
+    *((["pow", "--base", POW_LARGE_BASE, "--exponent", "2*L^2 - L - 2", "--algorithm", "product"], order)
+      for order in (16, 24)),
+    (["pow", "--base", "1 + (u - v)*t - u*v*t^2", "--exponent", "u + v", "--algorithm", "product"], 8),
     # Schur expansions through det(h); tall partitions are read through
     # omega from their conjugates.
     (["schur", "--f", "p[1]^8"], 8),
@@ -396,6 +404,15 @@ ERRORS = [
     ["pow", "--base", "@empty_alphabet_series.json", "--exponent", "1", "--order", "2", "--output-format", "json"],
     ["lambda", "--element", "@empty_alphabet_poly.json", "--order", "2", "--output-format", "json"],
     ["config", "--x-class", "3", "--specialize", "invariants", "--order", "2", "--output-format", "json"],
+    # Powers by a polynomial over the empty alphabet, through the recurrence
+    # of usual_power.
+    *(
+        ["pow", "--base", "1+t", "--exponent", "@empty_alphabet_poly.json", "--algorithm", "product",
+         "--order", "2", "--output-format", fmt]
+        for fmt in FORMATS
+    ),
+    ["config", "--x-class", "@empty_alphabet_poly.json", "--specialize", "ordered", "--order", "2",
+     "--output-format", "json"],
     # Values nested deeper than the parser's recursion allows exit 1 with
     # one line; 150 levels still read.
     *(

@@ -28,8 +28,10 @@ a ``product`` route, the termwise formula
     A^x = prod_{n>=1} (1 + adams(a_1, n) t^n + adams(a_2, n) t^{2n} + ...)
              ^ { (1/n) sum_{m | n} mu(n/m) adams(x, m) },
 
-whose right-hand powers are plain Q-algebra powers exp(e log).  The two
-must agree exactly on every input; the test suite pins this.
+whose right-hand powers are plain Q-algebra powers, each by the recurrence
+of ``TruncSeries.usual_power``, so that it shares no log, division or
+exponential with ``factorize``.  The two must agree exactly on every input;
+the test suite pins this.
 """
 
 from __future__ import annotations
@@ -179,7 +181,7 @@ def power(base: TruncSeries, exponent, algorithm: str = "factorize") -> TruncSer
     ``factorize`` (default) scales the Euler-product exponents of the base
     by the exponent and multiplies them out with :func:`recompose`;
     ``product`` evaluates the termwise Moebius-exponent product with plain
-    exp/log powers.  Both give identical results, ring included, a series
+    powers by usual_power.  Both give identical results, ring included, a series
     over the join of the base's and the exponent's rings, except over
     symmetric functions with a p_k at a power of t below k: there
     ``factorize`` may raise GeneratorBoundError, as on 1 + p_3 t at order 3,
@@ -216,18 +218,15 @@ def power(base: TruncSeries, exponent, algorithm: str = "factorize") -> TruncSer
 
 
 def binomial_power(a, exponent, order: int) -> TruncSeries:
-    """(1 + a t)^exponent via the closed two-term product
+    """(1 + a t)^exponent by the ``product`` route of :func:`power`, the
+    two-term product
 
-    prod_{n>=1} (1 + adams(a, n) t^n)^{(1/n) sum_{m|n} mu(n/m) adams(x, m)}.
+    prod_{n>=1} (1 + adams(a, n) t^n)^{(1/n) sum_{m|n} mu(n/m) adams(x, m)},
 
+    over power's ring, the join of the base's and the exponent's rings.
     Must equal power(1 + a t, exponent) exactly.
     """
-    result = TruncSeries.one(order)
-    for n in range(1, order + 1):
-        exp_n = moebius_exponent(exponent, n)
-        if exp_n != 0:
-            result = result * binomial_series(adams(a, n), n, exp_n, order)
-    return result
+    return power(TruncSeries([1, a], order), exponent, "product")
 
 
 # -- named identity checks -----------------------------------------------------
@@ -252,14 +251,20 @@ class IdentityReport:
         )
 
 
-def _first_series_discrepancy(lhs: TruncSeries, rhs: TruncSeries) -> dict | None:
+def _first_discrepancy(lhs: TruncSeries, rhs: TruncSeries, var: str) -> dict | None:
+    """The lowest power of the series variable ``var`` where the two sides
+    differ; for polynomial coefficients, the lowest monomial where they
+    differ there, with the rationals of both sides at it."""
     for n in range(min(lhs.order, rhs.order) + 1):
-        if not lhs.coeffs[n] == rhs.coeffs[n]:
-            return {
-                "term": format_monomial(("t",), (n,)) or "1",
-                "lhs": str(lhs.coeffs[n]),
-                "rhs": str(rhs.coeffs[n]),
-            }
+        left, right = lhs.coeffs[n], rhs.coeffs[n]
+        if left == right:
+            continue
+        term = format_monomial((var,), (n,)) or "1"
+        if isinstance(left, LaurentPoly):
+            exps = min((left - right).terms)
+            term += "*" + (format_monomial(left.vars, exps) or "1")
+            left, right = (c.terms.get(exps, _ZERO) for c in (left, right))
+        return {"term": term, "lhs": str(left), "rhs": str(right)}
     return None
 
 
@@ -313,29 +318,11 @@ def _check_gcd_product(order: int) -> tuple[TruncSeries, TruncSeries]:
     return lhs, rhs
 
 
-def _gcd_product_discrepancy(lhs: TruncSeries, rhs: TruncSeries) -> dict | None:
-    for n in range(lhs.order + 1):
-        left, right = lhs.coeffs[n], rhs.coeffs[n]
-        if left == right:
-            continue
-        diff = left - right
-        y_exp = min(e[0] for e in diff.terms)
-        x_part = format_monomial(("x",), (n,)) or "1"
-        y_part = format_monomial(("y",), (y_exp,)) or "1"
-        lhs_c = left.terms.get((y_exp,), _ZERO)
-        rhs_c = right.terms.get((y_exp,), _ZERO)
-        return {
-            "term": f"{x_part}*{y_part}",
-            "lhs": str(lhs_c),
-            "rhs": str(rhs_c),
-        }
-    return None
-
-
-_IDENTITY_CHECKS: dict[str, Callable[[int], tuple[TruncSeries, TruncSeries]]] = {
-    "exp_moebius": _check_exp_moebius,
-    "euler_phi": _check_euler_phi,
-    "gcd_product": _check_gcd_product,
+# name -> (both sides at an order, the series variable)
+_IDENTITY_CHECKS: dict[str, tuple[Callable[[int], tuple[TruncSeries, TruncSeries]], str]] = {
+    "exp_moebius": (_check_exp_moebius, "t"),
+    "euler_phi": (_check_euler_phi, "t"),
+    "gcd_product": (_check_gcd_product, "x"),
 }
 
 IDENTITY_NAMES: tuple[str, ...] = tuple(sorted(_IDENTITY_CHECKS))
@@ -347,9 +334,6 @@ def verify_identity(name: str, order: int) -> IdentityReport:
         raise PowerStructError(
             f"unknown identity {name!r}; known: {', '.join(IDENTITY_NAMES)}"
         )
-    lhs, rhs = _IDENTITY_CHECKS[name](order)
-    if name == "gcd_product":
-        discrepancy = _gcd_product_discrepancy(lhs, rhs)
-    else:
-        discrepancy = _first_series_discrepancy(lhs, rhs)
+    check, var = _IDENTITY_CHECKS[name]
+    discrepancy = _first_discrepancy(*check(order), var)
     return IdentityReport(name, order, discrepancy is None, discrepancy)

@@ -18,7 +18,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 
 from .applications import (
     hyperelliptic_class,
@@ -206,14 +205,16 @@ def _crit_config_specializations() -> tuple[bool, str]:
     over_q = LaurentPoly.zero(("q",))
     invariants_route = power(TruncSeries([1, 1], order, over_q), x_class)
     signed = power(TruncSeries([1, -1], order, over_q), x_class)
-    ordered_route = TruncSeries([Fraction(1), Fraction(1)], order).usual_power(x_class)
+    # Ordered configurations count X(X-1)...(X-n+1), with no series code.
+    falling = x_class**0
     ok = True
     for n in range(order + 1):
         coeff = cfg.coeffs[n]
         ok = ok and specialize(coeff, SpecializationMode.INVARIANTS) == invariants_route.coeffs[n]
         sign = 1 if n % 2 == 0 else -1
         ok = ok and specialize(coeff, SpecializationMode.SIGN) == sign * signed.coeffs[n]
-        ok = ok and specialize(coeff, SpecializationMode.ORDERED) == factorial(n) * ordered_route.coeffs[n]
+        ok = ok and specialize(coeff, SpecializationMode.ORDERED) == falling
+        falling = falling * (x_class - n)
     return ok, "invariants/sign/ordered specializations of (1 + p1 t)^(1+q) at order 8"
 
 

@@ -11,7 +11,8 @@ LaurentPoly > Q), to which the constructor promotes the rest once.
 The derivative is taken by shifting indices down; no symbolic t is ever
 materialized.  Logarithm and exponential use the standard exact recurrences
 (all coefficient rings here are Q-algebras, so division by integers is
-always available); two-term powers use the binomial :func:`binomial_series`.
+always available); the plain power A^e uses J. C. P. Miller's recurrence,
+with no log or exp, and :func:`binomial_series` is its two-term case.
 Every recurrence multiplies only nonzero coefficients, so a sparse series
 such as ``t^k`` costs in proportion to its nonzero terms.  Quotients over Q
 and one-variable Q[L] run on packed integers (``rings._dense_quotient``);
@@ -293,8 +294,19 @@ class TruncSeries(_Value):
         return list(ratio.coeffs)
 
     def usual_power(self, exponent) -> "TruncSeries":
-        """exp(exponent * log(self)): the plain Q-algebra power."""
-        return self.log().scale(exponent).exp()
+        """The plain Q-algebra power P = A^e, exp(e log A), by J. C. P.
+        Miller's recurrence (Knuth, TAOCP vol. 2, 4.7): A P' = e A' P gives
+        p_0 = 1 and n p_n = sum_k (k (e + 1) - n) a_k p_(n-k) over the nonzero
+        a_k, k >= 1, over the join of A's and e's rings.  Requires a_0 = 1."""
+        self._require_constant(1, "log")
+        zero = _ring_zero((exponent,), self._zero)
+        out = [_ONE + zero]
+        # k (e + 1) once per nonzero a_k
+        a = [(k, c, k * (exponent + 1)) for k, c in _support(self.coeffs, self.order)[1:]]
+        for n in range(1, self.order + 1):
+            terms = [(ke - n) * Rational(1, n) * c * out[n - k] for k, c, ke in a if k <= n and out[n - k]]
+            out.append(sum(terms, zero))
+        return TruncSeries(out, self.order, zero)
 
     def substitute_tk(self, k: int, order: int | None = None) -> "TruncSeries":
         """Substitute t -> t^k: coefficient a_j moves to position j*k.
@@ -337,12 +349,9 @@ class TruncSeries(_Value):
 
 
 def binomial_series(c, k: int, e, order: int) -> TruncSeries:
-    """(1 + c t^k)^e = sum_j C(e, j) c^j t^(kj): the exp/log power
-    ``usual_power(e)`` of the two-term series, valid in any Q-algebra, in
-    O(order / k) ring products."""
+    """(1 + c t^k)^e = sum_j C(e, j) c^j t^(kj): :meth:`TruncSeries.usual_power`
+    of the two-term series over c's ring, whose recurrence then reads
+    p_(jk) = (e - j + 1) / j * c * p_((j-1)k), in O(order / k) ring products."""
     if k < 1:
         raise ValueError(f"binomial_series needs k >= 1, got {k}")
-    coeffs = [_ONE] + [_ZERO] * order
-    for j in range(1, order // k + 1):
-        coeffs[j * k] = (e - (j - 1)) * Rational(1, j) * c * coeffs[(j - 1) * k]
-    return TruncSeries(coeffs, order, _ZERO * c * e)
+    return TruncSeries([_ONE] + [_ZERO] * (k - 1) + [c], order, _ZERO * c).usual_power(e)

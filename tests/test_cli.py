@@ -894,11 +894,17 @@ class TestJsonValues:
             (["pow", "--exponent", "1", "--base"],
              {"order": 2, "coeffs": [{"vars": [], "terms": [{"e": [], "c": "1"}]}, "2", "0"]}, ["1", "2", "0"]),
             (["lambda", "--element"], {"vars": [], "terms": [{"e": [], "c": "3"}]}, ["1", "3", "6"]),
+            # Exponents over no variable, through the power recurrence.
+            (["pow", "--base", "1+t", "--algorithm", "product", "--exponent"],
+             {"vars": [], "terms": [{"e": [], "c": "2"}]}, ["1", "2", "1"]),
+            (["config", "--specialize", "ordered", "--x-class"],
+             {"vars": [], "terms": [{"e": [], "c": "2"}]}, ["1", "2", "2"]),
         ],
     )
     def test_series_over_the_empty_alphabet_is_over_q(self, tmp_path, argv, data, coeffs):
-        """A series whose coefficients are polynomials over no variable
-        holds rationals, and writes them as the Q form does."""
+        """A series whose coefficients are polynomials over no variable, or
+        that is a power by such a polynomial, holds rationals, and writes
+        them as the Q form does."""
         code, out, err = self.at_file(tmp_path, [*argv[:-1], "--order", "2", "--output-format", "json", argv[-1]], data)
         assert (code, err, json.loads(out)) == (0, "", {"order": 2, "coeffs": coeffs})
         argv = ["config", "--x-class", "3", "--specialize", "invariants", "--order", "2", "--output-format", "json"]

@@ -30,6 +30,12 @@ L = LaurentPoly.var("L")
 Q = LaurentPoly.var("q")
 
 
+def exp_log_power(a, e):
+    """a^e as exp(e log a): the route usual_power took before its
+    recurrence, kept as the reference for it."""
+    return a.log().scale(e).exp()
+
+
 def small_polys(max_degree=2, coeff=2):
     exps = st.integers(0, max_degree)
     coeffs = st.integers(-coeff, coeff).map(Fraction)
@@ -139,6 +145,8 @@ class TestConstantTermMessages:
                 lambda: factorize(TruncSeries([-1, 1], 2), "iterative"),
                 "factorize needs constant term 1, got -1",
             ),
+            # The power recurrence keeps the message of the log it replaced.
+            (lambda: TruncSeries([3, 1], 2).usual_power(Fraction(1, 2)), "log needs constant term 1, got 3"),
         ],
     )
     def test_exact_text(self, call, message):
@@ -236,7 +244,7 @@ class TestBinomialPower:
             base = TruncSeries(
                 [Fraction(1)] + [Fraction(0)] * (n - 1) + [Fraction(1)], order
             )
-            rhs = rhs * base.usual_power(e_n)
+            rhs = rhs * exp_log_power(base, e_n)
         assert lhs == rhs
         assert lhs == power(TruncSeries([Fraction(1), Fraction(1)], order), poincare)
 
@@ -484,6 +492,48 @@ class TestLambdaRoute:
     def test_lambda_t_matches_the_generic_loop(self, drawn):
         x, order = drawn
         same_series(lambda_t(x, order), generic_lambda_t(x, order))
+
+
+def binomial_operand(ring, order):
+    """A value over Q, Q[L] (zeros, denominators), Q[u,v], symmetric
+    functions of degree <= 1 over Q[L] with bound max(order, 1), or graded
+    elements."""
+    if ring in ("Q", "Q[L]"):
+        return dense_values(ring)
+    if ring == "Q[u,v]":
+        return uv_values()
+    if ring == "SymFunc":
+        p1 = SymFunc.p(1, max(order, 1), ("L",))
+        return st.tuples(dense_values("Q[L]"), dense_values("Q[L]")).map(lambda ab: ab[0] * p1 + ab[1])
+    return st.dictionaries(st.integers(0, 3), dense_q(True), max_size=3).map(GradedAdamsElement)
+
+
+# Rings of a and of the exponent that join.
+BINOMIAL_RINGS = [
+    (x, y) for x in ("Q", "Q[L]", "Q[u,v]", "SymFunc", "graded")
+    for y in ("Q", "Q[L]", "Q[u,v]", "SymFunc", "graded")
+    if x == y or "Q" in (x, y) or {x, y} == {"Q[L]", "SymFunc"}
+]
+
+
+@st.composite
+def binomial_inputs(draw):
+    """(a, exponent, order) at orders 0-6 over rings that join."""
+    order = draw(st.integers(0, 6))
+    ring_a, ring_x = draw(st.sampled_from(BINOMIAL_RINGS))
+    return draw(binomial_operand(ring_a, order)), draw(binomial_operand(ring_x, order)), order
+
+
+class TestBinomialPowerRoute:
+    @given(binomial_inputs())
+    @settings(max_examples=100, deadline=None)
+    def test_is_the_product_route(self, drawn):
+        """binomial_power is power's product route on 1 + a t, ring
+        included, and equals the factorize route."""
+        a, x, order = drawn
+        base = TruncSeries([1, a], order)
+        same_series(binomial_power(a, x, order), power(base, x, "product"))
+        assert binomial_power(a, x, order) == power(base, x, "factorize")
 
 
 class TestVerifyIdentity:

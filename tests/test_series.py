@@ -7,6 +7,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from powerstruct import (
+    AlphabetMismatchError,
     ConstantTermError,
     GradedAdamsElement,
     LaurentPoly,
@@ -32,6 +33,12 @@ def zero_head_series(order=8):
     return st.lists(coeff, min_size=order, max_size=order).map(
         lambda tail: TruncSeries([Fraction(0)] + tail, order)
     )
+
+
+def exp_log_power(a, e):
+    """a^e as exp(e log a): the route usual_power took before its
+    recurrence, kept as the reference for it."""
+    return a.log().scale(e).exp()
 
 
 class TestArithmetic:
@@ -154,30 +161,6 @@ class TestSubstituteTk:
         assert lhs == rhs
 
 
-class TestUsualPower:
-    def test_inverse_geometric(self):
-        s = TruncSeries([1, -1], 3).usual_power(Fraction(-1))
-        assert s == TruncSeries([1, 1, 1, 1], 3)
-
-    def test_square_root(self):
-        root = TruncSeries([1, 1], 8).usual_power(Fraction(1, 2))
-        assert root * root == TruncSeries([1, 1], 8)
-
-    def test_binomial_with_symfunc_base(self):
-        from powerstruct import SymFunc
-
-        p1 = SymFunc.p(1, 2)
-        base = TruncSeries([SymFunc.constant(1, 2), p1], 2)
-        assert base.usual_power(2) == TruncSeries(
-            [SymFunc.constant(1, 2), 2 * p1, p1 * p1], 2
-        )
-
-    @given(unit_series(), st.integers(1, 5).map(lambda n: Fraction(1, n)))
-    @settings(max_examples=40)
-    def test_power_inverse_pair(self, a, e):
-        assert a.usual_power(e).usual_power(1 / e) == a
-
-
 BOUND = 4
 
 
@@ -193,7 +176,7 @@ def ring_polys():
 
 
 class TestBinomialSeries:
-    """binomial_series is the closed form of the two-term usual_power."""
+    """binomial_series is the two-term power, against the exp-log route."""
 
     @given(
         st.one_of(
@@ -214,7 +197,7 @@ class TestBinomialSeries:
     @settings(max_examples=40, deadline=None)
     def test_matches_usual_power(self, c, e, k, order):
         two_term = TruncSeries([1] + [0] * (k - 1) + [c], order)
-        assert binomial_series(c, k, e, order) == two_term.usual_power(e)
+        assert binomial_series(c, k, e, order) == exp_log_power(two_term, e)
 
     def test_negative_integer_exponent_is_geometric(self):
         assert binomial_series(-L, 1, -1, 3) == TruncSeries([1, L, L**2, L**3], 3)
@@ -775,3 +758,54 @@ class TestTrustedConstructor:
         ql = TruncSeries([1, L], 2)
         for got in (q * ql, ql * q, q + ql, ql + q):
             same_series(got, TruncSeries(got.coeffs, 2, L * 0))
+
+
+class TestUsualPower:
+    def test_inverse_geometric(self):
+        s = TruncSeries([1, -1], 3).usual_power(Fraction(-1))
+        assert s == TruncSeries([1, 1, 1, 1], 3)
+
+    def test_square_root(self):
+        root = TruncSeries([1, 1], 8).usual_power(Fraction(1, 2))
+        assert root * root == TruncSeries([1, 1], 8)
+
+    def test_binomial_with_symfunc_base(self):
+        from powerstruct import SymFunc
+
+        p1 = SymFunc.p(1, 2)
+        base = TruncSeries([SymFunc.constant(1, 2), p1], 2)
+        assert base.usual_power(2) == TruncSeries(
+            [SymFunc.constant(1, 2), 2 * p1, p1 * p1], 2
+        )
+
+    @given(unit_series(), st.integers(1, 5).map(lambda n: Fraction(1, n)))
+    @settings(max_examples=40)
+    def test_power_inverse_pair(self, a, e):
+        assert a.usual_power(e).usual_power(1 / e) == a
+
+    @given(
+        st.sampled_from(RING_PAIRS).flatmap(
+            lambda pair: st.tuples(
+                raw_series(pair[0], head="one"),
+                st.one_of(
+                    st.just(0),
+                    st.integers(-3, 3),
+                    q_value(),
+                    RAW_RINGS[pair[1]][1](),
+                    q_value().map(lambda q: LaurentPoly.constant(q, ())),
+                ),
+            )
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_exp_log(self, case):
+        """Over Q, Q[L], Q[u,v] and SymFunc at orders 0-12, with zero,
+        integer, rational, ring-element and empty-alphabet exponents: the
+        exp-log route's coefficients in its ring."""
+        a, e = case
+        same_series(a.usual_power(e), exp_log_power(a, e))
+
+    def test_rings_that_do_not_join(self):
+        u = LaurentPoly.var("u", ("u", "v"))
+        with pytest.raises(AlphabetMismatchError, match=r"^cannot combine alphabets \('u', 'v'\) and \('L',\)$"):
+            TruncSeries([1, L], 3).usual_power(u)
