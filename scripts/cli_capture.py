@@ -10,7 +10,10 @@ Euler-product route (one Q[L] ``pow`` and one ``factorize`` at order 24, a
 Q[L] ``pow`` of the ``pow-large`` benchmark's shape at order 32, a Q
 base with a Q[L] exponent, ``L^-2``, ``1/3`` and zero exponents, a Q[u,v]
 exponent), the ``product`` route of ``pow`` on the ``pow-large`` shape at
-orders 16 and 24 and on a Q[u,v] base at order 8, ``schur`` at weights up to 16 and on tall, wide and
+orders 16, 24 and 32, on a Q[u,v] base at order 8, on a Q base with a
+rational exponent at orders 0, 1 and 12 and on Q[L] bases, one with terms at
+even powers of t only, with the exponents ``-1`` and ``L^-1 + 2``,
+``verify`` of ``euler_phi`` and ``exp_moebius`` at order 24, ``schur`` at weights up to 16 and on tall, wide and
 self-conjugate partitions, ``schur`` on sparse supports with large parts
 (``p[18]``, ``p[9,5]`` and rational and Q[L] combinations at weights 14
 and 16), the ``h`` and ``e`` atoms at weights 12-20 and a
@@ -156,6 +159,18 @@ AT_ORDER = [
     *((["pow", "--base", POW_LARGE_BASE, "--exponent", "2*L^2 - L - 2", "--algorithm", "product"], order)
       for order in (16, 24)),
     (["pow", "--base", "1 + (u - v)*t - u*v*t^2", "--exponent", "u + v", "--algorithm", "product"], 8),
+    # The product route on dense forms: a Q base and exponent at orders 0, 1
+    # and 12, Q[L] bases with the exponents -1 (e + 1 = 0) and L^-1 + 2, one
+    # of them with terms at even powers of t only, and the pow-large shape
+    # at order 32.
+    *((["pow", "--base", "1 - 1/2*t + 3/5*t^2 - 1/3*t^3", "--exponent", "-2/3", "--algorithm", "product"], order)
+      for order in (0, 1, 12)),
+    *((["pow", "--base", base, "--exponent", exponent, "--algorithm", "product"], 12)
+      for base in ("1 + (L + 2)*t - (2*L^2 - 1)*t^2 + L*t^3", "1 + L*t^2 - 1/2*L^-1*t^4")
+      for exponent in ("-1", "L^-1 + 2")),
+    (["pow", "--base", POW_LARGE_BASE, "--exponent", "2*L^2 - L - 2", "--algorithm", "product"], 32),
+    # The identities whose factors are two-term powers 1 + c t^k.
+    *((["verify", "--identity", identity], 24) for identity in ("euler_phi", "exp_moebius")),
     # Schur expansions through det(h); tall partitions are read through
     # omega from their conjugates.
     (["schur", "--f", "p[1]^8"], 8),

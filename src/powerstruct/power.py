@@ -28,10 +28,11 @@ a ``product`` route, the termwise formula
     A^x = prod_{n>=1} (1 + adams(a_1, n) t^n + adams(a_2, n) t^{2n} + ...)
              ^ { (1/n) sum_{m | n} mu(n/m) adams(x, m) },
 
-whose right-hand powers are plain Q-algebra powers, each by the recurrence
-of ``TruncSeries.usual_power``, so that it shares no log, division or
-exponential with ``factorize``.  The two must agree exactly on every input;
-the test suite pins this.
+whose right-hand powers are plain Q-algebra powers by J. C. P. Miller's
+recurrence, so that it shares no log, division or exponential with
+``factorize``.  The two must agree exactly on every input; the test suite
+pins this.  Over Q and one-variable Q[L] both routes run on packed integers
+(``rings._Packing``), up to ``factorize``'s exponential, which stays generic.
 """
 
 from __future__ import annotations
@@ -43,18 +44,21 @@ from typing import Callable, Sequence
 from .arith import divisors, euler_phi, moebius
 from .errors import PowerStructError
 from .rings import (
+    _ONE_FORM,
     LaurentPoly,
     Rational,
     _dense,
     _dense_adams_sum,
     _dense_product,
+    _dense_power,
     _dense_quotient,
     _dense_ring,
+    _dense_series_product,
     _from_dense,
     adams,
     format_monomial,
 )
-from .series import TruncSeries, _ring_zero, binomial_series
+from .series import TruncSeries, _ring_zero, _support, binomial_series
 
 _ZERO = Rational(0)
 _ONE = Rational(1)
@@ -175,6 +179,27 @@ def recompose(exponents: Sequence, order: int, zero=_ZERO) -> TruncSeries:
     return TruncSeries([zero] + _adams_sums(exponents, order, _divisor_weight, zero), order, zero).exp()
 
 
+def _dense_product_power(base: TruncSeries, exponent, zero) -> TruncSeries:
+    """The ``product`` route of :func:`power` over Q or a one-variable Q[L] on
+    dense forms: adams(a_j, n) strides a_j's integer form, and the n-th factor's
+    plain power, at order N // n, multiplies the running product at t^(jn)."""
+    order = base.order
+    a = _support(base.coeffs, order)[1:]
+    x = _dense(exponent) if exponent else None
+    result = [_ONE_FORM] + [None] * order
+    # An exponent 0 has no factors.
+    for n in range(1, order + 1 if x else 1):
+        terms = [(moebius(n // m), m, x) for m in divisors(n) if moebius(n // m)]
+        if _dense_adams_sum(terms, n):
+            # (1/n) (sum_m mu(n/m) adams(x, m) + n) is the n-th exponent plus 1.
+            e_plus_1 = _dense_adams_sum(terms + [(n, 1, _ONE_FORM)], n)
+            twisted = [(k, _dense_adams_sum([(1, n, _dense(c))], 1)) for k, c in a if k * n <= order]
+            factor = [None] * (order + 1)
+            factor[::n] = _dense_power(twisted, e_plus_1, order // n)
+            result = _dense_series_product(result, factor, order)
+    return TruncSeries([_from_dense(f, zero) for f in result], order, zero)
+
+
 def power(base: TruncSeries, exponent, algorithm: str = "factorize") -> TruncSeries:
     """The power-structure value base^exponent.
 
@@ -185,10 +210,8 @@ def power(base: TruncSeries, exponent, algorithm: str = "factorize") -> TruncSer
     over the join of the base's and the exponent's rings, except over
     symmetric functions with a p_k at a power of t below k: there
     ``factorize`` may raise GeneratorBoundError, as on 1 + p_3 t at order 3,
-    where ``product`` answers.
-    Over Q and one-variable Q[L] the ``factorize`` route keeps every
-    exponent in dense integer form from the division kernel to the
-    exponential.
+    where ``product`` answers.  Over Q and one-variable Q[L] both keep every
+    coefficient in dense integer form, ``factorize`` up to the exponential.
     """
     base._require_constant(1, "power")
     order = base.order
@@ -200,6 +223,8 @@ def power(base: TruncSeries, exponent, algorithm: str = "factorize") -> TruncSer
             return _dense_recompose(products, order, zero)
         return recompose([b_k * exponent for b_k in factorize(base, "moebius")], order, zero)
     if algorithm == "product":
+        if _dense_ring(zero):
+            return _dense_product_power(base, exponent, zero)
         result = TruncSeries([_ONE], order, zero)
         for n in range(1, order + 1):
             exp_n = moebius_exponent(exponent, n)
@@ -211,8 +236,7 @@ def power(base: TruncSeries, exponent, algorithm: str = "factorize") -> TruncSer
                 [adams(c, n) for j, c in enumerate(base.coeffs) if j * n <= order],
                 order // n,
             )
-            factor = twisted.substitute_tk(n, order)
-            result = result * factor.usual_power(exp_n)
+            result = result * twisted.usual_power(exp_n).substitute_tk(n, order)
         return result
     raise ValueError(f"unknown power algorithm {algorithm!r}")
 

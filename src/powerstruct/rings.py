@@ -615,15 +615,20 @@ def _unpack(packed: int, width: int, count: int) -> list[int]:
 def _dense_reduce(lo: int, den: int, ints: list[int]):
     """The dense form of ints / den from exponent lo up, in lowest terms and
     without zero end slots; None when every slot is zero."""
-    nonzero = [i for i, c in enumerate(ints) if c]
-    if not nonzero:
+    start, end = 0, len(ints)
+    while end and not ints[end - 1]:
+        end -= 1
+    if not end:
         return None
-    ints = ints[nonzero[0] : nonzero[-1] + 1]
+    while not ints[start]:
+        start += 1
+    if start or end < len(ints):
+        ints = ints[start:end]
     g = gcd(den, *ints)
     if g != 1:
         ints = [c // g for c in ints]
         den //= g
-    return lo + nonzero[0], den, ints
+    return lo + start, den, ints
 
 
 def _from_dense(form, zero):
@@ -664,68 +669,102 @@ def _dense_adams_sum(terms, n: int):
 
 
 class _Dense:
-    """A nonzero coefficient in the dense form of :func:`_dense`, with
-    its l1 norm and its packing at a quotient's current slot width."""
+    """A dense form (:func:`_dense`) with its l1 norm and its packing."""
 
-    __slots__ = ("lo", "den", "ints", "norm", "packed")
+    __slots__ = ("lo", "hi", "den", "ints", "norm", "packed")
 
     def __init__(self, lo: int, den: int, ints: list[int], width: int):
-        self.lo, self.den, self.ints = lo, den, ints
+        self.lo, self.hi, self.den, self.ints = lo, lo + len(ints) - 1, den, ints
         self.norm = sum(map(abs, ints))
-        self.packed = _pack(ints, width)
+        self.packed = width and _pack(ints, width)
+
+
+_ONE_FORM = (0, 1, (1,))
+
+
+class _Packing:
+    """The step kernel of the series recurrences over Q and one-variable Q[L]:
+    their :class:`_Dense` operands at one slot width, as in :func:`_dense_product`."""
+
+    def __init__(self):
+        self.width, self.operands = 0, []
+
+    def operand(self, form) -> _Dense | None:
+        """The operand of a dense form (None for 0)."""
+        if form is not None:
+            self.operands.append(_Dense(*form, self.width))
+            return self.operands[-1]
+
+    def step(self, terms, scale=_ONE_FORM):
+        """The dense form (None for 0) of scale * sum w x y over the (w, x, y)
+        of terms (w an int, scale the form of a rational or c L^e), packed over
+        one denominator at one lowest exponent, unpacked and reduced once; a
+        width below the sum's l1 bound first at least doubles, all repacked."""
+        if not terms:
+            return None
+        den = 1
+        for _, x, y in terms:
+            den = lcm(den, x.den * y.den)
+        _, x, y = terms[0]
+        lo, hi, bound, weights = x.lo + y.lo, x.hi + y.hi, 0, []
+        for w, x, y in terms:
+            w *= den // (x.den * y.den)
+            weights.append(w)
+            bound += abs(w) * x.norm * y.norm
+            if x.lo + y.lo < lo:
+                lo = x.lo + y.lo
+            if x.hi + y.hi > hi:
+                hi = x.hi + y.hi
+        if bound.bit_length() >= self.width:
+            self.width = max(bound.bit_length() + 1, 2 * self.width)
+            for x in self.operands:
+                x.packed = _pack(x.ints, self.width)
+        width, acc = self.width, 0
+        for w, (_, x, y) in zip(weights, terms):
+            acc += x.packed * y.packed * w << width * (x.lo + y.lo - lo)
+        ints = _unpack(acc, width, hi + 1 - lo)
+        scale_lo, scale_den, (scale_num,) = scale
+        return _dense_reduce(lo + scale_lo, den * scale_den, [c * scale_num for c in ints] if scale_num != 1 else ints)
 
 
 def _dense_quotient(a, b, n: int, inv) -> list:
-    """Dense forms (None for 0) of the coefficients 0..n of the series
-    quotient a/b, given as coefficient sequences over Q or a one-variable
-    Q[L], where inv is 1/b_0 (a rational or a unit monomial c L^e), by the
-    schoolbook recurrence out_m = inv (a_m - sum_k b_k out_(m-k)) on
-    integers.
-
-    Each nonzero b_k and out_j is converted once to :class:`_Dense` and
-    packed at one slot width (Kronecker substitution, as in
-    :func:`_dense_product`).  A step sums the packed products
-    b_k out_(m-k) over their common denominator, shifted to a common lowest
-    exponent, unpacks the sum once, applies inv and reduces it with
-    :func:`_dense_reduce`.  The width holds the step's exact l1 bound; when
-    a bound outgrows it, it grows and every stored operand is repacked.
-    """
-    inv_lo, inv_den, (inv_num,) = _dense(inv)
-    width = 0  # no slot width before the first step with products
-    divisor = [(k, _Dense(*_dense(b[k]), width)) for k in range(1, n + 1) if b[k]]
-    quotient: list = []  # the _Dense of each out_j, None when it is zero
-    out = []
+    """Dense forms (None for 0) of the coefficients 0..n of a/b over Q or a
+    one-variable Q[L], inv = 1/b_0 a rational or a unit monomial c L^e: a
+    :class:`_Packing` step out_m = inv (a_m - sum_k b_k out_(m-k)) per m."""
+    packing, inv = _Packing(), _dense(inv)
+    one = packing.operand(_ONE_FORM)
+    divisor = [(k, packing.operand(_dense(b[k]))) for k in range(1, n + 1) if b[k]]
+    out: list = []  # the operand of each out_j, None when it is zero
     for m in range(n + 1):
-        pairs = [(x, quotient[m - k]) for k, x in divisor if k <= m and quotient[m - k]]
-        head = _dense(a[m]) if a[m] else None
-        if pairs:
-            dens = [x.den * y.den for x, y in pairs]
-            den = lcm(*dens, head[1] if head else 1)
-            bound = sum(den // d * x.norm * y.norm for d, (x, y) in zip(dens, pairs))
-            if head:
-                bound += den // head[1] * sum(map(abs, head[2]))
-            if bound.bit_length() + 1 > width:
-                # Doubling keeps the repacks to a few per quotient.
-                width = max(bound.bit_length() + 1, 2 * width)
-                for x in [x for _, x in divisor] + [y for y in quotient if y]:
-                    x.packed = _pack(x.ints, width)
-            lo = min(x.lo + y.lo for x, y in pairs)
-            top = max(x.lo + y.lo + len(x.ints) + len(y.ints) - 1 for x, y in pairs)
-            acc = 0
-            if head:
-                lo, top = min(lo, head[0]), max(top, head[0] + len(head[2]))
-                acc = _pack(head[2], width) * (den // head[1]) << width * (head[0] - lo)
-            for d, (x, y) in zip(dens, pairs):
-                acc -= x.packed * y.packed * (den // d) << width * (x.lo + y.lo - lo)
-            ints = _unpack(acc, width, top - lo)
-        elif head:
-            lo, den, ints = head
-        else:
-            ints = []
-        form = _dense_reduce(lo + inv_lo, den * inv_den, [c * inv_num for c in ints]) if ints else None
-        quotient.append(_Dense(*form, width) if form else None)
-        out.append(form)
-    return out
+        terms = [(-1, x, out[m - k]) for k, x in divisor if k <= m and out[m - k]]
+        if a[m]:
+            terms.append((1, packing.operand(_dense(a[m])), one))
+        out.append(packing.operand(packing.step(terms, inv)))
+    return [x and (x.lo, x.den, x.ints) for x in out]
+
+
+def _dense_series_product(a, b, n: int) -> list:
+    """Dense forms (None for 0) of the coefficients 0..n of the product of
+    two series of dense forms (None for 0), a :class:`_Packing` step each."""
+    packing = _Packing()
+    x = [(i, packing.operand(form)) for i, form in enumerate(a[: n + 1]) if form]
+    y = [packing.operand(form) for form in b[: n + 1]]
+    # Top down, from the largest bounds, so that few repacks follow.
+    return [packing.step([(1, p, y[m - i]) for i, p in x if i <= m and y[m - i]]) for m in range(n, -1, -1)][::-1]
+
+
+def _dense_power(a, e_plus_1, n: int) -> list:
+    """Dense forms (None for 0) of the coefficients 0..n of A^e, A = 1 +
+    sum a_k t^k over the (k, dense form) of a by increasing k, e_plus_1 the
+    form of e + 1: a :class:`_Packing` step per m of m p_m = sum_k (u_k -
+    m a_k) p_(m-k), u_k = k (e + 1) a_k, with (e + 1) a_k formed once."""
+    packing = _Packing()
+    factors = [(k, packing.operand(e_plus_1 and _dense_product(e_plus_1, x)), packing.operand(x)) for k, x in a if k <= n]
+    out = [packing.operand(_ONE_FORM)]  # the operand of each p_j, None when it is zero
+    for m in range(1, n + 1):
+        terms = [(w, v, out[m - k]) for k, u, x in factors if k <= m and out[m - k] for w, v in ((k, u), (-m, x)) if v]
+        out.append(packing.operand(packing.step(terms, (0, m, (1,)))))
+    return [x and (x.lo, x.den, x.ints) for x in out]
 
 
 class GradedAdamsElement(_Value):

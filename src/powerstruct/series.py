@@ -14,13 +14,14 @@ materialized.  Logarithm and exponential use the standard exact recurrences
 always available); the plain power A^e uses J. C. P. Miller's recurrence,
 with no log or exp, and :func:`binomial_series` is its two-term case.
 Every recurrence multiplies only nonzero coefficients, so a sparse series
-such as ``t^k`` costs in proportion to its nonzero terms.  Quotients over Q
-and one-variable Q[L] run on packed integers (``rings._dense_quotient``);
-every other ring takes the coefficient loop.
+such as ``t^k`` costs in proportion to its nonzero terms.  Quotients and
+plain powers over Q and one-variable Q[L] run on packed integers
+(``rings._Packing``); every other ring takes the coefficient loop.
 """
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Callable, Sequence
 
 from .errors import ConstantTermError
@@ -30,6 +31,8 @@ from .rings import (
     LaurentPoly,
     Rational,
     _coefficient,
+    _dense,
+    _dense_power,
     _dense_quotient,
     _dense_ring,
     _from_dense,
@@ -297,16 +300,30 @@ class TruncSeries(_Value):
         """The plain Q-algebra power P = A^e, exp(e log A), by J. C. P.
         Miller's recurrence (Knuth, TAOCP vol. 2, 4.7): A P' = e A' P gives
         p_0 = 1 and n p_n = sum_k (k (e + 1) - n) a_k p_(n-k) over the nonzero
-        a_k, k >= 1, over the join of A's and e's rings.  Requires a_0 = 1."""
+        a_k, k >= 1, over the join of A's and e's rings, on packed integers
+        over Q and one-variable Q[L] (``rings._dense_power``).  Requires a_0 = 1."""
         self._require_constant(1, "log")
         zero = _ring_zero((exponent,), self._zero)
-        out = [_ONE + zero]
-        # k (e + 1) once per nonzero a_k
-        a = [(k, c, k * (exponent + 1)) for k, c in _support(self.coeffs, self.order)[1:]]
-        for n in range(1, self.order + 1):
-            terms = [(ke - n) * Rational(1, n) * c * out[n - k] for k, c, ke in a if k <= n and out[n - k]]
-            out.append(sum(terms, zero))
-        return TruncSeries(out, self.order, zero)
+        # A(t) = B(t^g) for the gcd g of the k: B^e to order N // g, its
+        # coefficients at the multiples of g, so 1 + c t^k takes N // k steps.
+        a = _support(self.coeffs, self.order)[1:]
+        g = gcd(*[k for k, _ in a]) or 1
+        a, order = [(k // g, c) for k, c in a], self.order // g
+        if _dense_ring(zero):
+            e_plus_1 = exponent + 1
+            forms = _dense_power([(k, _dense(c)) for k, c in a], _dense(e_plus_1) if e_plus_1 else None, order)
+            out = [_from_dense(f, zero) for f in forms]
+        else:
+            out = [_ONE + zero]
+            # k (e + 1) once per nonzero a_k
+            a = [(k, c, k * (exponent + 1)) for k, c in a]
+            for n in range(1, order + 1):
+                terms = [(ke - n) * Rational(1, n) * c * out[n - k] for k, c, ke in a if k <= n and out[n - k]]
+                out.append(sum(terms, zero))
+        coeffs = [zero] * (self.order + 1)
+        coeffs[::g] = out
+        # The dense values are in zero's ring; the loop's may need promoting.
+        return (TruncSeries._raw if _dense_ring(zero) else TruncSeries)(coeffs, self.order, zero)
 
     def substitute_tk(self, k: int, order: int | None = None) -> "TruncSeries":
         """Substitute t -> t^k: coefficient a_j moves to position j*k.
@@ -350,8 +367,8 @@ class TruncSeries(_Value):
 
 def binomial_series(c, k: int, e, order: int) -> TruncSeries:
     """(1 + c t^k)^e = sum_j C(e, j) c^j t^(kj): :meth:`TruncSeries.usual_power`
-    of the two-term series over c's ring, whose recurrence then reads
-    p_(jk) = (e - j + 1) / j * c * p_((j-1)k), in O(order / k) ring products."""
+    of 1 + c t over c's ring to order // k, whose recurrence then reads
+    p_j = (e - j + 1) / j * c * p_(j-1), with t -> t^k."""
     if k < 1:
         raise ValueError(f"binomial_series needs k >= 1, got {k}")
-    return TruncSeries([_ONE] + [_ZERO] * (k - 1) + [c], order, _ZERO * c).usual_power(e)
+    return TruncSeries([_ONE, c], order // k, _ZERO * c).usual_power(e).substitute_tk(k, order)

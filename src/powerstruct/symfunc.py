@@ -392,38 +392,38 @@ def _schur_rational(
         return expansions[k]
 
     matrix = [[expand(partition[i] - i + j) for j in range(size)] for i in range(size)]
+    return _laplace_minor(matrix, tuple(range(size)), {})
 
-    # Laplace expansion along the first remaining row, memoized on the
-    # surviving column set; each entry times its minor is added straight
-    # into the running sum: stored as it is under a new key, else added or
-    # subtracted by the column's sign.
-    memo: dict[tuple[int, ...], dict[Partition, Fraction]] = {}
 
-    def minor(columns: tuple[int, ...]) -> dict[Partition, Fraction]:
-        if not columns:
-            return {(): _ONE}
-        if columns in memo:
-            return memo[columns]
-        row = size - len(columns)
-        total: dict[Partition, Fraction] = {}
-        for position, column in enumerate(columns):
-            entry = matrix[row][column]
-            if not entry:
-                continue
-            rest = minor(columns[:position] + columns[position + 1 :]).items()
-            odd = position % 2
-            for part, coeff in entry:
-                for rest_part, rest_coeff in rest:
-                    key = tuple(sorted(part + rest_part, reverse=True))
-                    term = coeff * rest_coeff
-                    if key in total:
-                        total[key] = total[key] - term if odd else total[key] + term
-                    else:
-                        total[key] = -term if odd else term
-        memo[columns] = total = {key: coeff for key, coeff in total.items() if coeff}
-        return total
-
-    return minor(tuple(range(size)))
+def _laplace_minor(matrix, columns: tuple[int, ...], memo: dict) -> dict[Partition, Fraction]:
+    """The minor of ``matrix`` on its last rows and ``columns``, memoized on the column set."""
+    # Laplace expansion along the first row: each entry times its minor is
+    # added straight into the running sum, stored as it is under a new key,
+    # else added or subtracted by the column's sign.  A module function, not
+    # a closure that reaches itself through its own cell: the memo is then
+    # freed when the determinant returns, not by the cycle collector.
+    if not columns:
+        return {(): _ONE}
+    if columns in memo:
+        return memo[columns]
+    row = len(matrix) - len(columns)
+    total: dict[Partition, Fraction] = {}
+    for position, column in enumerate(columns):
+        entry = matrix[row][column]
+        if not entry:
+            continue
+        rest = _laplace_minor(matrix, columns[:position] + columns[position + 1 :], memo).items()
+        odd = position % 2
+        for part, coeff in entry:
+            for rest_part, rest_coeff in rest:
+                key = tuple(sorted(part + rest_part, reverse=True))
+                term = coeff * rest_coeff
+                if key in total:
+                    total[key] = total[key] - term if odd else total[key] + term
+                else:
+                    total[key] = -term if odd else term
+    memo[columns] = total = {key: coeff for key, coeff in total.items() if coeff}
+    return total
 
 
 def basis_in_p(basis: str, index: int | Iterable[int], bound: int) -> SymFunc:

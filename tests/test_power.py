@@ -25,6 +25,7 @@ from powerstruct import (
 from powerstruct.arith import moebius
 from powerstruct.power import _adams_sums, _divisor_weight, _moebius_weight
 from powerstruct.rings import _dense, _from_dense
+from powerstruct.series import _ring_zero
 
 L = LaurentPoly.var("L")
 Q = LaurentPoly.var("q")
@@ -534,6 +535,85 @@ class TestBinomialPowerRoute:
         base = TruncSeries([1, a], order)
         same_series(binomial_power(a, x, order), power(base, x, "product"))
         assert binomial_power(a, x, order) == power(base, x, "factorize")
+
+
+# -- the product route on dense forms against its coefficient loop ---------------
+
+
+def generic_usual_power(a, e):
+    """Miller's recurrence on ring elements at every n = 1..N."""
+    zero = _ring_zero((e,), a._zero)
+    out = [1 + zero]
+    support = [(k, c, k * (e + 1)) for k, c in enumerate(a.coeffs) if k and c]
+    for n in range(1, a.order + 1):
+        terms = [(ke - n) * Fraction(1, n) * c * out[n - k] for k, c, ke in support if k <= n and out[n - k]]
+        out.append(sum(terms, zero))
+    return TruncSeries(out, a.order, zero)
+
+
+def generic_product_power(base, exponent):
+    """The product route on ring elements, the loop power keeps for the
+    other rings: each twisted factor's plain power by the coefficient loop,
+    multiplied into the running product series by series."""
+    order = base.order
+    result = TruncSeries([1], order, _ring_zero((exponent,), base._zero))
+    for n in range(1, order + 1):
+        exp_n = moebius_exponent(exponent, n)
+        if exp_n == 0:
+            continue
+        twisted = TruncSeries([adams(c, n) for j, c in enumerate(base.coeffs) if j * n <= order], order // n)
+        result = result * generic_usual_power(twisted.substitute_tk(n, order), exp_n)
+    return result
+
+
+# A numerator of 2^200 or more outgrows the slot widths of the small values.
+HUGE = st.builds(lambda n, sign: sign * n, st.integers(2**200, 2**210), st.sampled_from([1, -1]))
+
+
+def huge_value(ring):
+    if ring == "Q":
+        return st.builds(Fraction, HUGE, st.integers(1, 6))
+    return st.tuples(dense_ql(), HUGE, st.integers(-3, 3)).map(
+        lambda p: p[0] + LaurentPoly(("L",), {(p[2],): p[1]})
+    )
+
+
+@st.composite
+def strided_unit_series(draw, huge=False):
+    """A constant-term-1 series over Q or Q[L] of order 0-12 with terms at
+    multiples of a stride 1-4, denominators, negative exponents and zeros;
+    huge=True puts a coefficient of 2^200 or more after small ones."""
+    ring = draw(st.sampled_from(["Q", "Q[L]"]))
+    zero = Fraction(0) if ring == "Q" else QL_ZERO
+    order, stride = draw(st.integers(0, 12)), draw(st.integers(1, 4))
+    coeffs = [Fraction(1)] + [zero] * order
+    for j in range(stride, order + 1, stride):
+        coeffs[j] = draw(dense_values(ring))
+    if huge and order >= 2 * stride:
+        coeffs[draw(st.sampled_from(range(2 * stride, order + 1, stride)))] = draw(huge_value(ring))
+    return TruncSeries(coeffs, order, zero)
+
+
+PRODUCT_EXPONENTS = st.one_of(
+    st.sampled_from([0, -1, Fraction(-1), L**-1 + 2, L - L - 1, QL_ZERO]),
+    st.integers(-3, 3),
+    dense_q(),
+    dense_ql(),
+    dense_q().map(lambda q: LaurentPoly.constant(q, ())),
+)
+
+
+class TestDenseProductRoute:
+    @given(st.booleans().flatmap(lambda huge: strided_unit_series(huge)), PRODUCT_EXPONENTS)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_coefficient_loop(self, base, x):
+        """Over Q and Q[L] with exponents 0, -1 (e + 1 = 0), ints, rationals,
+        Laurent and empty-alphabet ones: the loop's values and ring, the join
+        of the base's and the exponent's rings (Q for an exponent over no
+        variable), and the factorize route's values."""
+        got = power(base, x, "product")
+        same_series(got, generic_product_power(base, x))
+        assert got == power(base, x, "factorize")
 
 
 class TestVerifyIdentity:

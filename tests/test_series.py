@@ -809,3 +809,85 @@ class TestUsualPower:
         u = LaurentPoly.var("u", ("u", "v"))
         with pytest.raises(AlphabetMismatchError, match=r"^cannot combine alphabets \('u', 'v'\) and \('L',\)$"):
             TruncSeries([1, L], 3).usual_power(u)
+
+
+# -- plain powers on the integer kernel against the coefficient loop -------------
+#
+# Over Q and Q[L], usual_power runs Miller's recurrence on packed integers and
+# on B(t) = A(t^(1/g)) for the gcd g of A's support; generic_usual_power, the
+# coefficient loop over every n, stays the oracle.
+
+
+def generic_usual_power(a, e):
+    """Miller's recurrence on ring elements at every n = 1..N: the loop
+    usual_power keeps for the other rings."""
+    a._require_constant(1, "log")
+    zero = series_module._ring_zero((e,), a._zero)
+    out = [1 + zero]
+    support = [(k, c, k * (e + 1)) for k, c in enumerate(a.coeffs) if k and c]
+    for n in range(1, a.order + 1):
+        terms = [(ke - n) * Fraction(1, n) * c * out[n - k] for k, c, ke in support if k <= n and out[n - k]]
+        out.append(sum(terms, zero))
+    return TruncSeries(out, a.order, zero)
+
+
+def huge_value(ring):
+    """A value with a coefficient of 2^200 or more."""
+    if ring == "Q":
+        return st.builds(Fraction, HUGE, st.integers(1, 6))
+    return st.tuples(kernel_ql(), HUGE, st.integers(-3, 3)).map(
+        lambda p: p[0] + LaurentPoly(("L",), {(p[2],): p[1]})
+    )
+
+
+@st.composite
+def strided_unit_series(draw, ring=None, huge=False):
+    """A constant-term-1 series over Q or Q[L] of order 0-12 whose nonzero
+    terms sit at multiples of a stride 1-4, so that their indices may share
+    a gcd > 1, with denominators, negative exponents and runs of zeros;
+    huge=True puts a coefficient of 2^200 or more after small ones, so the
+    slot width grows mid-recurrence."""
+    ring = ring or draw(st.sampled_from(["Q", "Q[L]"]))
+    value = kernel_q if ring == "Q" else kernel_ql
+    zero = Fraction(0) if ring == "Q" else LaurentPoly.zero(("L",))
+    order, stride = draw(st.integers(0, 12)), draw(st.integers(1, 4))
+    coeffs = [Fraction(1)] + [zero] * order
+    for j in range(stride, order + 1, stride):
+        coeffs[j] = draw(st.one_of(st.just(zero), value(True)))
+    if huge and order >= 2 * stride:
+        coeffs[draw(st.sampled_from(range(2 * stride, order + 1, stride)))] = draw(huge_value(ring))
+    return TruncSeries(coeffs, order, zero)
+
+
+POWER_EXPONENTS = st.one_of(
+    st.sampled_from([0, -1, Fraction(-1), L**-1 + 2, L - L - 1]),
+    st.integers(-3, 3),
+    kernel_q(),
+    kernel_ql(),
+    kernel_q().map(lambda q: LaurentPoly.constant(q, ())),
+)
+
+
+class TestUsualPowerKernel:
+    @given(st.booleans().flatmap(lambda huge: strided_unit_series(huge=huge)), POWER_EXPONENTS)
+    @settings(max_examples=250, deadline=None)
+    def test_matches_the_coefficient_loop_and_exp_log(self, a, e):
+        """Exponents 0, -1 (e + 1 = 0), ints, rationals, Laurent and
+        empty-alphabet ones, over strided supports: values and the ring, the
+        join of the series' and the exponent's rings (Q for an exponent over
+        no variable)."""
+        got = a.usual_power(e)
+        same_series(got, generic_usual_power(a, e))
+        same_series(got, exp_log_power(a, e))
+
+    def test_strided_support_takes_order_over_gcd_steps(self, monkeypatch):
+        """1 + c t^12 - t^18 runs the recurrence on 1 + c t^2 - t^3 to order
+        N // 6; binomial_series(c, k, e, N) on 1 + c t to order N // k."""
+        orders = []
+        kernel = series_module._dense_power
+        monkeypatch.setattr(series_module, "_dense_power", lambda a, e, n: orders.append(n) or kernel(a, e, n))
+        a = TruncSeries([1] + [0] * 11 + [L] + [0] * 5 + [-1], 24)
+        same_series(a.usual_power(Fraction(-1, 3)), generic_usual_power(a, Fraction(-1, 3)))
+        binomial = binomial_series(Fraction(-1), 12, Fraction(-1, 3), 24)
+        assert orders == [4, 2]
+        same_series(binomial, generic_usual_power(TruncSeries([1] + [0] * 11 + [-1], 24), Fraction(-1, 3)))

@@ -1,5 +1,6 @@
 """Symmetric functions: arithmetic, bases, plethysm, specializations."""
 
+import gc
 import json
 import re
 from fractions import Fraction
@@ -527,6 +528,17 @@ class TestRationalJacobiTrudi:
         n = sum(lam)
         assert lam == _conjugate(lam)
         assert p_to_schur(basis_in_p("s", lam, n)) == {lam: LaurentPoly.constant(1)}
+
+    def test_memo_is_freed_on_return(self):
+        """A determinant's memo leaves no reference cycle behind: with the
+        cycle collector off, the collector then finds nothing to free."""
+        gc.collect()
+        gc.disable()
+        try:
+            _schur_rational((4, 3, 2, 1), {})
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 @st.composite
